@@ -44,7 +44,6 @@ from .kde import (
     silverman_bandwidth,
 )
 from .panel import (
-    Observation,
     Panel,
     TransitionPairs,
     build_transition_pairs,

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import pipeline
-from .dynamics import ergodic_distribution, net_transition_probability, support_components
 from .errors import DistDynError, InvalidSpec, MissingYear, NotConverged
-from .kde import density_1d, silverman_bandwidth
+from .kde import MIN_GRID_POINTS
 from .panel import dump_panel, load_panel
-from .report import build_report, compare_years
+from .report import compare_years
 from .synthesis import ProcessSpec, simulate
 from .viz import PlotStyle, export_csv, render_contour, render_curves, render_surface
 
@@ -127,18 +126,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _validate_analysis(cfg: RunConfig) -> list[str]:
-    """Range-check analyze settings; returns the normalized group tokens."""
+def _validate_panel_settings(cfg: RunConfig):
+    """Range-check the settings that load a panel and lay out its grid."""
     if cfg.input is None:
         raise ConfigError("no input panel given (use --input or the config file)")
-    if cfg.tau < 1:
-        raise ConfigError(f"tau must be a positive integer, got {cfg.tau}")
-    if cfg.grid_count < 16:
-        raise ConfigError(f"grid-count must be at least 16, got {cfg.grid_count}")
+    if cfg.grid_count < MIN_GRID_POINTS:
+        raise ConfigError(f"grid-count must be at least {MIN_GRID_POINTS}, got {cfg.grid_count}")
     if not cfg.grid_upper_factor > 0:
         raise ConfigError(f"grid-upper-factor must be positive, got {cfg.grid_upper_factor}")
     if cfg.scope not in ("pooled", "per_sector"):
         raise ConfigError(f"scope must be pooled or per_sector, got {cfg.scope!r}")
+
+
+def _validate_analysis(cfg: RunConfig) -> list[str]:
+    """Range-check analyze settings; returns the normalized group tokens."""
+    _validate_panel_settings(cfg)
+    if cfg.tau < 1:
+        raise ConfigError(f"tau must be a positive integer, got {cfg.tau}")
     if not (0 < cfg.fraction <= 1):
         raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
     for name in ("bandwidth_x", "bandwidth_y"):
@@ -153,15 +157,10 @@ def _validate_analysis(cfg: RunConfig) -> list[str]:
         raise ConfigError(f"prominence must be nonnegative, got {cfg.prominence}")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be positive, got {cfg.threads}")
-    tokens = [t.strip().replace("_", "-") for t in cfg.groups.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError("groups must name at least one group")
-    for t in tokens:
-        if t not in pipeline.GROUP_TOKENS:
-            raise ConfigError(
-                f"unknown group {t!r}, expected one of {', '.join(pipeline.GROUP_TOKENS)}"
-            )
-    return tokens
+    try:
+        return pipeline.parse_groups(cfg.groups)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def _sha256(data: bytes) -> str:
@@ -215,17 +214,11 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
     def put(name: str, data: bytes):
         files[f"{label}/{name}"] = _write_atomic(gdir / name, data)
 
-    entry: dict = {"label": label}
-    try:
-        est = pipeline.estimate_kernel(
-            gpanel, grid, tau=cfg.tau,
-            bandwidth_x=cfg.bandwidth_x, bandwidth_y=cfg.bandwidth_y,
-        )
+    def on_estimate(est, ntp):
         put("pairs.csv", export_csv(est.pairs))
         put("kernel.csv", export_csv(est.kernel))
         put("contour.svg", render_contour(est.kernel, style).encode("utf-8"))
         put("surface.svg", render_surface(est.kernel, style).encode("utf-8"))
-        ntp = net_transition_probability(est.kernel)
         put("ntp.csv", export_csv(ntp))
         put(
             "ntp.svg",
@@ -233,23 +226,28 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
                 [(label, ntp)], style, y_label="net transition probability"
             ).encode("utf-8"),
         )
-        init = density_1d(est.pairs.x, silverman_bandwidth(est.pairs.x, 1), grid)
-        ergodic = ergodic_distribution(est.kernel, init, tol=cfg.tol, max_iter=cfg.max_iter)
-        put("ergodic.csv", export_csv(ergodic.density))
+
+    entry: dict = {"label": label}
+    try:
+        res = pipeline.analyze_group(
+            label, gpanel, grid, tau=cfg.tau,
+            bandwidth_x=cfg.bandwidth_x, bandwidth_y=cfg.bandwidth_y,
+            tol=cfg.tol, max_iter=cfg.max_iter, min_prominence=cfg.prominence,
+            on_estimate=on_estimate,
+        )
+        put("ergodic.csv", export_csv(res.ergodic.density))
         put(
             "ergodic.svg",
             render_curves(
-                [(label, ergodic.density)], style, y_label="density"
+                [(label, res.ergodic.density)], style, y_label="density"
             ).encode("utf-8"),
         )
-        rep = build_report(label, gpanel, est.pairs, ergodic, ntp, cfg.prominence)
-        put("report.json", rep.to_json().encode("utf-8"))
-        spans = support_components(est.kernel)
+        put("report.json", res.report.to_json().encode("utf-8"))
         entry.update(
             status="ok",
-            ergodic_iterations=ergodic.iterations,
-            ergodic_residual="%.17g" % ergodic.residual,
-            support_components=[["%.17g" % a, "%.17g" % b] for a, b in spans],
+            ergodic_iterations=res.ergodic.iterations,
+            ergodic_residual="%.17g" % res.ergodic.residual,
+            support_components=[["%.17g" % a, "%.17g" % b] for a, b in res.components],
         )
     except NotConverged as e:
         entry.update(
@@ -271,8 +269,6 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     groups = pipeline.expand_groups(
         panel, tokens, base_year=cfg.base_year, fraction=cfg.fraction
     )
-    seen = set()
-    groups = [(lbl, p) for lbl, p in groups if not (lbl in seen or seen.add(lbl))]
     out_base = Path(cfg.out_dir)
     out_base.mkdir(parents=True, exist_ok=True)
     style = PlotStyle()
@@ -330,14 +326,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_compare_years(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise ConfigError("no input panel given (use --input or the config file)")
-    if cfg.grid_count < 16:
-        raise ConfigError(f"grid-count must be at least 16, got {cfg.grid_count}")
-    if not cfg.grid_upper_factor > 0:
-        raise ConfigError(f"grid-upper-factor must be positive, got {cfg.grid_upper_factor}")
-    if cfg.scope not in ("pooled", "per_sector"):
-        raise ConfigError(f"scope must be pooled or per_sector, got {cfg.scope!r}")
+    _validate_panel_settings(cfg)
     panel = load_panel(cfg.input)
     panel = pipeline.prepare_panel(panel, scope=cfg.scope)
     years = panel.years()

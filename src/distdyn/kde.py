@@ -33,6 +33,7 @@ from .errors import (
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 4096  # samples per accumulation block; fixed so sums are reproducible
+MIN_GRID_POINTS = 16  # fewest points a Grid may have
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -52,8 +53,8 @@ class Grid:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if self.count < 16:
-            raise DegenerateGrid(f"grid needs at least 16 points, got {self.count}")
+        if self.count < MIN_GRID_POINTS:
+            raise DegenerateGrid(f"grid needs at least {MIN_GRID_POINTS} points, got {self.count}")
         if pts.shape != (self.count,):
             raise DegenerateGrid("point array does not match declared count")
         if not np.all(np.isfinite(pts)) or not self.upper > self.lower:
@@ -67,8 +68,8 @@ class Grid:
 
     @classmethod
     def uniform(cls, lower: float, upper: float, count: int) -> "Grid":
-        if count < 2:
-            raise DegenerateGrid(f"grid needs at least 16 points, got {count}")
+        if count < MIN_GRID_POINTS:
+            raise DegenerateGrid(f"grid needs at least {MIN_GRID_POINTS} points, got {count}")
         pts = np.linspace(lower, upper, count)
         return cls(points=pts, lower=float(lower), upper=float(upper), count=int(count))
 

@@ -1,9 +1,9 @@
 """Long-format income panel: ingestion, deflation, relative incomes, subgroups.
 
 A panel holds one row per (unit, sector, year) with a positive income and an
-optional CPI index. Storage is columnar (numpy arrays) for speed; the
-row-level :class:`Observation` view is available for construction and
-iteration. All operations are pure: each returns a new panel.
+optional CPI index. Storage is columnar (numpy arrays): ingestion parses
+each row straight into the columns. All operations are pure: each returns a
+new panel.
 
 Input CSV contract: UTF-8, header exactly ``unit_id,sector,region,year,income``
 with an optional trailing ``cpi`` column; sector in {urban, rural}; region in
@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,17 +35,6 @@ SECTORS = ("urban", "rural")
 REGIONS = ("east", "central", "west", "other")
 
 _HEADER = ["unit_id", "sector", "region", "year", "income"]
-
-
-class Observation(NamedTuple):
-    """One panel row; ``cpi`` is NaN when absent."""
-
-    unit_id: str
-    sector: str
-    region: str
-    year: int
-    income: float
-    cpi: float = math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,33 +59,6 @@ class Panel:
 
     def __len__(self) -> int:
         return len(self.unit_id)
-
-    @property
-    def observations(self) -> Iterator[Observation]:
-        has_cpi = self.cpi is not None
-        for i in range(len(self)):
-            yield Observation(
-                unit_id=str(self.unit_id[i]),
-                sector=str(self.sector[i]),
-                region=str(self.region[i]),
-                year=int(self.year[i]),
-                income=float(self.income[i]),
-                cpi=float(self.cpi[i]) if has_cpi else math.nan,
-            )
-
-    @classmethod
-    def from_observations(cls, obs, is_relative: bool = False) -> "Panel":
-        obs = list(obs)
-        cpi = np.array([o.cpi for o in obs], dtype=float)
-        return cls(
-            unit_id=np.array([o.unit_id for o in obs], dtype=object),
-            sector=np.array([o.sector for o in obs], dtype=object),
-            region=np.array([o.region for o in obs], dtype=object),
-            year=np.array([o.year for o in obs], dtype=int),
-            income=np.array([o.income for o in obs], dtype=float),
-            cpi=None if np.all(np.isnan(cpi)) else cpi,
-            is_relative=is_relative,
-        )
 
     def years(self) -> np.ndarray:
         return np.unique(self.year)
@@ -140,27 +102,27 @@ class TransitionPairs:
         return len(self.x)
 
 
-def _text_lines(source):
-    if isinstance(source, (str, bytes)) and not (
-        isinstance(source, str) and source != "" and "\n" not in source and "," not in source
-    ):
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-        return io.StringIO(text)
+def _open_source(source):
+    """A text stream over ``source``: a path, CSV bytes, or a readable object."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "r", encoding="utf-8", newline="")
+    if isinstance(source, bytes):
+        return io.StringIO(source.decode("utf-8"))
     if hasattr(source, "read"):
         data = source.read()
         return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
-    # anything else is treated as a filesystem path
-    return open(source, "r", encoding="utf-8", newline="")
+    raise TypeError(f"cannot read a panel from {type(source).__name__}")
 
 
 def load_panel(source) -> Panel:
     """Parse a long-format CSV into a panel.
 
-    ``source`` may be CSV text/bytes, an open file object, or a path.
+    ``source`` is a path (``str`` or ``os.PathLike``), the CSV content as
+    ``bytes``, or an object with ``.read()`` returning text or bytes.
     Raises :class:`MalformedRow`, :class:`NonPositiveIncome` or
     :class:`DuplicateKey` with the 1-based row number of the offender.
     """
-    stream = _text_lines(source)
+    stream = _open_source(source)
     try:
         reader = csv.reader(stream)
         try:
@@ -178,7 +140,7 @@ def load_panel(source) -> Panel:
             )
 
         ncols = len(header)
-        obs: list[Observation] = []
+        units, sectors, regions, years, incomes, cpis = [], [], [], [], [], []
         seen: set[tuple[str, str, int]] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -212,10 +174,24 @@ def load_panel(source) -> Panel:
             if key in seen:
                 raise DuplicateKey(f"row {lineno}: repeated (unit_id, sector, year) {key}")
             seen.add(key)
-            obs.append(Observation(unit, sector, region, year, income, cpi))
+            units.append(unit)
+            sectors.append(sector)
+            regions.append(region)
+            years.append(year)
+            incomes.append(income)
+            if has_cpi:
+                cpis.append(cpi)
     finally:
         stream.close()
-    return Panel.from_observations(obs)
+    cpi_col = np.array(cpis, dtype=float)  # empty, hence dropped, without a cpi column
+    return Panel(
+        unit_id=np.array(units, dtype=object),
+        sector=np.array(sectors, dtype=object),
+        region=np.array(regions, dtype=object),
+        year=np.array(years, dtype=int),
+        income=np.array(incomes, dtype=float),
+        cpi=None if np.all(np.isnan(cpi_col)) else cpi_col,
+    )
 
 
 def dump_panel(panel: Panel) -> bytes:

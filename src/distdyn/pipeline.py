@@ -5,14 +5,16 @@ The full chain for one group of a relative-income panel:
     transition pairs -> joint KDE -> conditional kernel -> ergodic density,
     NTP curve, report
 
-with bandwidths from the Silverman rule unless overridden. Estimation and
-solving are split so callers (the CLI) can persist intermediate artifacts
-before the iterative solve runs.
+with bandwidths from the Silverman rule unless overridden.
+:func:`analyze_group` is the one place this chain runs; its ``on_estimate``
+hook lets a caller (the CLI) persist the estimation-stage artifacts before
+the iterative solve, so they survive a solve that does not converge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,26 +67,45 @@ def default_grid(panel: Panel, count: int = 256, upper_factor: float = 1.1) -> G
     return Grid.uniform(0.0, upper_factor * top, count)
 
 
+def parse_groups(groups) -> list[str]:
+    """Normalize group tokens: the one grammar of the ``groups`` setting.
+
+    ``groups`` is a sequence of tokens or one comma-separated string.
+    Surrounding blanks and empty tokens are dropped, underscores are
+    accepted in place of dashes, and a repeated token counts once. Raises
+    ValueError on an unknown token or when no token is left.
+    """
+    if isinstance(groups, str):
+        groups = groups.split(",")
+    tokens: list[str] = []
+    for raw in groups:
+        token = raw.strip().replace("_", "-")
+        if not token or token in tokens:
+            continue
+        if token not in GROUP_TOKENS:
+            raise ValueError(f"unknown group {token!r}, expected one of {', '.join(GROUP_TOKENS)}")
+        tokens.append(token)
+    if not tokens:
+        raise ValueError("groups must name at least one group")
+    return tokens
+
+
 def expand_groups(
     panel: Panel,
     groups,
     base_year: int | None = None,
     fraction: float = 1.0 / 3.0,
 ) -> list[tuple[str, Panel]]:
-    """Resolve group tokens into (label, sub-panel) pairs.
+    """Resolve group tokens (see :func:`parse_groups`) into (label, sub-panel) pairs.
 
     Tokens: ``pooled`` (everything), ``per-sector`` (each sector present),
     ``per-region`` (each region present), ``poorest-fraction`` (the poorest
     units ranked in ``base_year``, defaulting to the panel's first year).
-    ``groups`` is a sequence of tokens or one comma-separated string;
-    underscores are accepted in place of dashes. Labels follow the member
-    names; the poorest selection is labeled ``poorest``.
+    Labels follow the member names; the poorest selection is labeled
+    ``poorest``.
     """
-    if isinstance(groups, str):
-        groups = [t.strip() for t in groups.split(",") if t.strip()]
-    groups = [t.replace("_", "-") for t in groups]
     out: list[tuple[str, Panel]] = []
-    for token in groups:
+    for token in parse_groups(groups):
         if token == "pooled":
             out.append(("pooled", panel))
         elif token == "per-sector":
@@ -97,13 +118,9 @@ def expand_groups(
             for reg in REGIONS:
                 if reg in present:
                     out.append((reg, filter_group(panel, region=reg)))
-        elif token == "poorest-fraction":
+        else:  # poorest-fraction
             year = base_year if base_year is not None else int(panel.years().min())
             out.append(("poorest", poorest_fraction(panel, year, fraction)))
-        else:
-            raise ValueError(
-                f"unknown group token {token!r}, expected one of {GROUP_TOKENS}"
-            )
     return out
 
 
@@ -168,20 +185,25 @@ def analyze_group(
     tol: float = 1e-10,
     max_iter: int = 10000,
     min_prominence: float = 0.05,
+    on_estimate: Callable[[KernelEstimate, NTPCurve], None] | None = None,
 ) -> GroupResult:
-    """Run one group end to end: estimate, solve, summarize.
+    """Run one group end to end: estimate, NTP, solve, summarize.
 
-    The ergodic solve starts from the univariate-rule KDE of the pooled x
-    samples. Raises NotConverged (with the group's estimate discarded) when
-    the solve exhausts ``max_iter``.
+    ``on_estimate(est, ntp)``, when given, is called once the kernel and the
+    NTP curve exist and before the ergodic solve, which starts from the
+    univariate-rule KDE of the pooled x samples. Raises NotConverged when
+    the solve exhausts ``max_iter``; whatever ``on_estimate`` kept of the
+    estimate stays with the caller.
     """
     est = estimate_kernel(
         panel, grid, tau=tau, bandwidth_x=bandwidth_x, bandwidth_y=bandwidth_y,
         floor=floor,
     )
+    ntp = net_transition_probability(est.kernel)
+    if on_estimate is not None:
+        on_estimate(est, ntp)
     init = density_1d(est.pairs.x, silverman_bandwidth(est.pairs.x, 1), grid)
     ergodic = ergodic_distribution(est.kernel, init, tol=tol, max_iter=max_iter)
-    ntp = net_transition_probability(est.kernel)
     rep = build_report(label, panel, est.pairs, ergodic, ntp, min_prominence)
     return GroupResult(
         label=label,

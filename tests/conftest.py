@@ -1,6 +1,7 @@
 """Shared fixtures and small construction helpers for the test suite."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,12 @@ import pytest
 from distdyn import DensityCurve, Grid, StochasticKernel
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# `python -m distdyn` in a subprocess imports the package from this checkout,
+# as the tests themselves do through pyproject's pytest `pythonpath`.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -145,6 +145,13 @@ class TestAnalyze:
         assert status["west"] == "ok"
         assert "error" in next(g for g in manifest["groups"] if g["label"] == "east")
 
+    def test_input_path_with_comma(self, tmp_path):
+        (tmp_path / "a,b").mkdir()
+        panel = write_panel(tmp_path / "a,b" / "panel.csv")
+        code, out = run_analyze(tmp_path, panel)
+        assert code == 0
+        assert (out / "manifest.json").is_file()
+
     def test_missing_input_flag(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -297,6 +304,16 @@ class TestCompareYears:
         assert "rural 1999" in header and "rural 2013" in header
         assert len(lines) == 65
         assert (out / "compare.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("flags", [["--grid-count", "8"], ["--scope", "bogus"]])
+    def test_bad_setting_is_config_error(self, tmp_path, flags):
+        panel = write_panel(tmp_path / "panel.csv", years=(1999, 2005))
+        code = main(["compare-years", "--input", str(panel),
+                     "--out-dir", str(tmp_path / "o"), *flags])
+        assert code == 2
+
+    def test_missing_input_flag(self, tmp_path):
+        assert main(["compare-years", "--out-dir", str(tmp_path / "o")]) == 2
 
     def test_single_year_panel_fails(self, tmp_path):
         panel = write_panel(tmp_path / "panel.csv", years=(1999,))

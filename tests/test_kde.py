@@ -26,6 +26,7 @@ from distdyn import (
     density_2d_raw,
     silverman_bandwidth,
 )
+from distdyn.kde import MIN_GRID_POINTS
 
 from conftest import gaussian, trapezoid_weights
 
@@ -42,8 +43,9 @@ class TestGrid:
         assert g.spacing == pytest.approx(0.125, abs=1e-15)
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(DegenerateGrid):
-            Grid.uniform(0.0, 1.0, 15)
+        for count in (-1, 0, 1, MIN_GRID_POINTS - 1):
+            with pytest.raises(DegenerateGrid, match=f"at least {MIN_GRID_POINTS}"):
+                Grid.uniform(0.0, 1.0, count)
 
     def test_rejects_nonuniform_points(self):
         pts = np.linspace(0.0, 1.0, 20)

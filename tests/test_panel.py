@@ -1,5 +1,6 @@
 """Panel loading, validation, normalization, grouping and pair construction."""
 
+import io
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ HEADER_CPI = "unit_id,sector,region,year,income,cpi\n"
 
 def csv_panel(rows, cpi=False):
     head = HEADER_CPI if cpi else HEADER
-    return load_panel(head + "".join(r + "\n" for r in rows))
+    return load_panel((head + "".join(r + "\n" for r in rows)).encode())
 
 
 def random_rows(rng, n_units=6, years=(1999, 2000, 2001), regions=("east", "west")):
@@ -56,12 +57,11 @@ class TestLoadPanel:
             ]
         )
         assert len(p) == 2
-        obs = list(p.observations)
-        assert obs[0].unit_id == "a1"
-        assert obs[0].sector == "urban"
-        assert obs[0].region == "east"
-        assert obs[0].year == 1999
-        assert obs[0].income == 123.5
+        assert p.unit_id[0] == "a1"
+        assert p.sector[0] == "urban"
+        assert p.region[0] == "east"
+        assert p.year[0] == 1999
+        assert p.income[0] == 123.5
         assert p.cpi is None
         assert not p.is_relative
 
@@ -73,13 +73,28 @@ class TestLoadPanel:
         from_path = load_panel(path)
         assert len(from_bytes) == len(from_path) == 1
 
+    def test_path_with_comma(self, tmp_path):
+        # a comma in a path must not make it look like CSV content
+        path = tmp_path / "a,b" / "p.csv"
+        path.parent.mkdir()
+        path.write_text(HEADER + "a1,urban,east,1999,5.0\n")
+        assert len(load_panel(str(path))) == len(load_panel(path)) == 1
+
+    def test_str_is_always_a_path(self):
+        with pytest.raises(FileNotFoundError):
+            load_panel(HEADER + "a1,urban,east,1999,5.0\n")
+
+    def test_reads_text_stream(self):
+        p = load_panel(io.StringIO(HEADER + "a1,urban,east,1999,5.0\n"))
+        assert len(p) == 1
+
     def test_bad_header(self):
         with pytest.raises(MalformedRow):
-            load_panel("unit,sector,region,year,income\na,urban,east,1999,1\n")
+            load_panel(b"unit,sector,region,year,income\na,urban,east,1999,1\n")
 
     def test_empty_input(self):
         with pytest.raises(MalformedRow):
-            load_panel("")
+            load_panel(b"")
 
     def test_wrong_field_count_reports_row(self):
         with pytest.raises(MalformedRow) as err:
@@ -260,7 +275,7 @@ class TestToRelative:
             to_relative(rel)
 
     def test_empty_panel(self):
-        p = load_panel(HEADER)
+        p = load_panel(HEADER.encode())
         with pytest.raises(EmptyYear):
             to_relative(p)
 
@@ -504,6 +519,6 @@ class TestGroupShares:
         assert sum(group_shares(p).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_panel(self):
-        p = load_panel(HEADER)
+        p = load_panel(HEADER.encode())
         with pytest.raises(EmptySelection):
             group_shares(p)

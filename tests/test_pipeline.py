@@ -7,6 +7,7 @@ from distdyn import (
     Grid,
     GroupResult,
     KernelEstimate,
+    NotConverged,
     ProcessSpec,
     analyze_group,
     build_transition_pairs,
@@ -31,7 +32,7 @@ def mixed_panel():
         for year in (1999, 2000, 2001, 2002):
             income = base * float(rng.uniform(0.85, 1.15))
             rows.append(f"h{u:02d},{sector},{region},{year},{income!r}")
-    return load_panel(HEADER + "".join(r + "\n" for r in rows))
+    return load_panel((HEADER + "".join(r + "\n" for r in rows)).encode())
 
 
 class TestPreparePanel:
@@ -51,7 +52,7 @@ class TestPreparePanel:
             "a,urban,east,2000,220,110\n"
             "b,urban,east,2000,660,110\n"
         )
-        prepared = prepare_panel(load_panel(text))
+        prepared = prepare_panel(load_panel(text.encode()))
         # real incomes are (100, 300, 200, 600); relative within year the same
         assert np.allclose(prepared.income, [0.5, 1.5, 0.5, 1.5], atol=1e-12)
 
@@ -117,6 +118,16 @@ class TestExpandGroups:
         with pytest.raises(ValueError):
             expand_groups(panel, "pooled,per-village")
 
+    def test_repeated_tokens_count_once(self):
+        panel = prepare_panel(mixed_panel())
+        labels = [label for label, _ in expand_groups(panel, "pooled,per-sector,pooled")]
+        assert labels == ["pooled", "urban", "rural"]
+
+    def test_no_tokens(self):
+        panel = prepare_panel(mixed_panel())
+        with pytest.raises(ValueError):
+            expand_groups(panel, " , ")
+
     def test_underscore_aliases_accepted(self):
         panel = prepare_panel(mixed_panel())
         labels = [label for label, _ in expand_groups(panel, "per_sector")]
@@ -166,6 +177,22 @@ class TestAnalyzeGroup:
         assert len(result.components) >= 1
         sup = result.ntp.supported
         assert np.all(np.abs(result.ntp.values[sup]) <= 1.0)
+
+    def test_on_estimate_sees_kernel_and_ntp_before_solve(self):
+        spec = ProcessSpec(kind="ar1_log", rho=0.6, sigma=0.25, units=60, years=6, seed=13)
+        panel = prepare_panel(simulate(spec))
+        grid = default_grid(panel, count=64)
+        seen = []
+        with pytest.raises(NotConverged):
+            analyze_group(
+                "pooled", panel, grid, max_iter=1,
+                on_estimate=lambda est, ntp: seen.append((est, ntp)),
+            )
+        assert len(seen) == 1
+        result = analyze_group("pooled", panel, grid)
+        est, ntp = seen[0]
+        assert np.array_equal(est.kernel.rows, result.estimate.kernel.rows)
+        assert np.array_equal(ntp.values, result.ntp.values, equal_nan=True)
 
     def test_report_serializes(self):
         spec = ProcessSpec(kind="iid_lognormal", sigma=0.3, units=80, years=5, seed=3)

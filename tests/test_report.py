@@ -138,7 +138,7 @@ class TestFindModes:
 class TestCompareYears:
     def _panel(self, rows):
         return load_panel(
-            "unit_id,sector,region,year,income\n" + "".join(r + "\n" for r in rows)
+            ("unit_id,sector,region,year,income\n" + "".join(r + "\n" for r in rows)).encode()
         )
 
     def test_same_year_twice_gives_identical_curves(self):
@@ -268,7 +268,7 @@ class TestBuildReport:
                 )
         panel = to_relative(
             load_panel(
-                "unit_id,sector,region,year,income\n" + "".join(r + "\n" for r in rows)
+                ("unit_id,sector,region,year,income\n" + "".join(r + "\n" for r in rows)).encode()
             )
         )
         pairs = build_transition_pairs(panel, tau=1)
@@ -299,9 +299,9 @@ class TestBuildReport:
         )
         panel = to_relative(
             load_panel(
-                "unit_id,sector,region,year,income\n"
-                "a,urban,east,1999,1\nb,urban,east,1999,2\n"
-                "a,urban,east,2000,1\nb,urban,east,2000,2\n"
+                b"unit_id,sector,region,year,income\n"
+                b"a,urban,east,1999,1\nb,urban,east,1999,2\n"
+                b"a,urban,east,2000,1\nb,urban,east,2000,2\n"
             )
         )
         pairs = build_transition_pairs(panel, tau=1)
