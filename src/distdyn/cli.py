@@ -29,7 +29,7 @@ from pathlib import Path
 from . import pipeline
 from .errors import DistDynError, InvalidSpec, MissingYear, NotConverged
 from .kde import MIN_GRID_POINTS
-from .panel import dump_panel, load_panel
+from .panel import SECTORS, dump_panel, load_panel
 from .report import compare_years
 from .synthesis import ProcessSpec, simulate
 from .viz import PlotStyle, export_csv, render_contour, render_curves, render_surface
@@ -190,7 +190,7 @@ def _config_echo(cfg: RunConfig) -> dict:
         "grid-count": cfg.grid_count,
         "grid-upper-factor": cfg.grid_upper_factor,
         "scope": cfg.scope,
-        "groups": cfg.groups,
+        "groups": ",".join(pipeline.parse_groups(cfg.groups)),
         "fraction": cfg.fraction,
         "base-year": cfg.base_year,
         "bandwidth-x": cfg.bandwidth_x,
@@ -336,7 +336,7 @@ def _cmd_compare_years(cfg: RunConfig) -> int:
     grid = pipeline.default_grid(panel, cfg.grid_count, cfg.grid_upper_factor)
     by_sector = compare_years(panel, first, last, grid)
     labeled = []
-    for sector in ("urban", "rural"):
+    for sector in SECTORS:
         if sector in by_sector:
             a, b = by_sector[sector]
             labeled.append((f"{sector} {first}", a))

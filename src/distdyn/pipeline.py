@@ -181,7 +181,6 @@ def analyze_group(
     tau: int = 1,
     bandwidth_x: float | None = None,
     bandwidth_y: float | None = None,
-    floor: float = 1e-4,
     tol: float = 1e-10,
     max_iter: int = 10000,
     min_prominence: float = 0.05,
@@ -196,8 +195,7 @@ def analyze_group(
     estimate stays with the caller.
     """
     est = estimate_kernel(
-        panel, grid, tau=tau, bandwidth_x=bandwidth_x, bandwidth_y=bandwidth_y,
-        floor=floor,
+        panel, grid, tau=tau, bandwidth_x=bandwidth_x, bandwidth_y=bandwidth_y
     )
     ntp = net_transition_probability(est.kernel)
     if on_estimate is not None:

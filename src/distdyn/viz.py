@@ -1,6 +1,6 @@
 """Deterministic SVG figures and CSV exports of plotted arrays.
 
-Four figure forms: overlaid curves (densities, NTP), contour map of a
+Three figure forms: overlaid curves (densities, NTP), contour map of a
 kernel or joint surface with the 45-degree diagonal for reference, and an
 isometric 3-D mesh of the same surfaces. Everything is emitted as plain
 SVG 1.1 text with no external references, and identical inputs produce
@@ -29,6 +29,18 @@ RAMPS = {
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#7f3fbf", "#8c564b", "#e377c2")
 _DASHES = (None, "8 5", "2 3", "9 3 2 3", "14 4", "5 2 1 2")
+
+# Marching squares. A cell's case sets bit 1, 2, 4, 8 for its bl, br, tr, tl
+# corner at or above the level; _SEGMENTS[case] lists the crossed edges each
+# segment joins. _EDGES gives an edge's two corners as (di, dj) offsets.
+_B, _R, _T, _L = range(4)
+_EDGES = ((0, 0, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1))
+_SEGMENTS = (
+    (), ((_L, _B),), ((_B, _R),), ((_L, _R),),
+    ((_R, _T),), ((_L, _T), (_B, _R)), ((_B, _T),), ((_L, _T),),
+    ((_L, _T),), ((_B, _T),), ((_L, _B), (_R, _T)), ((_R, _T),),
+    ((_L, _R),), ((_B, _R),), ((_L, _B),), (),
+)
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,11 @@ def _svg_open(style: PlotStyle) -> list[str]:
     ]
 
 
-def _axes(style: PlotStyle, xlo, xhi, ylo, yhi, x_label, y_label) -> list[str]:
-    """Frame, ticks and labels for a rectangular data area."""
+def _scales(style: PlotStyle, xlo, xhi, ylo, yhi):
+    """The data-to-pixel maps ``(sx, sy)`` of the plot area."""
     m = style.margin
     w = style.width - 2 * m
     h = style.height - 2 * m
-    fs = style.font_size
 
     def sx(x):
         return m + (x - xlo) / (xhi - xlo) * w
@@ -112,6 +123,16 @@ def _axes(style: PlotStyle, xlo, xhi, ylo, yhi, x_label, y_label) -> list[str]:
     def sy(y):
         return style.height - m - (y - ylo) / (yhi - ylo) * h
 
+    return sx, sy
+
+
+def _axes(style: PlotStyle, xlo, xhi, ylo, yhi, x_label, y_label) -> list[str]:
+    """Frame, ticks and labels for a rectangular data area."""
+    m = style.margin
+    w = style.width - 2 * m
+    h = style.height - 2 * m
+    fs = style.font_size
+    sx, sy = _scales(style, xlo, xhi, ylo, yhi)
     out = [
         '<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="#333333"/>'
         % (_px(m), _px(m), _px(w), _px(h))
@@ -188,14 +209,7 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relati
 
     m = style.margin
     w = style.width - 2 * m
-    h = style.height - 2 * m
-
-    def sx(x):
-        return m + (x - xlo) / (xhi - xlo) * w
-
-    def sy(y):
-        return style.height - m - (y - ylo) / (yhi - ylo) * h
-
+    sx, sy = _scales(style, xlo, xhi, ylo, yhi)
     out = _svg_open(style)
     out += _axes(style, xlo, xhi, ylo, yhi, x_label, y_label)
     if want_zero:
@@ -204,10 +218,20 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relati
             'stroke="#999999" stroke-dasharray="4 4"/>'
             % (_px(m), _px(sy(0.0)), _px(m + w), _px(sy(0.0)))
         )
+    # legend, top right of the data area, drawn over the series
+    fs = style.font_size
+    lw = max(len(lbl) for lbl, _ in curves) * fs * 0.62 + 46
+    lx = m + w - lw - 8
+    ly = m + 8
+    legend = [
+        '<rect x="%s" y="%s" width="%s" height="%s" fill="#ffffff" '
+        'fill-opacity="0.85" stroke="#cccccc"/>'
+        % (_px(lx), _px(ly), _px(lw), _px(len(curves) * (fs + 8) + 8))
+    ]
     for k, (label, curve) in enumerate(curves):
-        color = _COLORS[k % len(_COLORS)]
         dash = _DASHES[k % len(_DASHES)]
-        dash_attr = ' stroke-dasharray="%s"' % dash if dash else ""
+        stroke = 'stroke="%s" stroke-width="1.6"%s' % (
+            _COLORS[k % len(_COLORS)], ' stroke-dasharray="%s"' % dash if dash else "")
         v = np.asarray(curve.values, dtype=float)
         parts = []
         pen_up = True
@@ -220,32 +244,18 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relati
             pen_up = False
         if parts:
             out.append(
-                '<path class="series" fill="none" stroke="%s" stroke-width="1.6"%s d="%s"/>'
-                % (color, dash_attr, " ".join(parts))
+                '<path class="series" fill="none" %s d="%s"/>' % (stroke, " ".join(parts))
             )
-    # legend, top right of the data area
-    fs = style.font_size
-    lw = max(len(lbl) for lbl, _ in curves) * fs * 0.62 + 46
-    lx = m + w - lw - 8
-    ly = m + 8
-    out.append(
-        '<rect x="%s" y="%s" width="%s" height="%s" fill="#ffffff" '
-        'fill-opacity="0.85" stroke="#cccccc"/>'
-        % (_px(lx), _px(ly), _px(lw), _px(len(curves) * (fs + 8) + 8))
-    )
-    for k, (label, _) in enumerate(curves):
-        color = _COLORS[k % len(_COLORS)]
-        dash = _DASHES[k % len(_DASHES)]
-        dash_attr = ' stroke-dasharray="%s"' % dash if dash else ""
         row_y = ly + 8 + k * (fs + 8) + fs / 2
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1.6"%s/>'
-            % (_px(lx + 6), _px(row_y), _px(lx + 34), _px(row_y), color, dash_attr)
+        legend.append(
+            '<line x1="%s" y1="%s" x2="%s" y2="%s" %s/>'
+            % (_px(lx + 6), _px(row_y), _px(lx + 34), _px(row_y), stroke)
         )
-        out.append(
+        legend.append(
             '<text x="%s" y="%s" font-size="%s" font-family="sans-serif">%s</text>'
             % (_px(lx + 40), _px(row_y + 0.35 * fs), _px(fs), escape(label))
         )
+    out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -276,15 +286,27 @@ def _resolve_levels(style: PlotStyle, vmax: float) -> list[float]:
     return [(0.05 + 0.90 * i / (k - 1)) * vmax for i in range(k)]
 
 
+def _crossing(x, y, v, level: float, i: int, j: int, edge: int):
+    """Where ``level`` crosses ``edge`` of cell (i, j), by linear interpolation."""
+    ai, aj, bi, bj = _EDGES[edge]
+    a, b = v[i + ai, j + aj], v[i + bi, j + bj]
+    t = (level - a) / (b - a)
+    if ai == bi:
+        return x[i + ai], y[j] + t * (y[j + 1] - y[j])
+    return x[i] + t * (x[i + 1] - x[i]), y[j + aj]
+
+
 def render_contour(obj, style: PlotStyle = PlotStyle(),
                    x_label: str = "relative income at t",
                    y_label: str = "relative income at t+τ") -> str:
     """Contour map of a kernel or joint surface, diagonal included.
 
-    Level curves are traced by marching squares on the value array; saddle
-    cells are disambiguated with the cell-center average. The y = x
-    diagonal is drawn dashed wherever the two axis ranges overlap, making
-    deviation from pure persistence visible at a glance.
+    Level curves are traced by marching squares over the cells a level
+    crosses: a cell's 4-bit corner case indexes the ``_SEGMENTS`` table, and
+    a saddle (case 5 or 10) whose cell-centre average is below the level is
+    drawn as the opposite saddle. The y = x diagonal is drawn dashed
+    wherever the two axis ranges overlap, making deviation from pure
+    persistence visible at a glance.
     """
     x, y, v = _surface_arrays(obj)
     vmax = float(np.max(v))
@@ -295,16 +317,7 @@ def render_contour(obj, style: PlotStyle = PlotStyle(),
 
     xlo, xhi = float(x[0]), float(x[-1])
     ylo, yhi = float(y[0]), float(y[-1])
-    m = style.margin
-    w = style.width - 2 * m
-    h = style.height - 2 * m
-
-    def sx(xx):
-        return m + (xx - xlo) / (xhi - xlo) * w
-
-    def sy(yy):
-        return style.height - m - (yy - ylo) / (yhi - ylo) * h
-
+    sx, sy = _scales(style, xlo, xhi, ylo, yhi)
     out = _svg_open(style)
     out += _axes(style, xlo, xhi, ylo, yhi, x_label, y_label)
 
@@ -316,71 +329,19 @@ def render_contour(obj, style: PlotStyle = PlotStyle(),
             % (_px(sx(dlo)), _px(sy(dlo)), _px(sx(dhi)), _px(sy(dhi)))
         )
 
-    nx, ny = x.size, y.size
+    centre = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
     for li, level in enumerate(levels):
-        frac = (li + 1) / len(levels)
-        color = _ramp_color(style.ramp, 0.25 + 0.75 * frac)
+        color = _ramp_color(style.ramp, 0.25 + 0.75 * ((li + 1) / len(levels)))
+        up = (v >= level).astype(np.uint8)
+        case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
+        # A saddle whose centre is not at or above the level (NaN included) flips.
+        case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
         segs: list[str] = []
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                bl = v[i, j]
-                br = v[i + 1, j]
-                tr = v[i + 1, j + 1]
-                tl = v[i, j + 1]
-                case = (
-                    (1 if bl >= level else 0)
-                    | (2 if br >= level else 0)
-                    | (4 if tr >= level else 0)
-                    | (8 if tl >= level else 0)
-                )
-                if case in (0, 15):
-                    continue
-
-                def edge_bottom():
-                    t = (level - bl) / (br - bl)
-                    return (x[i] + t * (x[i + 1] - x[i]), y[j])
-
-                def edge_top():
-                    t = (level - tl) / (tr - tl)
-                    return (x[i] + t * (x[i + 1] - x[i]), y[j + 1])
-
-                def edge_left():
-                    t = (level - bl) / (tl - bl)
-                    return (x[i], y[j] + t * (y[j + 1] - y[j]))
-
-                def edge_right():
-                    t = (level - br) / (tr - br)
-                    return (x[i + 1], y[j] + t * (y[j + 1] - y[j]))
-
-                if case in (1, 14):
-                    pairs = [(edge_left(), edge_bottom())]
-                elif case in (2, 13):
-                    pairs = [(edge_bottom(), edge_right())]
-                elif case in (3, 12):
-                    pairs = [(edge_left(), edge_right())]
-                elif case in (4, 11):
-                    pairs = [(edge_right(), edge_top())]
-                elif case in (6, 9):
-                    pairs = [(edge_bottom(), edge_top())]
-                elif case in (7, 8):
-                    pairs = [(edge_left(), edge_top())]
-                elif case == 5:
-                    center = 0.25 * (bl + br + tr + tl)
-                    if center >= level:
-                        pairs = [(edge_left(), edge_top()), (edge_bottom(), edge_right())]
-                    else:
-                        pairs = [(edge_left(), edge_bottom()), (edge_right(), edge_top())]
-                else:  # case 10
-                    center = 0.25 * (bl + br + tr + tl)
-                    if center >= level:
-                        pairs = [(edge_left(), edge_bottom()), (edge_right(), edge_top())]
-                    else:
-                        pairs = [(edge_left(), edge_top()), (edge_bottom(), edge_right())]
-                for (px1, py1), (px2, py2) in pairs:
-                    segs.append(
-                        "M%s %s L%s %s"
-                        % (_px(sx(px1)), _px(sy(py1)), _px(sx(px2)), _px(sy(py2)))
-                    )
+        for i, j in zip(*np.nonzero((case != 0) & (case != 15))):
+            for edges in _SEGMENTS[case[i, j]]:
+                (x1, y1), (x2, y2) = (_crossing(x, y, v, level, i, j, e) for e in edges)
+                segs.append("M%s %s L%s %s"
+                            % (_px(sx(x1)), _px(sy(y1)), _px(sx(x2)), _px(sy(y2))))
         if segs:
             out.append(
                 '<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
@@ -488,12 +449,8 @@ def export_csv(obj) -> bytes:
     round-trip parse reproduces every value bit for bit.
     """
     lines: list[str] = []
-    if isinstance(obj, DensityCurve):
-        lines.append("x,density")
-        for xv, vv in zip(obj.grid.points, obj.values):
-            lines.append("%s,%s" % (_g(xv), _g(vv)))
-    elif isinstance(obj, NTPCurve):
-        lines.append("x,ntp")
+    if isinstance(obj, (DensityCurve, NTPCurve)):
+        lines.append("x,density" if isinstance(obj, DensityCurve) else "x,ntp")
         for xv, vv in zip(obj.grid.points, obj.values):
             lines.append("%s,%s" % (_g(xv), _g(vv)))
     elif isinstance(obj, (StochasticKernel, DensitySurface)):

@@ -152,6 +152,16 @@ class TestAnalyze:
         assert code == 0
         assert (out / "manifest.json").is_file()
 
+    def test_manifest_echoes_groups_in_normal_form(self, tmp_path):
+        panel = write_panel(tmp_path / "panel.csv")
+        manifests = []
+        for k, groups in enumerate(("pooled", "pooled,pooled", " pooled ")):
+            code, out = run_analyze(tmp_path, panel, f"out{k}", "--groups", groups)
+            assert code == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1] == manifests[2]
+        assert json.loads(manifests[0])["config"]["groups"] == "pooled"
+
     def test_missing_input_flag(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "o")]) == 2
 

@@ -1,6 +1,8 @@
 """SVG rendering and lossless CSV export of analysis artifacts."""
 
+import hashlib
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -171,6 +173,40 @@ class TestRenderContour:
             return len([ln for ln in t.splitlines() if 'class="level"' in ln])
         assert n_levels(one) == 1
         assert n_levels(one) < n_levels(nine)
+
+    # 2x2 saddle cells, v[i, j] with bl=v[0,0], br=v[1,0], tr=v[1,1], tl=v[0,1];
+    # the cell centre averages to 0.5, so level 0.45 lies below it and 0.55 above
+    @pytest.mark.parametrize(
+        "v, level, path",
+        [
+            # case 5 (bl, tr high), centre above: cut off tl, then br
+            ([[1.0, 0.0], [0.2, 0.8]], 0.45,
+             "M54.00 221.40 L353.25 54.00 M419.75 426.00 L586.00 271.00"),
+            # case 5, centre below: cut off bl, then tr
+            ([[1.0, 0.0], [0.2, 0.8]], 0.55,
+             "M54.00 258.60 L353.25 426.00 M586.00 209.00 L419.75 54.00"),
+            # case 10 (br, tl high), centre above: cut off bl, then tr
+            ([[0.2, 0.8], [1.0, 0.0]], 0.45,
+             "M54.00 271.00 L220.25 426.00 M586.00 221.40 L286.75 54.00"),
+            # case 10, centre below: cut off tl, then br
+            ([[0.2, 0.8], [1.0, 0.0]], 0.55,
+             "M54.00 209.00 L220.25 54.00 M286.75 426.00 L586.00 258.60"),
+        ],
+    )
+    def test_saddle_cell_paths(self, v, level, path):
+        unit = np.array([0.0, 1.0])
+        text = render_contour((unit, unit, np.array(v)), PlotStyle(levels=(level,)))
+        assert re.findall(r'class="level"[^>]* d="([^"]*)"', text) == [path]
+
+    def test_random_surface_bytes_pinned(self):
+        # 95 saddle cells over the 11 levels; the digest pins segment order,
+        # saddle pairing and interpolation rounding of every crossing
+        v = np.random.default_rng(7).random((12, 10))
+        x, y = np.linspace(0.0, 2.0, 12), np.linspace(0.0, 3.0, 10)
+        text = render_contour((x, y, v), PlotStyle(levels=11))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9cd7f4ed05d8e1a1a70ea421ae986acf6b43ab33891d2c7a8743c2f30fcacc48"
+        )
 
 
 class TestRenderSurface:
