@@ -205,38 +205,27 @@ def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
     mass at the other's location; the transitive closure partitions the
     supported set. More than one component means the kernel is effectively
     reducible and the ergodic density depends on the starting point, so the
-    solver's result should be read per component.
+    solver's result should be read per component. Blocks come in ascending
+    order of their first point.
     """
     if kernel.grid_x != kernel.grid_y:
         raise GridMismatch("support connectivity needs a square kernel")
-    idx = np.flatnonzero(kernel.supported)
-    if idx.size == 0:
+    sup = np.flatnonzero(kernel.supported)
+    if sup.size == 0:
         return []
-    parent = {int(i): int(i) for i in idx}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    sup_set = set(int(i) for i in idx)
-    for i in idx:
-        hits = np.flatnonzero(kernel.rows[i] > 0.0)
-        for j in hits:
-            j = int(j)
-            if j in sup_set:
-                union(int(i), j)
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(int(i)), []).append(int(i))
-    spans = [
-        (float(kernel.grid_x.points[min(g)]), float(kernel.grid_x.points[max(g)]))
-        for g in groups.values()
-    ]
-    return sorted(spans)
+    link = kernel.rows[np.ix_(sup, sup)] > 0.0
+    link |= link.T
+    # min-label propagation: each point takes the least label among itself
+    # and its links, then jumps to its label's label, until nothing changes;
+    # each block ends up labeled with its first point
+    label = np.arange(sup.size)
+    while True:
+        nxt = np.minimum(label, np.where(link, label, sup.size).min(axis=1))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    first, from_end = np.unique(label[::-1], return_index=True)
+    last = sup.size - 1 - from_end
+    pts = kernel.grid_x.points
+    return list(zip(pts[sup[first]].tolist(), pts[sup[last]].tolist()))

@@ -181,8 +181,8 @@ class StochasticKernel:
         supported = np.asarray(supported, dtype=bool)
         if supported.shape != (self.grid_x.count,):
             raise ValueError("support flags do not match grid_x")
-        masses = np.array([_quad.integrate(self.grid_y, r) for r in rows])
-        if np.any(np.abs(masses[supported] - 1.0) > 1e-9):
+        masses = np.sum(rows[supported] * _quad.weights(self.grid_y), axis=1)
+        if np.any(np.abs(masses - 1.0) > 1e-9):
             raise ValueError("supported rows must integrate to 1; use from_rows")
         object.__setattr__(self, "rows", _readonly(rows))
         sup = np.ascontiguousarray(supported)
@@ -198,15 +198,12 @@ class StochasticKernel:
         if supported is None:
             supported = np.ones(grid_x.count, dtype=bool)
         supported = np.array(supported, dtype=bool)
+        # one trapezoid reduction per row, the same sum as _quad.integrate
+        mass = np.zeros(grid_x.count)
+        mass[supported] = np.sum(rows[supported] * _quad.weights(grid_y), axis=1)
+        supported &= (mass > 0) & np.isfinite(mass)
         out = np.zeros_like(rows)
-        for i in range(grid_x.count):
-            if not supported[i]:
-                continue
-            mass = _quad.integrate(grid_y, rows[i])
-            if mass > 0 and np.isfinite(mass):
-                out[i] = rows[i] / mass
-            else:
-                supported[i] = False
+        out[supported] = rows[supported] / mass[supported, None]
         return cls(grid_x=grid_x, grid_y=grid_y, rows=out, supported=supported)
 
     @property

@@ -7,7 +7,8 @@ new panel.
 
 Input CSV contract: UTF-8, header exactly ``unit_id,sector,region,year,income``
 with an optional trailing ``cpi`` column; sector in {urban, rural}; region in
-{east, central, west, other}; plain decimal numbers.
+{east, central, west, other}, one per (unit_id, sector); plain decimal
+numbers.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +41,13 @@ _HEADER = ["unit_id", "sector", "region", "year", "income"]
 
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """Columnar long-format panel. ``cpi`` is None once dropped (or never given)."""
+    """Columnar long-format panel. ``cpi`` is None once dropped (or never given).
+
+    A unit is one (unit_id, sector) pair. Its rows share a unit code, the
+    unit's number in first-appearance order, built once per panel on first
+    use; units, transition pairs, the poorest selection and region shares
+    all read it.
+    """
 
     unit_id: np.ndarray
     sector: np.ndarray
@@ -65,10 +73,21 @@ class Panel:
 
     def units(self) -> list[tuple[str, str]]:
         """Distinct (unit_id, sector) keys in first-appearance order."""
-        seen: dict[tuple[str, str], None] = {}
-        for u, s in zip(self.unit_id, self.sector):
-            seen.setdefault((u, s), None)
-        return list(seen)
+        first = self._first_rows()
+        return list(zip(self.unit_id[first], self.sector[first]))
+
+    @cached_property
+    def _unit_code(self) -> np.ndarray:
+        """Per-row unit code: first-appearance number of the row's (unit_id, sector)."""
+        index: dict[tuple[str, str], int] = {}
+        keys = zip(self.unit_id, self.sector)
+        return np.fromiter(
+            (index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(self)
+        )
+
+    def _first_rows(self) -> np.ndarray:
+        """Row of each unit's first appearance, indexed by unit code."""
+        return np.unique(self._unit_code, return_index=True)[1]
 
     def _take(self, mask_or_idx, **overrides) -> "Panel":
         kw = dict(
@@ -119,8 +138,9 @@ def load_panel(source) -> Panel:
 
     ``source`` is a path (``str`` or ``os.PathLike``), the CSV content as
     ``bytes``, or an object with ``.read()`` returning text or bytes.
-    Raises :class:`MalformedRow`, :class:`NonPositiveIncome` or
-    :class:`DuplicateKey` with the 1-based row number of the offender.
+    Raises :class:`MalformedRow` (also for a unit whose region changes),
+    :class:`NonPositiveIncome` or :class:`DuplicateKey` with the 1-based row
+    number of the offender.
     """
     stream = _open_source(source)
     try:
@@ -141,7 +161,7 @@ def load_panel(source) -> Panel:
 
         ncols = len(header)
         units, sectors, regions, years, incomes, cpis = [], [], [], [], [], []
-        seen: set[tuple[str, str, int]] = set()
+        seen: dict[tuple[str, str], tuple[str, set[int]]] = {}  # each unit's region, years
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -170,10 +190,14 @@ def load_panel(source) -> Panel:
                     raise MalformedRow(f"row {lineno}: cpi {row[5]!r} is not a number")
                 if not math.isfinite(cpi) or cpi <= 0:
                     raise MalformedRow(f"row {lineno}: cpi must be > 0, got {row[5]}")
-            key = (unit, sector, year)
-            if key in seen:
+            region0, unit_years = seen.setdefault((unit, sector), (region, set()))
+            if year in unit_years:
+                key = (unit, sector, year)
                 raise DuplicateKey(f"row {lineno}: repeated (unit_id, sector, year) {key}")
-            seen.add(key)
+            if region != region0:
+                raise MalformedRow(f"row {lineno}: unit ({unit!r}, {sector!r}) in region "
+                                   f"{region!r}, but in {region0!r} on its earlier rows")
+            unit_years.add(year)
             units.append(unit)
             sectors.append(sector)
             regions.append(region)
@@ -245,19 +269,20 @@ def to_relative(panel: Panel, scope: str = "pooled") -> Panel:
         raise ValueError(f"scope must be 'pooled' or 'per_sector', got {scope!r}")
     if len(panel) == 0:
         raise EmptyYear("cannot normalize an empty panel")
-    income = panel.income.copy()
-    if scope == "pooled":
-        keys = [(int(y),) for y in panel.year]
-    else:
-        keys = [(int(y), s) for y, s in zip(panel.year, panel.sector)]
-    groups: dict[tuple, list[int]] = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    for k, idx in groups.items():
-        mean = float(np.mean(panel.income[idx]))
+    columns = (panel.year,) if scope == "pooled" else (panel.year, panel.sector)
+    key = 0
+    for column in columns:
+        values, code = np.unique(column, return_inverse=True)
+        key = key * len(values) + code
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    income = np.empty_like(panel.income)
+    for c in np.argsort(first):
+        rows = cell == c  # a mask keeps row order, so the mean sums in row order
+        mean = float(np.mean(panel.income[rows]))
         if mean <= 0:
+            k = (int(panel.year[first[c]]), panel.sector[first[c]])[: len(columns)]
             raise EmptyYear(f"no usable observations in scope {k}")
-        income[idx] = panel.income[idx] / mean
+        income[rows] = panel.income[rows] / mean
     return Panel(
         unit_id=panel.unit_id,
         sector=panel.sector,
@@ -297,20 +322,13 @@ def poorest_fraction(panel: Panel, base_year: int, fraction: float) -> Panel:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if base_year not in panel.year:
         raise MissingBaseYear(f"base year {base_year} not present in panel")
-    keep: set[tuple[str, str]] = set()
+    kept: list[int] = []
     for sec in SECTORS:
-        mask = (panel.sector == sec) & (panel.year == base_year)
-        if not mask.any():
-            continue
-        ranked = sorted(
-            zip(panel.income[mask], panel.unit_id[mask]),
-            key=lambda t: (t[0], t[1]),
-        )
-        n_keep = math.ceil(fraction * len(ranked))
-        keep.update((uid, sec) for _, uid in ranked[:n_keep])
-    mask = np.array(
-        [(u, s) in keep for u, s in zip(panel.unit_id, panel.sector)], dtype=bool
-    )
+        rows = np.flatnonzero((panel.sector == sec) & (panel.year == base_year))
+        ranked = sorted(rows, key=lambda i: (panel.income[i], panel.unit_id[i]))
+        kept += ranked[: math.ceil(fraction * len(rows))]
+    code = panel._unit_code
+    mask = np.isin(code, code[kept])
     if not mask.any():
         raise EmptySelection("poorest-fraction selection retained no observations")
     return panel._take(mask)
@@ -326,35 +344,27 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
         raise ValueError("transition pairs are built from relative incomes; run to_relative first")
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
-    by_unit: dict[tuple[str, str], dict[int, float]] = {}
-    for i in range(len(panel)):
-        key = (panel.unit_id[i], panel.sector[i])
-        by_unit.setdefault(key, {})[int(panel.year[i])] = float(panel.income[i])
-    xs: list[float] = []
-    ys: list[float] = []
-    for key, series in by_unit.items():
-        for t in sorted(series):
-            if t + tau in series:
-                xs.append(series[t])
-                ys.append(series[t + tau])
-    if not xs:
-        years = panel.years()
-        span = int(years.max() - years.min()) if len(years) else 0
-        raise NoPairs(
-            f"no unit is observed {tau} years apart (panel spans {span + 1} year(s))"
-        )
-    return TransitionPairs(x=np.array(xs), y=np.array(ys), tau=tau)
+    years = panel.years()
+    span = int(years[-1] - years[0]) + 1 if len(years) else 1
+    start = end = np.empty(0, dtype=np.intp)
+    if tau < span:
+        # rows sorted by unit code, then year; the key steps span + tau per
+        # unit, so year + tau never reaches the next unit's keys
+        order = np.lexsort((panel.year, panel._unit_code))
+        key = panel._unit_code[order] * (span + tau) + (panel.year[order] - years[0])
+        target = key + tau
+        at = np.minimum(np.searchsorted(key, target), len(key) - 1)
+        hit = key[at] == target
+        start, end = order[hit], order[at[hit]]
+    if not len(start):
+        raise NoPairs(f"no unit is observed {tau} years apart (panel spans {span} year(s))")
+    return TransitionPairs(x=panel.income[start], y=panel.income[end], tau=tau)
 
 
 def group_shares(panel: Panel) -> dict[str, float]:
     """Share of distinct (unit_id, sector) units in each region present."""
     if len(panel) == 0:
         raise EmptySelection("cannot compute region shares of an empty panel")
-    region_of: dict[tuple[str, str], str] = {}
-    for i in range(len(panel)):
-        region_of.setdefault((panel.unit_id[i], panel.sector[i]), str(panel.region[i]))
-    total = len(region_of)
-    counts: dict[str, int] = {}
-    for r in region_of.values():
-        counts[r] = counts.get(r, 0) + 1
-    return {r: counts[r] / total for r in REGIONS if r in counts}
+    regions = panel.region[panel._first_rows()]
+    counts = {r: int(np.count_nonzero(regions == r)) for r in REGIONS}
+    return {r: c / len(regions) for r, c in counts.items() if c}

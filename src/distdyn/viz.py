@@ -80,11 +80,12 @@ def _px(x: float) -> str:
     return "%.2f" % x
 
 
-def _ramp_color(name: str, t: float) -> str:
-    lo, hi = RAMPS[name]
-    t = min(1.0, max(0.0, t))
-    rgb = [lo[k] + t * (hi[k] - lo[k]) for k in range(3)]
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
+def _ramp_colors(name: str, t) -> list[str]:
+    """Ramp colours at the heights ``t``, each clipped to [0, 1] (NaN to 0)."""
+    lo, hi = (np.array(c) for c in RAMPS[name])
+    t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
+    rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -330,8 +331,8 @@ def render_contour(obj, style: PlotStyle = PlotStyle(),
         )
 
     centre = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
-    for li, level in enumerate(levels):
-        color = _ramp_color(style.ramp, 0.25 + 0.75 * ((li + 1) / len(levels)))
+    colors = _ramp_colors(style.ramp, 0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
+    for level, color in zip(levels, colors):
         up = (v >= level).astype(np.uint8)
         case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
         # A saddle whose centre is not at or above the level (NaN included) flips.
@@ -362,8 +363,9 @@ def render_surface(obj, style: PlotStyle = PlotStyle(),
                    y_label: str = "relative income at t+τ") -> str:
     """Isometric 3-D mesh of a kernel or joint surface.
 
-    Cells are painted back to front (painter's algorithm over the fixed
-    diagonal traversal), filled by the style ramp according to height.
+    Each mesh vertex is projected and formatted once. Cells are painted
+    back to front (painter's algorithm: far diagonals i + j first, each in
+    ascending i), filled by the style ramp according to their mean height.
     Dense grids are thinned to ``style.mesh_limit`` cells per axis; a 2x2
     input renders as a single cell.
     """
@@ -386,10 +388,18 @@ def render_surface(obj, style: PlotStyle = PlotStyle(),
     x_center = style.width / 2.0
     top_pad = (area_h - (1.0 + zh) * scale) / 2.0
 
-    def project(xv: float, yv: float, zv: float) -> tuple[float, float]:
+    def project(xv, yv, zv):
+        """Screen position of a point (or of numpy arrays of points) of the unit cube."""
         u = (xv - yv) * c30
         elev = (xv + yv) * s30 + zv * zh
         return (x_center + u * scale, m + top_pad + (1.0 + zh - elev) * scale)
+
+    px, py = project(xn[:, None], yn[None, :], zn)
+    vertex = [["%s,%s" % (_px(a), _px(b)) for a, b in zip(rx, ry)]
+              for rx, ry in zip(px.tolist(), py.tolist())]
+    mean_z = 0.25 * (zn[:-1, :-1] + zn[1:, :-1] + zn[1:, 1:] + zn[:-1, 1:])
+    colors = _ramp_colors(style.ramp, mean_z.ravel())
+    ci, cj = np.indices(mean_z.shape).reshape(2, -1)
 
     out = _svg_open(style)
     base = [project(0, 0, 0), project(1, 0, 0), project(1, 1, 0), project(0, 1, 0)]
@@ -397,26 +407,13 @@ def render_surface(obj, style: PlotStyle = PlotStyle(),
         '<polygon class="base" points="%s" fill="#f4f4f4" stroke="#bbbbbb"/>'
         % " ".join("%s,%s" % (_px(X), _px(Y)) for X, Y in base)
     )
-    nx, ny = xn.size, yn.size
-    for depth in range(nx + ny - 4, -1, -1):
-        for i in range(nx - 1):
-            j = depth - i
-            if j < 0 or j >= ny - 1:
-                continue
-            quad = [
-                project(xn[i], yn[j], zn[i, j]),
-                project(xn[i + 1], yn[j], zn[i + 1, j]),
-                project(xn[i + 1], yn[j + 1], zn[i + 1, j + 1]),
-                project(xn[i], yn[j + 1], zn[i, j + 1]),
-            ]
-            mean_z = 0.25 * (zn[i, j] + zn[i + 1, j] + zn[i + 1, j + 1] + zn[i, j + 1])
-            out.append(
-                '<polygon class="cell" points="%s" fill="%s" stroke="#333333" stroke-width="0.25"/>'
-                % (
-                    " ".join("%s,%s" % (_px(X), _px(Y)) for X, Y in quad),
-                    _ramp_color(style.ramp, mean_z),
-                )
-            )
+    for c in np.lexsort((ci, -(ci + cj))):
+        i, j = ci[c], cj[c]
+        out.append(
+            '<polygon class="cell" points="%s %s %s %s" fill="%s" stroke="#333333" '
+            'stroke-width="0.25"/>'
+            % (vertex[i][j], vertex[i + 1][j], vertex[i + 1][j + 1], vertex[i][j + 1], colors[c])
+        )
     fs = style.font_size
     xL = project(0.55, -0.08, 0)
     yL = project(-0.08, 0.55, 0)

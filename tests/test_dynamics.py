@@ -360,6 +360,27 @@ class TestSupportComponents:
         with pytest.raises(GridMismatch):
             support_components(kern)
 
+    @pytest.mark.parametrize("count", [16, 40, 128])
+    def test_matches_csgraph_on_sparse_kernels(self, count):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(count)
+        g = Grid.uniform(0.0, 2.0, count)
+        for density in (0.002, 0.01, 0.05, 0.2) * 5:
+            rows = (rng.random((count, count)) < density) * rng.random((count, count))
+            rows[np.diag_indices(count)] += rng.random(count) < 0.5
+            kern = StochasticKernel.from_rows(
+                g, g, rows, supported=rng.random(count) < rng.uniform(0.3, 1.0)
+            )
+            sup = np.flatnonzero(kern.supported)
+            n, label = csgraph.connected_components(
+                kern.rows[np.ix_(sup, sup)] > 0, directed=True, connection="weak"
+            )
+            want = sorted(
+                (g.points[sup[label == c].min()], g.points[sup[label == c].max()])
+                for c in range(n)
+            )
+            assert support_components(kern) == want
+
 
 class TestNTPCurveType:
     def test_rejects_out_of_range_values(self):

@@ -279,6 +279,25 @@ class TestToRelative:
         with pytest.raises(EmptyYear):
             to_relative(p)
 
+    @pytest.mark.parametrize(
+        "scope, income, cell",
+        [
+            ("pooled", [-1.0, -2.0, -3.0, -4.0], r"\(2001,\)"),
+            ("per_sector", [-1.0, 2.0, 3.0, -4.0], r"\(2001, 'urban'\)"),
+        ],
+    )
+    def test_non_positive_mean_names_first_appearing_cell(self, scope, income, cell):
+        # only a panel built in code can hold such incomes; load_panel rejects them
+        p = Panel(
+            unit_id=np.array(["a", "b", "a", "b"], dtype=object),
+            sector=np.array(["urban", "rural", "urban", "rural"], dtype=object),
+            region=np.array(["east"] * 4, dtype=object),
+            year=np.array([2001, 2000, 2000, 2001]),
+            income=np.array(income),
+        )
+        with pytest.raises(EmptyYear, match=f"scope {cell}$"):
+            to_relative(p, scope=scope)
+
     def test_bad_scope(self):
         p = csv_panel(["a1,urban,east,1999,2"])
         with pytest.raises(ValueError):
@@ -522,3 +541,128 @@ class TestGroupShares:
         p = load_panel(HEADER.encode())
         with pytest.raises(EmptySelection):
             group_shares(p)
+
+
+class TestLoadPanelRegion:
+    def test_region_change_within_unit_rejected(self):
+        rows = ["u0,urban,east,1999,1", "u0,urban,east,2000,2", "u0,urban,west,2001,3"]
+        rows += [f"u{u},urban,east,{y},1" for u in range(1, 6) for y in (1999, 2000, 2001)]
+        with pytest.raises(MalformedRow, match=r"row 4: .*'u0'.*'west'.*'east'"):
+            csv_panel(rows)
+
+    def test_same_id_in_other_sector_may_differ(self):
+        p = csv_panel(["u0,urban,east,1999,1", "u0,rural,west,1999,1"])
+        assert group_shares(p) == {"east": 0.5, "west": 0.5}
+
+
+# Reference implementations: per-unit dict groupings, one Python pass each.
+# The panel functions must match them bit for bit.
+
+
+def _ref_units(panel):
+    seen = {}
+    for u, s in zip(panel.unit_id, panel.sector):
+        seen.setdefault((u, s), None)
+    return list(seen)
+
+
+def _ref_to_relative(panel, scope):
+    income = panel.income.copy()
+    if scope == "pooled":
+        keys = [(int(y),) for y in panel.year]
+    else:
+        keys = [(int(y), s) for y, s in zip(panel.year, panel.sector)]
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    for idx in groups.values():
+        income[idx] = panel.income[idx] / float(np.mean(panel.income[idx]))
+    return income
+
+
+def _ref_pairs(panel, tau):
+    by_unit = {}
+    for i in range(len(panel)):
+        key = (panel.unit_id[i], panel.sector[i])
+        by_unit.setdefault(key, {})[int(panel.year[i])] = float(panel.income[i])
+    xs, ys = [], []
+    for series in by_unit.values():
+        for t in sorted(series):
+            if t + tau in series:
+                xs.append(series[t])
+                ys.append(series[t + tau])
+    return np.array(xs), np.array(ys)
+
+
+def _ref_poorest_mask(panel, base_year, fraction):
+    keep = set()
+    for sec in ("urban", "rural"):
+        mask = (panel.sector == sec) & (panel.year == base_year)
+        ranked = sorted(zip(panel.income[mask], panel.unit_id[mask]))
+        keep.update((uid, sec) for _, uid in ranked[: math.ceil(fraction * len(ranked))])
+    return np.array([(u, s) in keep for u, s in zip(panel.unit_id, panel.sector)], dtype=bool)
+
+
+def _ref_group_shares(panel):
+    region_of = {}
+    for i in range(len(panel)):
+        region_of.setdefault((panel.unit_id[i], panel.sector[i]), str(panel.region[i]))
+    counts = {}
+    for r in region_of.values():
+        counts[r] = counts.get(r, 0) + 1
+    return {r: counts[r] / len(region_of) for r in ("east", "central", "west", "other") if r in counts}
+
+
+def shuffled_panel(seed, first_year):
+    """Unbalanced panel with year gaps, rows shuffled, so units first appear late.
+
+    Some unit ids occur in both sectors; incomes repeat so ranks tie.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(int(rng.integers(3, 40))):
+        for sector in ("urban", "rural"):
+            if rng.random() < 0.4:
+                continue
+            region = ("east", "central", "west", "other")[int(rng.integers(4))]
+            years = np.flatnonzero(rng.random(12) < rng.uniform(0.2, 1.0)) + first_year
+            for y in years:
+                income = float(rng.choice([1.0, 2.5, rng.uniform(0.1, 50.0)]))
+                rows.append(f"h{u},{sector},{region},{y},{income!r}")
+    rng.shuffle(rows)
+    return csv_panel(rows)
+
+
+class TestUnitIndexMatchesReference:
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("first_year", [1990, -3, 2_000_000_000])
+    def test_bytes_equal(self, seed, first_year):
+        p = shuffled_panel(seed, first_year)
+        assert p.units() == _ref_units(p)
+        assert group_shares(p) == _ref_group_shares(p)
+        for scope in ("pooled", "per_sector"):
+            rel = to_relative(p, scope=scope)
+            assert rel.income.tobytes() == _ref_to_relative(p, scope).tobytes()
+            for tau in (1, 2, 5):
+                x, y = _ref_pairs(rel, tau)
+                if not len(x):
+                    with pytest.raises(NoPairs):
+                        build_transition_pairs(rel, tau=tau)
+                    continue
+                pairs = build_transition_pairs(rel, tau=tau)
+                assert pairs.x.tobytes() == x.tobytes()
+                assert pairs.y.tobytes() == y.tobytes()
+        base_year = int(p.year[len(p) // 2])
+        for fraction in (0.1, 0.5, 1.0):
+            want = _ref_poorest_mask(p, base_year, fraction)
+            sub = poorest_fraction(p, base_year, fraction)
+            assert list(sub.unit_id) == list(p.unit_id[want])
+            assert sub.year.tobytes() == p.year[want].tobytes()
+            assert sub.income.tobytes() == p.income[want].tobytes()
+
+    def test_empty_relative_panel_has_no_pairs(self):
+        rel = to_relative(csv_panel(["a,urban,east,1999,1", "a,urban,east,2000,2"]))
+        empty = rel._take(np.zeros(len(rel), dtype=bool))
+        with pytest.raises(NoPairs, match="spans 1 year"):
+            build_transition_pairs(empty, tau=1)
+        assert empty.units() == []

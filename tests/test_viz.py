@@ -210,6 +210,23 @@ class TestRenderContour:
 
 
 class TestRenderSurface:
+    def test_random_surface_bytes_pinned(self):
+        # thinned and unthinned meshes, both ramps, a small canvas; the digest
+        # pins the painter's order, every projected vertex and every fill
+        rng = np.random.default_rng(13)
+        digest = hashlib.sha256()
+        for shape, style in [
+            ((23, 17), PlotStyle(mesh_limit=9, ramp="grays")),
+            ((5, 40), PlotStyle(mesh_limit=64)),
+            ((70, 3), PlotStyle(mesh_limit=20, width=300, height=200)),
+        ]:
+            v = rng.random(shape)
+            x, y = np.linspace(-1.0, 2.0, shape[0]), np.linspace(0.5, 3.0, shape[1])
+            digest.update(render_surface((x, y, v), style).encode())
+        assert digest.hexdigest() == (
+            "65bb8fbb95f59411129803fc979650181b9c0f01e66abb7babaf1fd9b66ca6ff"
+        )
+
     def test_deterministic(self):
         g = Grid.uniform(0.0, 2.0, 40)
         kern = small_kernel(g)
