@@ -5,10 +5,13 @@ ergodic density, NTP, figures, report) and writes a manifest hashing every
 output. ``simulate`` emits a synthetic panel CSV. ``compare-years``
 overlays per-sector income densities for the panel's first and last year.
 
-Configuration comes from an optional flat JSON file (keys named like the
-flags, kebab-case) with command-line flags taking precedence. Outputs land
-under --out-dir, the DISTDYN_OUT_DIR environment variable, or ./distdyn-out,
-in that order. All files are written atomically (temp file, then rename).
+Each field of :class:`RunConfig` declares one setting; its flag, config
+key, type, help text and range rule all come from that field. Configuration
+comes from an optional flat JSON file (keys named like the flags,
+kebab-case) with command-line flags taking precedence, and every setting of
+the subcommand is checked before any file is read. Outputs land under
+--out-dir, the DISTDYN_OUT_DIR environment variable, or ./distdyn-out, in
+that order. All files are written atomically (temp file, then rename).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 when some
 group's ergodic solve did not converge (other groups still complete and the
@@ -20,10 +23,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import pipeline
@@ -35,52 +40,94 @@ from .synthesis import ProcessSpec, simulate
 from .viz import PlotStyle, export_csv, render_contour, render_curves, render_surface
 
 ENV_OUT_DIR = "DISTDYN_OUT_DIR"
+DEFAULT_OUT_DIR = "distdyn-out"
+
+ANALYZE, SIMULATE, COMPARE = "analyze", "simulate", "compare-years"
+_PANEL = (ANALYZE, COMPARE)
 
 
 class ConfigError(Exception):
     """Bad flag, config key, or out-of-range parameter (exit code 2)."""
 
 
+def _setting(default, help: str, commands: tuple[str, ...], rule=None, must: str = ""):
+    """Declare one setting: its default, help text and subcommands, and its
+    range rule, a predicate on the value and what the value ``must`` do when
+    the predicate is false. A rule that parses the value (the group grammar,
+    the club centers) raises ValueError worded in full instead."""
+    meta = {"help": help, "commands": commands, "rule": rule, "must": must}
+    return field(default=default, metadata=meta)
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
+def _club_centers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"club-centers must be two comma-separated numbers, got {text!r}")
+
+
 @dataclass
 class RunConfig:
-    """Resolved settings for one invocation (defaults, file, then flags)."""
+    """Resolved settings for one invocation (defaults, file, then flags).
 
-    input: str | None = None
-    out_dir: str | None = None
-    tau: int = 1
-    grid_count: int = 256
-    grid_upper_factor: float = 1.1
-    scope: str = "pooled"
-    groups: str = "pooled"
-    fraction: float = 1.0 / 3.0
-    base_year: int | None = None
-    bandwidth_x: float | None = None
-    bandwidth_y: float | None = None
-    tol: float = 1e-10
-    max_iter: int = 10000
-    prominence: float = 0.05
-    seed: int = 0
-    threads: int = 1
-    kind: str = "ar1_log"
-    rho: float = 0.0
-    sigma: float = 0.2
-    club_centers: str = "0.48,1.1"
-    club_pull: float = 0.3
-    units: int = 400
-    years: int = 15
+    Each field is the one declaration of a setting. Its flag is
+    ``--kebab-name``, its config key ``kebab-name`` and its type the
+    annotation's, where ``None`` means unset.
+    """
+
+    input: str | None = _setting(
+        None, "input panel CSV", _PANEL,
+        lambda v: v is not None, "name a panel CSV (use --input or the config file)")
+    out_dir: str | None = _setting(
+        None, f"output directory; if not given, ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR}",
+        (ANALYZE, SIMULATE, COMPARE))
+    tau: int = _setting(1, "transition horizon in years", (ANALYZE,),
+                        _positive, "be a positive integer")
+    grid_count: int = _setting(256, "grid points", _PANEL,
+                               lambda v: v >= MIN_GRID_POINTS, f"be at least {MIN_GRID_POINTS}")
+    grid_upper_factor: float = _setting(
+        1.1, "grid top as a multiple of the max relative income", _PANEL, _positive, "be positive")
+    scope: str = _setting("pooled", "relative-income scope: pooled or per_sector", _PANEL,
+                          lambda v: v in ("pooled", "per_sector"), "be pooled or per_sector")
+    groups: str = _setting("pooled", f"comma list of {', '.join(pipeline.GROUP_TOKENS)}",
+                           (ANALYZE,), pipeline.parse_groups)
+    fraction: float = _setting(1.0 / 3.0, "poorest fraction to keep", (ANALYZE,),
+                               lambda v: 0 < v <= 1, "lie in (0, 1]")
+    base_year: int | None = _setting(None, "ranking year for poorest-fraction", (ANALYZE,))
+    bandwidth_x: float | None = _setting(None, "override the x bandwidth", (ANALYZE,),
+                                         lambda v: v is None or v > 0, "be positive")
+    bandwidth_y: float | None = _setting(None, "override the y bandwidth", (ANALYZE,),
+                                         lambda v: v is None or v > 0, "be positive")
+    tol: float = _setting(1e-10, "ergodic L1 tolerance", (ANALYZE,), _positive, "be positive")
+    max_iter: int = _setting(10000, "ergodic iteration cap", (ANALYZE,), _positive, "be positive")
+    prominence: float = _setting(0.05, "mode prominence threshold as a fraction of the peak",
+                                 (ANALYZE,), lambda v: v >= 0, "be nonnegative")
+    threads: int = _setting(1, "concurrent groups", (ANALYZE,), _positive, "be positive")
+    # synthesis.ProcessSpec range-checks the simulate settings.
+    kind: str = _setting("ar1_log", "iid_lognormal, ar1_log, or two_club", (SIMULATE,))
+    rho: float = _setting(0.0, "AR(1) persistence in [0, 1)", (SIMULATE,))
+    sigma: float = _setting(0.2, "innovation sd of log income", (SIMULATE,))
+    club_centers: str = _setting("0.48,1.1", "two comma-separated club centers", (SIMULATE,),
+                                 _club_centers)
+    club_pull: float = _setting(0.3, "mean-reversion rate in (0, 1]", (SIMULATE,))
+    units: int = _setting(400, "cross-section size", (SIMULATE,))
+    years: int = _setting(15, "panel length in years", (SIMULATE,))
+    seed: int = _setting(0, "64-bit seed", (SIMULATE,))
 
 
-_INT_KEYS = {"tau", "grid-count", "base-year", "max-iter", "seed", "threads", "units", "years"}
-_FLOAT_KEYS = {
-    "grid-upper-factor", "fraction", "bandwidth-x", "bandwidth-y", "tol",
-    "prominence", "rho", "sigma", "club-pull",
-}
-_STR_KEYS = {"input", "out-dir", "scope", "groups", "kind", "club-centers"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_FIELDS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}  # by flag name
+_TYPES = {name: (typing.get_args(t) or (t,))[0]
+          for name, t in typing.get_type_hints(RunConfig).items()}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _attr(key: str) -> str:
-    return key.replace("-", "_")
+def _settings(command: str) -> dict:
+    """Flag name -> field of every setting ``command`` takes, in declaration order."""
+    return {key: f for key, f in _FIELDS.items() if command in f.metadata["commands"]}
 
 
 def _load_config_file(path: str) -> dict:
@@ -95,72 +142,47 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError("config file must hold a flat JSON object")
     out = {}
     for key, value in raw.items():
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer")
-        elif key in _FLOAT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            value = float(value)
-        else:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a string")
-        out[key] = value
+        name = _FIELDS[key].name
+        kind = _TYPES[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
+        try:
+            out[name] = float(value) if kind is float else value
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"config key {key!r} must be a finite number")
     return out
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            setattr(cfg, _attr(key), value)
-    for key in _ALL_KEYS:
-        flag_value = getattr(args, _attr(key), None)
+    if args.config:
+        for name, value in _load_config_file(args.config).items():
+            setattr(cfg, name, value)
+    for f in _FIELDS.values():
+        flag_value = getattr(args, f.name, None)
         if flag_value is not None:
-            setattr(cfg, _attr(key), flag_value)
+            setattr(cfg, f.name, flag_value)
     if cfg.out_dir is None:
-        cfg.out_dir = os.environ.get(ENV_OUT_DIR) or "distdyn-out"
+        cfg.out_dir = os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR
     cfg.scope = cfg.scope.replace("-", "_")
     return cfg
 
 
-def _validate_panel_settings(cfg: RunConfig):
-    """Range-check the settings that load a panel and lay out its grid."""
-    if cfg.input is None:
-        raise ConfigError("no input panel given (use --input or the config file)")
-    if cfg.grid_count < MIN_GRID_POINTS:
-        raise ConfigError(f"grid-count must be at least {MIN_GRID_POINTS}, got {cfg.grid_count}")
-    if not cfg.grid_upper_factor > 0:
-        raise ConfigError(f"grid-upper-factor must be positive, got {cfg.grid_upper_factor}")
-    if cfg.scope not in ("pooled", "per_sector"):
-        raise ConfigError(f"scope must be pooled or per_sector, got {cfg.scope!r}")
-
-
-def _validate_analysis(cfg: RunConfig) -> list[str]:
-    """Range-check analyze settings; returns the normalized group tokens."""
-    _validate_panel_settings(cfg)
-    if cfg.tau < 1:
-        raise ConfigError(f"tau must be a positive integer, got {cfg.tau}")
-    if not (0 < cfg.fraction <= 1):
-        raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
-    for name in ("bandwidth_x", "bandwidth_y"):
-        val = getattr(cfg, name)
-        if val is not None and not val > 0:
-            raise ConfigError(f"{name.replace('_', '-')} must be positive, got {val}")
-    if not cfg.tol > 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"max-iter must be positive, got {cfg.max_iter}")
-    if cfg.prominence < 0:
-        raise ConfigError(f"prominence must be nonnegative, got {cfg.prominence}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be positive, got {cfg.threads}")
-    try:
-        return pipeline.parse_groups(cfg.groups)
-    except ValueError as e:
-        raise ConfigError(str(e))
+def _validate(cfg: RunConfig, command: str):
+    """Check every setting ``command`` takes: a float must be finite, then
+    each value must pass its declared rule."""
+    for key, f in _settings(command).items():
+        value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        try:
+            ok = rule is None or rule(value)
+        except ValueError as e:  # a parsing rule words its own error
+            raise ConfigError(str(e))
+        if not ok:
+            raise ConfigError(f"{key} must {f.metadata['must']}, got {value!r}")
 
 
 def _sha256(data: bytes) -> str:
@@ -178,27 +200,15 @@ def _write_atomic(path: Path, data: bytes) -> str:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    """The analysis-relevant settings, in fixed order, for the manifest.
+    """The analysis-relevant settings, in declaration order, for the manifest.
 
     Output location and thread count deliberately excluded: they do not
     change the computation, and the manifest must be byte-identical across
     them.
     """
-    echo = {
-        "input": cfg.input,
-        "tau": cfg.tau,
-        "grid-count": cfg.grid_count,
-        "grid-upper-factor": cfg.grid_upper_factor,
-        "scope": cfg.scope,
-        "groups": ",".join(pipeline.parse_groups(cfg.groups)),
-        "fraction": cfg.fraction,
-        "base-year": cfg.base_year,
-        "bandwidth-x": cfg.bandwidth_x,
-        "bandwidth-y": cfg.bandwidth_y,
-        "tol": cfg.tol,
-        "max-iter": cfg.max_iter,
-        "prominence": cfg.prominence,
-    }
+    echo = {key: getattr(cfg, f.name) for key, f in _settings(ANALYZE).items()
+            if key not in ("out-dir", "threads")}
+    echo["groups"] = ",".join(pipeline.parse_groups(cfg.groups))
     return echo
 
 
@@ -262,12 +272,11 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    tokens = _validate_analysis(cfg)
     panel = load_panel(cfg.input)
     panel = pipeline.prepare_panel(panel, scope=cfg.scope)
     grid = pipeline.default_grid(panel, cfg.grid_count, cfg.grid_upper_factor)
     groups = pipeline.expand_groups(
-        panel, tokens, base_year=cfg.base_year, fraction=cfg.fraction
+        panel, cfg.groups, base_year=cfg.base_year, fraction=cfg.fraction
     )
     out_base = Path(cfg.out_dir)
     out_base.mkdir(parents=True, exist_ok=True)
@@ -303,15 +312,11 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    try:
-        centers = tuple(float(t) for t in cfg.club_centers.split(","))
-    except ValueError:
-        raise ConfigError(f"club-centers must be two comma-separated numbers, got {cfg.club_centers!r}")
     spec = ProcessSpec(
         kind=cfg.kind,
         rho=cfg.rho,
         sigma=cfg.sigma,
-        club_centers=centers,
+        club_centers=_club_centers(cfg.club_centers),
         club_pull=cfg.club_pull,
         units=cfg.units,
         years=cfg.years,
@@ -326,7 +331,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_compare_years(cfg: RunConfig) -> int:
-    _validate_panel_settings(cfg)
     panel = load_panel(cfg.input)
     panel = pipeline.prepare_panel(panel, scope=cfg.scope)
     years = panel.years()
@@ -349,10 +353,11 @@ def _cmd_compare_years(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat JSON config file; flags override it")
-    p.add_argument("--input", help="input panel CSV")
-    p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or ./distdyn-out)")
+_COMMANDS = {
+    ANALYZE: ("full per-group analysis of a panel CSV", _cmd_analyze),
+    SIMULATE: ("generate a synthetic panel CSV", _cmd_simulate),
+    COMPARE: ("overlay first- and last-year income densities per sector", _cmd_compare_years),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,44 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "ergodic densities, net transition probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="full per-group analysis of a panel CSV")
-    _add_common_flags(pa)
-    pa.add_argument("--tau", type=int, help="transition horizon in years (default 1)")
-    pa.add_argument("--grid-count", type=int, help="grid points (default 256)")
-    pa.add_argument("--grid-upper-factor", type=float,
-                    help="grid top as a multiple of the max relative income (default 1.1)")
-    pa.add_argument("--scope", help="relative-income scope: pooled or per_sector")
-    pa.add_argument("--groups",
-                    help="comma list of pooled, per-sector, per-region, poorest-fraction")
-    pa.add_argument("--fraction", type=float, help="poorest fraction to keep (default 1/3)")
-    pa.add_argument("--base-year", type=int, help="ranking year for poorest-fraction")
-    pa.add_argument("--bandwidth-x", type=float, help="override the x bandwidth")
-    pa.add_argument("--bandwidth-y", type=float, help="override the y bandwidth")
-    pa.add_argument("--tol", type=float, help="ergodic L1 tolerance (default 1e-10)")
-    pa.add_argument("--max-iter", type=int, help="ergodic iteration cap (default 10000)")
-    pa.add_argument("--prominence", type=float,
-                    help="mode prominence threshold as a fraction of the peak (default 0.05)")
-    pa.add_argument("--threads", type=int, help="concurrent groups (default 1)")
-
-    ps = sub.add_parser("simulate", help="generate a synthetic panel CSV")
-    _add_common_flags(ps)
-    ps.add_argument("--kind", help="iid_lognormal, ar1_log, or two_club")
-    ps.add_argument("--rho", type=float, help="AR(1) persistence in [0, 1)")
-    ps.add_argument("--sigma", type=float, help="innovation sd of log income")
-    ps.add_argument("--club-centers", help="two comma-separated club centers")
-    ps.add_argument("--club-pull", type=float, help="mean-reversion rate in (0, 1]")
-    ps.add_argument("--units", type=int, help="cross-section size")
-    ps.add_argument("--years", type=int, help="panel length in years")
-    ps.add_argument("--seed", type=int, help="64-bit seed")
-
-    pc = sub.add_parser("compare-years",
-                        help="overlay first- and last-year income densities per sector")
-    _add_common_flags(pc)
-    pc.add_argument("--grid-count", type=int, help="grid points (default 256)")
-    pc.add_argument("--grid-upper-factor", type=float,
-                    help="grid top as a multiple of the max relative income (default 1.1)")
-    pc.add_argument("--scope", help="relative-income scope: pooled or per_sector")
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        for key, f in _settings(command).items():
+            default = "" if f.default is None else f" (default {f.default})"
+            p.add_argument(f"--{key}", type=_TYPES[f.name], help=f.metadata["help"] + default)
     return parser
 
 
@@ -407,21 +380,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "analyze":
-            return _cmd_analyze(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        return _cmd_compare_years(cfg)
-    except ConfigError as e:
+        _validate(cfg, args.command)
+        return _COMMANDS[args.command][1](cfg)
+    except (ConfigError, InvalidSpec) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except InvalidSpec as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DistDynError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (DistDynError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -253,8 +253,18 @@ def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
 
 
 def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
-    """Gaussian KDE renormalized to unit mass on the grid."""
-    return DensityCurve.from_values(grid, density_1d_raw(samples, h, grid))
+    """Gaussian KDE renormalized to unit mass on the grid.
+
+    Raises InsufficientData when the estimate has no positive finite mass
+    on the grid, as with a bandwidth far below the grid spacing.
+    """
+    raw = density_1d_raw(samples, h, grid)
+    mass = _quad.integrate(grid, raw)
+    if not (np.isfinite(mass) and mass > 0):
+        raise InsufficientData(
+            f"KDE at bandwidth {h} puts no mass on the grid of spacing {grid.spacing}"
+        )
+    return DensityCurve.from_values(grid, raw)
 
 
 def density_2d_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> np.ndarray:
@@ -281,10 +291,20 @@ def density_2d_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) ->
 
 
 def density_2d(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> DensitySurface:
-    """Product-kernel joint KDE renormalized to unit 2-D mass."""
+    """Product-kernel joint KDE renormalized to unit 2-D mass.
+
+    Raises InsufficientData for fewer than 2 pairs, or when the estimate has
+    no positive finite mass on the grid pair.
+    """
     if np.asarray(pairs.x).size < 2:
         raise InsufficientData("joint estimate needs at least 2 pairs")
     raw = density_2d_raw(pairs, bandwidths, grid_x, grid_y)
+    mass = _quad.integrate_2d(grid_x, grid_y, raw)
+    if not (np.isfinite(mass) and mass > 0):
+        raise InsufficientData(
+            f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y}) puts no mass "
+            f"on the grid of spacings ({grid_x.spacing}, {grid_y.spacing})"
+        )
     return DensitySurface.from_values(grid_x, grid_y, raw)
 
 

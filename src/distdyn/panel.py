@@ -138,7 +138,8 @@ def load_panel(source) -> Panel:
 
     ``source`` is a path (``str`` or ``os.PathLike``), the CSV content as
     ``bytes``, or an object with ``.read()`` returning text or bytes.
-    Raises :class:`MalformedRow` (also for a unit whose region changes),
+    Raises :class:`MalformedRow` (also for an empty ``unit_id`` and for a
+    unit whose region changes),
     :class:`NonPositiveIncome` or :class:`DuplicateKey` with the 1-based row
     number of the offender.
     """
@@ -168,6 +169,8 @@ def load_panel(source) -> Panel:
             if len(row) != ncols:
                 raise MalformedRow(f"row {lineno}: expected {ncols} fields, got {len(row)}")
             unit, sector, region = row[0].strip(), row[1].strip(), row[2].strip()
+            if not unit:
+                raise MalformedRow(f"row {lineno}: empty unit_id")
             if sector not in SECTORS:
                 raise MalformedRow(f"row {lineno}: unknown sector {sector!r}")
             if region not in REGIONS:

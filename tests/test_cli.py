@@ -1,15 +1,16 @@
 """Command line interface: argument handling, outputs, manifests, exit codes."""
 
+import argparse
 import hashlib
 import json
-import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from distdyn import load_panel
+from distdyn import cli, load_panel
 from distdyn.cli import ENV_OUT_DIR, main
 
 HEADER = "unit_id,sector,region,year,income\n"
@@ -203,6 +204,39 @@ class TestAnalyze:
         code, _ = run_analyze(tmp_path, panel, "out", "--fraction", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--bandwidth-x", "inf"], None),
+        (["--prominence", "nan"], None),
+        (["--tol", "inf"], None),
+        (["--grid-upper-factor", "inf"], None),
+        ([], '"tol": Infinity'),  # json.load accepts Infinity and NaN
+        ([], '"tol": 1' + "0" * 400),  # an integer no float can hold
+    ], ids=["bandwidth-x", "prominence", "tol", "grid-upper-factor", "config", "config-overflow"])
+    def test_non_finite_setting_rejected_before_reading(self, tmp_path, monkeypatch, flags, config):
+        panel = write_panel(tmp_path / "panel.csv")
+        if config is None:
+            flags = ["--input", str(panel), *flags]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(f'{{"input": {json.dumps(str(panel))}, {config}}}')
+            flags = ["--config", str(cfg)]
+        reads = []
+        monkeypatch.setattr(cli, "load_panel", reads.append)
+        out = tmp_path / "out"
+        assert main(["analyze", "--out-dir", str(out), *flags]) == 2
+        assert not (out / "manifest.json").exists()
+        assert reads == []
+
+    @pytest.mark.parametrize("flag", ["--bandwidth-x", "--bandwidth-y"])
+    def test_kde_without_mass_fails_group(self, tmp_path, demo_panel_path, flag):
+        # a bandwidth far below the grid spacing puts no mass on the grid
+        code = main(["analyze", "--input", str(demo_panel_path), "--out-dir", str(tmp_path),
+                     "--grid-count", "32", flag, "1e-9"])
+        assert code == 3
+        entry = json.loads((tmp_path / "manifest.json").read_text())["groups"][0]
+        assert entry["status"] == "failed"
+        assert "puts no mass on the grid" in entry["error"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         panel = write_panel(tmp_path / "panel.csv")
         target = tmp_path / "env-out"
@@ -263,6 +297,17 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "out-dir" not in manifest["config"]
         assert "threads" not in manifest["config"]
+
+    def test_manifest_config_echo_keys(self, tmp_path):
+        panel = write_panel(tmp_path / "panel.csv")
+        code, out = run_analyze(tmp_path, panel)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["config"]) == [
+            "input", "tau", "grid-count", "grid-upper-factor", "scope", "groups",
+            "fraction", "base-year", "bandwidth-x", "bandwidth-y", "tol", "max-iter",
+            "prominence",
+        ]
 
 
 class TestSimulate:
@@ -363,3 +408,48 @@ def test_help_lists_documented_flags():
     simulate = help_for("simulate")
     for flag in ("--config", "--out-dir", "--seed", "--units", "--years"):
         assert flag in simulate
+
+
+def subcommand_flags() -> dict[str, set[str]]:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_offers_exactly_its_settings():
+    assert subcommand_flags() == {
+        "analyze": {
+            "--config", "--input", "--out-dir", "--tau", "--grid-count",
+            "--grid-upper-factor", "--scope", "--groups", "--fraction", "--base-year",
+            "--bandwidth-x", "--bandwidth-y", "--tol", "--max-iter", "--prominence",
+            "--threads",
+        },
+        "simulate": {
+            "--config", "--out-dir", "--kind", "--rho", "--sigma", "--club-centers",
+            "--club-pull", "--units", "--years", "--seed",
+        },
+        "compare-years": {
+            "--config", "--input", "--out-dir", "--grid-count", "--grid-upper-factor",
+            "--scope",
+        },
+    }
+
+
+def test_help_shows_declared_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--grid-count GRID_COUNT grid points (default 256)" in text
+
+
+def test_readme_flags_are_declared(repo_root):
+    """Every flag README names exists on some subcommand. The Install and
+    Benchmark sections are skipped: their flags belong to pip and bench/run.py."""
+    sections = (repo_root / "README.md").read_text().split("\n## ")
+    text = "\n".join(s for s in sections if not s.startswith(("Install", "Benchmark")))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", text))
+    assert named  # the CLI section names flags
+    assert named <= set().union(*subcommand_flags().values(), {"--help"})

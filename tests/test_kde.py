@@ -126,6 +126,11 @@ class TestDensity1D:
         assert g.points[mid] == 1.0
         assert raw[mid] == pytest.approx(0.24197072451914337, abs=1e-12)
 
+    def test_no_mass_on_grid(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        with pytest.raises(InsufficientData, match="bandwidth 1e-09 .* spacing 0.0666"):
+            density_1d(np.array([0.03, 0.51]), 1e-9, g)
+
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(1.0, 0.4, size=200)
@@ -250,6 +255,14 @@ class TestDensity2D:
         one = SimpleNamespace(x=np.array([0.5]), y=np.array([0.5]))
         with pytest.raises(InsufficientData):
             density_2d(one, Bandwidths(0.1, 0.1), g, g)
+
+    @pytest.mark.parametrize("bw", [Bandwidths(1e-9, 0.1), Bandwidths(0.1, 1e-9)])
+    def test_no_mass_on_grid(self, bw):
+        # samples between grid points at a bandwidth far below the spacing
+        g = Grid.uniform(0.0, 1.0, 16)
+        pairs = SimpleNamespace(x=np.array([0.03, 0.51]), y=np.array([0.37, 0.97]))
+        with pytest.raises(InsufficientData, match=r"bandwidths .* spacings"):
+            density_2d(pairs, bw, g, g)
 
     def test_mismatched_xy_lengths(self):
         g = Grid.uniform(0.0, 1.0, 16)

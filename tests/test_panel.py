@@ -101,6 +101,12 @@ class TestLoadPanel:
             csv_panel(["a1,urban,east,1999,1.0", "a2,urban,east,1999"])
         assert "row 3" in str(err.value)
 
+    @pytest.mark.parametrize("unit", ["", "  "])
+    def test_empty_unit_id(self, unit):
+        # without the check these rows load as one unit named '' with a pair
+        with pytest.raises(MalformedRow, match="row 2: empty unit_id"):
+            csv_panel([f"{unit},urban,east,1999,1.0", f"{unit},urban,east,2000,2.0"])
+
     def test_non_numeric_income(self):
         with pytest.raises(MalformedRow):
             csv_panel(["a1,urban,east,1999,abc"])
