@@ -35,10 +35,11 @@ def l1_distance(grid, a, b) -> float:
 
 
 def cumulative(grid, values) -> np.ndarray:
-    """Cumulative trapezoid integral; entry k integrates up to point k."""
+    """Cumulative trapezoid integral along the last axis; entry k integrates
+    up to point k. Each row of a 2-D array gets the same sum as on its own."""
     v = np.asarray(values, dtype=float)
-    cells = 0.5 * grid.spacing * (v[:-1] + v[1:])
-    out = np.empty(grid.count)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
+    cells = 0.5 * grid.spacing * (v[..., :-1] + v[..., 1:])
+    out = np.empty(v.shape)
+    out[..., 0] = 0.0
+    np.cumsum(cells, axis=-1, out=out[..., 1:])
     return out

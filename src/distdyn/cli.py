@@ -7,11 +7,11 @@ overlays per-sector income densities for the panel's first and last year.
 
 Each field of :class:`RunConfig` declares one setting; its flag, config
 key, type, help text and range rule all come from that field. Configuration
-comes from an optional flat JSON file (keys named like the flags,
-kebab-case) with command-line flags taking precedence, and every setting of
-the subcommand is checked before any file is read. Outputs land under
---out-dir, the DISTDYN_OUT_DIR environment variable, or ./distdyn-out, in
-that order. All files are written atomically (temp file, then rename).
+comes from an optional flat JSON file (keys named like the subcommand's
+flags, kebab-case) with command-line flags taking precedence, and every
+setting of the subcommand is checked before any file is read. Outputs land
+under --out-dir, the DISTDYN_OUT_DIR environment variable, or
+./distdyn-out, in that order. All files are written atomically (temp file, then rename).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 when some
 group's ergodic solve did not converge (other groups still complete and the
@@ -130,7 +130,8 @@ def _settings(command: str) -> dict:
     return {key: f for key, f in _FIELDS.items() if command in f.metadata["commands"]}
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
+    """Settings from a flat JSON config file; every key must be a setting of ``command``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,10 +141,13 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")
+    settings = _settings(command)
     out = {}
     for key, value in raw.items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
+        if key not in settings:
+            raise ConfigError(f"config key {key!r} is not a setting of {command}")
         name = _FIELDS[key].name
         kind = _TYPES[name]
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
@@ -158,7 +162,7 @@ def _load_config_file(path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        for name, value in _load_config_file(args.config).items():
+        for name, value in _load_config_file(args.config, args.command).items():
             setattr(cfg, name, value)
     for f in _FIELDS.values():
         flag_value = getattr(args, f.name, None)

@@ -127,25 +127,20 @@ def ergodic_distribution(
     )
 
 
-def _row_cdf_at(grid_y: Grid, row: np.ndarray, x: float) -> float:
-    """Trapezoid CDF of a row evaluated at x, splitting x's cell proportionally."""
-    cum = _quad.cumulative(grid_y, row)
-    return float(np.interp(x, grid_y.points, cum))
-
-
 def net_transition_probability(kernel: StochasticKernel) -> NTPCurve:
     """NTP at each supported x: 1 - 2*C(x) with C the row CDF at x itself.
 
     Equivalent to the difference of the two one-sided integrals (mass above
-    x minus mass at or below x) because each row has unit mass. Values are
-    clipped to [-1, 1] against rounding; unsupported rows yield NaN.
+    x minus mass at or below x) because each row has unit mass. One
+    cumulative trapezoid integral runs along every row at once; row i's CDF
+    at its own x is then the diagonal entry, as the kernel is square. Values
+    are clipped to [-1, 1] against rounding; unsupported rows yield NaN.
     """
-    values = np.full(kernel.grid_x.count, np.nan)
-    for i in range(kernel.grid_x.count):
-        if not kernel.supported[i]:
-            continue
-        c = _row_cdf_at(kernel.grid_y, kernel.rows[i], float(kernel.grid_x.points[i]))
-        values[i] = min(1.0, max(-1.0, 1.0 - 2.0 * c))
+    if kernel.grid_x != kernel.grid_y:
+        raise GridMismatch("NTP reads each row's CDF at its own x, so it needs a square kernel")
+    cdf_at_x = np.diagonal(_quad.cumulative(kernel.grid_y, kernel.rows))
+    values = np.clip(1.0 - 2.0 * cdf_at_x, -1.0, 1.0)
+    values[~kernel.supported] = np.nan
     return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
 
 

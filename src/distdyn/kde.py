@@ -14,6 +14,27 @@ Sample sums are accumulated in input order in fixed-size blocks, so results
 are bitwise reproducible and independent of caller threading. The 2-D
 accumulation uses ``np.einsum`` with its default non-optimized (fixed-order,
 BLAS-free) contraction for the same reason.
+
+Two rules keep the weight loops off numpy's slow floating-point paths:
+
+- Exact zeros. ``exp`` of any argument below -746 rounds to 0.0, but numpy
+  reaches that 0.0 on a slow path. A Gaussian weight exp(-0.5*z*z) is
+  evaluated only where its argument is at least -746 and is written as 0.0
+  elsewhere, the value ``exp`` would return, so 1-D estimates keep every
+  bit.
+- A floor on joint weights. Before the 2-D contraction, each weight whose
+  argument is below -354 (a weight below e^-354) is set to zero. Each
+  product of two kept weights is then at least e^-708, a normal number, so
+  the contraction never forms a slow subnormal product. A dropped product
+  is below e^-354, so a raw joint value moves by at most
+  e^-354 / (2*pi*h_x*h_y), about 2.9e-155 / (h_x*h_y), up to rounding in
+  the sums. Grid rows left without any weight in a block add only zeros
+  and are skipped in that block's contraction.
+
+The x-marginal of a joint estimate comes from the same pass: it is the
+row sum of the exact x weights, taken before the floor, so
+:func:`joint_and_marginal` returns the joint surface together with a
+marginal bitwise equal to :func:`density_1d` at the x bandwidth.
 """
 
 from __future__ import annotations
@@ -34,6 +55,9 @@ from .errors import (
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 4096  # samples per accumulation block; fixed so sums are reproducible
 MIN_GRID_POINTS = 16  # fewest points a Grid may have
+_EXP_UNDERFLOW = -746.0  # exp of any smaller argument rounds to 0.0
+_JOINT_FLOOR = -354.0  # joint weights with a smaller argument are dropped
+_JOINT_MIN_WEIGHT = float(np.exp(_JOINT_FLOOR))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -233,6 +257,68 @@ def silverman_bandwidth(samples, dimensions: int = 1) -> float:
     return 0.9 * spread * n ** (-1.0 / (4 + dimensions))
 
 
+def _gauss(z: np.ndarray, cutoff: float = _EXP_UNDERFLOW, mask=None) -> np.ndarray:
+    """Overwrite z with the Gaussian weights exp(-0.5*z*z) and return it.
+
+    ``exp`` runs only where its argument is at least ``cutoff``; elsewhere
+    the weight is 0.0. At the default cutoff that is bitwise
+    ``np.exp(-0.5*z*z)``. ``mask`` is boolean scratch of z's shape.
+    """
+    if mask is None:
+        mask = np.empty(z.shape, dtype=bool)
+    np.multiply(z, z, out=z)
+    np.multiply(z, -0.5, out=z)
+    np.greater_equal(z, cutoff, out=mask)
+    np.exp(z, out=z, where=mask)
+    # the arguments left in place are negative; a weight is never below 0.0
+    return np.maximum(z, 0.0, out=z)
+
+
+def _reached(k: np.ndarray) -> slice:
+    """The rows from the first to the last that hold a nonzero weight."""
+    rows = np.flatnonzero(np.any(k, axis=1))
+    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+
+
+def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | None = None):
+    """Raw KDE values from sums of Gaussian weights, block by block in input order.
+
+    Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on grid_x from the
+    exact weights. With ``y`` given, ``fxy`` is the product-kernel joint
+    KDE on the grid pair from the floored weights; otherwise it is None.
+    """
+    sx = np.zeros(grid_x.count)
+    sxy = None if y is None else np.zeros((grid_x.count, grid_y.count))
+    rows = grid_x.count if y is None else max(grid_x.count, grid_y.count)
+    kx = None
+    for start in range(0, x.size, _BLOCK):
+        width = min(_BLOCK, x.size - start)
+        if kx is None or kx.shape[1] != width:
+            # full blocks share one set of scratch; a short last block has its own
+            kx = np.empty((grid_x.count, width))
+            mask = np.empty((rows, width), dtype=bool)
+            ky = None if y is None else np.empty((grid_y.count, width))
+        mx = mask[:grid_x.count]
+        np.subtract(grid_x.points[:, None], x[None, start:start + width], out=kx)
+        kx /= h_x
+        sx += np.sum(_gauss(kx, mask=mx), axis=1)
+        if y is None:
+            continue
+        np.less(kx, _JOINT_MIN_WEIGHT, out=mx)
+        np.putmask(kx, mx, 0.0)
+        np.subtract(grid_y.points[:, None], y[None, start:start + width], out=ky)
+        ky /= h_y
+        _gauss(ky, _JOINT_FLOOR, mask[:grid_y.count])
+        # default einsum: fixed-order C contraction, no BLAS. Skipping rows
+        # without weight leaves each kept entry the same dot product.
+        rx, ry = _reached(kx), _reached(ky)
+        sxy[rx, ry] += np.einsum("xi,yi->xy", kx[rx], ky[ry])
+    fx = sx * (_INV_SQRT_2PI / (x.size * h_x))
+    if y is None:
+        return fx, None
+    return fx, sxy * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * h_x * h_y))
+
+
 def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
     """Gaussian KDE point values on the grid, before any renormalization.
 
@@ -244,21 +330,10 @@ def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
         raise EmptySamples("cannot estimate a density from zero samples")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    out = np.zeros(grid.count)
-    pts = grid.points[:, None]
-    for start in range(0, x.size, _BLOCK):
-        z = (pts - x[None, start:start + _BLOCK]) / h
-        out += np.sum(np.exp(-0.5 * z * z), axis=1)
-    return out * (_INV_SQRT_2PI / (x.size * h))
+    return _raw_values(x, h, grid)[0]
 
 
-def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
-    """Gaussian KDE renormalized to unit mass on the grid.
-
-    Raises InsufficientData when the estimate has no positive finite mass
-    on the grid, as with a bandwidth far below the grid spacing.
-    """
-    raw = density_1d_raw(samples, h, grid)
+def _curve(raw: np.ndarray, h: float, grid: Grid) -> DensityCurve:
     mass = _quad.integrate(grid, raw)
     if not (np.isfinite(mass) and mass > 0):
         raise InsufficientData(
@@ -267,27 +342,56 @@ def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
     return DensityCurve.from_values(grid, raw)
 
 
-def density_2d_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> np.ndarray:
-    """Product-kernel joint KDE point values, before renormalization.
+def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
+    """Gaussian KDE renormalized to unit mass on the grid.
 
-    Value at (gx, gy) is (1/(n*h_x*h_y)) * sum_i K((gx-x_i)/h_x)*K((gy-y_i)/h_y).
+    Raises InsufficientData when the estimate has no positive finite mass
+    on the grid, as with a bandwidth far below the grid spacing.
     """
+    return _curve(density_1d_raw(samples, h, grid), h, grid)
+
+
+def _joint_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid):
+    """Raw x-marginal and raw joint values from one pass over the pairs."""
     x = np.ascontiguousarray(pairs.x, dtype=float)
     y = np.ascontiguousarray(pairs.y, dtype=float)
     if x.size == 0:
         raise EmptySamples("cannot estimate a joint density from zero pairs")
-    out = np.zeros((grid_x.count, grid_y.count))
-    gx = grid_x.points[:, None]
-    gy = grid_y.points[:, None]
-    for start in range(0, x.size, _BLOCK):
-        zx = (gx - x[None, start:start + _BLOCK]) / bandwidths.h_x
-        zy = (gy - y[None, start:start + _BLOCK]) / bandwidths.h_y
-        kx = np.exp(-0.5 * zx * zx)
-        ky = np.exp(-0.5 * zy * zy)
-        # default einsum: fixed-order C contraction, no BLAS
-        out += np.einsum("xi,yi->xy", kx, ky)
-    norm = _INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * bandwidths.h_x * bandwidths.h_y)
-    return out * norm
+    if x.shape != y.shape:
+        raise ValueError(f"pairs need as many y as x values, got {x.size} and {y.size}")
+    return _raw_values(x, bandwidths.h_x, grid_x, y, bandwidths.h_y, grid_y)
+
+
+def density_2d_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> np.ndarray:
+    """Product-kernel joint KDE point values, before renormalization.
+
+    Value at (gx, gy) is (1/(n*h_x*h_y)) * sum_i K((gx-x_i)/h_x)*K((gy-y_i)/h_y),
+    with the joint floor of the module docstring applied to the weights.
+    """
+    return _joint_raw(pairs, bandwidths, grid_x, grid_y)[1]
+
+
+def joint_and_marginal(
+    pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid
+) -> tuple[DensitySurface, DensityCurve]:
+    """Joint KDE renormalized to unit 2-D mass, and its x-marginal.
+
+    The marginal is the KDE of the x samples at ``h_x``, bitwise equal to
+    ``density_1d(pairs.x, bandwidths.h_x, grid_x)``, taken from the joint
+    pass. Raises InsufficientData for fewer than 2 pairs, or when either
+    estimate has no positive finite mass on its grid.
+    """
+    if np.asarray(pairs.x).size < 2:
+        raise InsufficientData("joint estimate needs at least 2 pairs")
+    raw_x, raw = _joint_raw(pairs, bandwidths, grid_x, grid_y)
+    mass = _quad.integrate_2d(grid_x, grid_y, raw)
+    if not (np.isfinite(mass) and mass > 0):
+        raise InsufficientData(
+            f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y}) puts no mass "
+            f"on the grid of spacings ({grid_x.spacing}, {grid_y.spacing})"
+        )
+    joint = DensitySurface.from_values(grid_x, grid_y, raw)
+    return joint, _curve(raw_x, bandwidths.h_x, grid_x)
 
 
 def density_2d(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> DensitySurface:
@@ -296,16 +400,7 @@ def density_2d(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> Den
     Raises InsufficientData for fewer than 2 pairs, or when the estimate has
     no positive finite mass on the grid pair.
     """
-    if np.asarray(pairs.x).size < 2:
-        raise InsufficientData("joint estimate needs at least 2 pairs")
-    raw = density_2d_raw(pairs, bandwidths, grid_x, grid_y)
-    mass = _quad.integrate_2d(grid_x, grid_y, raw)
-    if not (np.isfinite(mass) and mass > 0):
-        raise InsufficientData(
-            f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y}) puts no mass "
-            f"on the grid of spacings ({grid_x.spacing}, {grid_y.spacing})"
-        )
-    return DensitySurface.from_values(grid_x, grid_y, raw)
+    return joint_and_marginal(pairs, bandwidths, grid_x, grid_y)[0]
 
 
 def conditional_density(

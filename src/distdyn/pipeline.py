@@ -33,7 +33,7 @@ from .kde import (
     StochasticKernel,
     conditional_density,
     density_1d,
-    density_2d,
+    joint_and_marginal,
     silverman_bandwidth,
 )
 from .panel import (
@@ -147,15 +147,14 @@ def estimate_kernel(
 
     The joint surface uses the bivariate Silverman rule per axis; the
     conditioning marginal is the x-sample KDE at the joint's x bandwidth,
-    so it matches the joint's own x margin where the support floor is
-    applied.
+    taken from the same pass, so it matches the joint's own x margin where
+    the support floor is applied.
     """
     pairs = build_transition_pairs(panel, tau=tau)
     h_x = bandwidth_x if bandwidth_x is not None else silverman_bandwidth(pairs.x, 2)
     h_y = bandwidth_y if bandwidth_y is not None else silverman_bandwidth(pairs.y, 2)
     bw = Bandwidths(h_x=h_x, h_y=h_y)
-    joint = density_2d(pairs, bw, grid, grid)
-    marginal = density_1d(pairs.x, bw.h_x, grid)
+    joint, marginal = joint_and_marginal(pairs, bw, grid, grid)
     kernel = conditional_density(joint, marginal, floor=floor)
     return KernelEstimate(
         pairs=pairs, bandwidths=bw, marginal=marginal, joint=joint, kernel=kernel

@@ -281,6 +281,21 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"inputs": "x.csv"}))
         assert main(["analyze", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", {"seed": 5, "kind": "bogus"}),
+        ("simulate", {"tau": 2}),
+        ("compare-years", {"groups": "pooled"}),
+    ], ids=["analyze", "simulate", "compare-years"])
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys, command, extra):
+        panel = write_panel(tmp_path / "panel.csv")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input": str(panel), **extra} if command != "simulate"
+                                  else extra))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"is not a setting of {command}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_type_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"input": "x.csv", "tau": "one"}))

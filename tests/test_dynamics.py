@@ -264,6 +264,40 @@ class TestNTP:
         assert np.all(np.isfinite(ntp.values[5:]))
 
 
+def looped_ntp(kernel):
+    """NTP row by row, each row's own cumulative read at x by np.interp."""
+    grid = kernel.grid_y
+    values = np.full(kernel.grid_x.count, np.nan)
+    for i in np.flatnonzero(kernel.supported):
+        row = kernel.rows[i]
+        cum = np.empty(grid.count)
+        cum[0] = 0.0
+        np.cumsum(0.5 * grid.spacing * (row[:-1] + row[1:]), out=cum[1:])
+        c = float(np.interp(float(kernel.grid_x.points[i]), grid.points, cum))
+        values[i] = min(1.0, max(-1.0, 1.0 - 2.0 * c))
+    return values
+
+
+class TestNTPDiagonal:
+    @pytest.mark.parametrize("count", [16, 128, 512])
+    def test_bitwise_equal_to_row_loop(self, count):
+        rng = np.random.default_rng(count)
+        g = Grid.uniform(0.0, 2.0, count)
+        kern = random_kernel(g, rng)
+        supported = rng.random(count) > 0.2
+        kern = StochasticKernel.from_rows(g, g, kern.rows, supported=supported)
+        ntp = net_transition_probability(kern)
+        assert np.array_equal(ntp.values, looped_ntp(kern), equal_nan=True)
+        assert np.array_equal(np.isnan(ntp.values), ~supported)
+
+    def test_needs_square_kernel(self):
+        gx = Grid.uniform(0.0, 2.0, 32)
+        gy = Grid.uniform(0.0, 2.0, 33)
+        kern = StochasticKernel.from_rows(gx, gy, np.ones((32, 33)))
+        with pytest.raises(GridMismatch):
+            net_transition_probability(kern)
+
+
 class TestCrossings:
     def _curve(self, grid, values, supported=None):
         if supported is None:

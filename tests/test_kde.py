@@ -26,7 +26,9 @@ from distdyn import (
     density_2d_raw,
     silverman_bandwidth,
 )
-from distdyn.kde import MIN_GRID_POINTS
+from distdyn.kde import MIN_GRID_POINTS, _gauss, joint_and_marginal
+from distdyn.panel import build_transition_pairs, load_panel
+from distdyn.pipeline import default_grid, expand_groups, prepare_panel
 
 from conftest import gaussian, trapezoid_weights
 
@@ -269,6 +271,120 @@ class TestDensity2D:
         bad = SimpleNamespace(x=np.array([0.2, 0.4]), y=np.array([0.2, 0.4, 0.6]))
         with pytest.raises(ValueError):
             density_2d_raw(bad, Bandwidths(0.1, 0.1), g, g)
+
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+JOINT_FLOOR = -354.0  # the documented floor on joint weight arguments
+
+
+def plain_density_1d_raw(x, h, grid):
+    """The 1-D loop before the exact-zero rule: exp over every argument."""
+    out = np.zeros(grid.count)
+    pts = grid.points[:, None]
+    for start in range(0, x.size, 4096):
+        z = (pts - x[None, start:start + 4096]) / h
+        out += np.sum(np.exp(-0.5 * z * z), axis=1)
+    return out * (_INV_SQRT_2PI / (x.size * h))
+
+
+def plain_density_2d_raw(x, y, bw, gx, gy, floor=False):
+    """The 2-D loop before the joint floor: every product enters the sum.
+    With ``floor``, weights whose argument is below the floor are zeroed."""
+
+    def weights(z):
+        arg = -0.5 * z * z
+        return np.where(arg < JOINT_FLOOR, 0.0, np.exp(arg)) if floor else np.exp(arg)
+
+    out = np.zeros((gx.count, gy.count))
+    for start in range(0, x.size, 4096):
+        zx = (gx.points[:, None] - x[None, start:start + 4096]) / bw.h_x
+        zy = (gy.points[:, None] - y[None, start:start + 4096]) / bw.h_y
+        out += np.einsum("xi,yi->xy", weights(zx), weights(zy))
+    return out * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * bw.h_x * bw.h_y))
+
+
+def ar1_sample(n, rho=0.8, sigma=0.2, seed=19):
+    rng = np.random.default_rng(seed)
+    logs = np.empty(n + 1)
+    logs[0] = 0.0
+    shocks = rng.normal(0.0, sigma, size=n)
+    for i in range(n):
+        logs[i + 1] = rho * logs[i] + shocks[i]
+    return np.exp(logs[:-1]), np.exp(logs[1:])
+
+
+@pytest.fixture(scope="module")
+def demo_pairs(demo_panel_path):
+    return build_transition_pairs(prepare_panel(load_panel(demo_panel_path)), tau=1)
+
+
+def silverman_2d(x, y):
+    return Bandwidths(silverman_bandwidth(x, 2), silverman_bandwidth(y, 2))
+
+
+class TestWeightLoops:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 37.0), (37.6, 38.7), (38.7, 1e4)],
+                             ids=["normal", "subnormal-band", "far-underflow"])
+    def test_gauss_is_bitwise_exp(self, lo, hi):
+        rng = np.random.default_rng(23)
+        z = rng.uniform(lo, hi, size=(64, 257)) * rng.choice([-1.0, 1.0], size=(64, 257))
+        assert np.array_equal(_gauss(z.copy()), np.exp(-0.5 * z * z))
+
+    def test_gauss_cutoff_zeroes_below(self):
+        z = np.linspace(-40.0, 40.0, 2001)
+        arg = -0.5 * z * z
+        kept = arg >= JOINT_FLOOR
+        w = _gauss(z.copy(), JOINT_FLOOR)
+        assert np.array_equal(w[kept], np.exp(arg[kept]))
+        assert np.all(w[~kept] == 0.0)
+
+    def test_density_1d_raw_is_bitwise_plain_loop(self, demo_pairs):
+        x_ar, _ = ar1_sample(9000)
+        for x in (np.asarray(demo_pairs.x), x_ar):
+            grid = Grid.uniform(0.0, 1.1 * float(x.max()), 128)
+            h = silverman_bandwidth(x, 2)
+            assert np.array_equal(density_1d_raw(x, h, grid), plain_density_1d_raw(x, h, grid))
+
+    def test_fused_marginal_is_bitwise_density_1d(self, demo_pairs):
+        x_ar, y_ar = ar1_sample(9000)
+        for pairs in (demo_pairs, SimpleNamespace(x=x_ar, y=y_ar)):
+            grid = Grid.uniform(0.0, 1.1 * float(max(pairs.x.max(), pairs.y.max())), 96)
+            bw = silverman_2d(pairs.x, pairs.y)
+            _, marginal = joint_and_marginal(pairs, bw, grid, grid)
+            assert np.array_equal(marginal.values, density_1d(pairs.x, bw.h_x, grid).values)
+
+    def test_floored_joint_within_bound(self, demo_panel_path):
+        panel = prepare_panel(load_panel(demo_panel_path))
+        grid = default_grid(panel, count=128)
+        changed = 0
+        for label, gpanel in expand_groups(panel, "pooled,per-sector"):
+            pairs = build_transition_pairs(gpanel, tau=1)
+            x, y = np.asarray(pairs.x), np.asarray(pairs.y)
+            bw = silverman_2d(x, y)
+            new = density_2d_raw(pairs, bw, grid, grid)
+            old = plain_density_2d_raw(x, y, bw, grid, grid)
+            bound = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
+            assert np.max(np.abs(new - old)) <= bound, label
+            changed += int(not np.array_equal(new, old))
+        assert changed  # the floor drops some weight in at least one group
+
+    def test_joint_is_bitwise_plain_loop_above_the_floor(self):
+        # every |z| stays below sqrt(708) = 26.6, so no weight is dropped
+        x, y = ar1_sample(9000)
+        grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 64)
+        bw = Bandwidths(grid.upper / 20.0, grid.upper / 25.0)
+        pairs = SimpleNamespace(x=x, y=y)
+        assert np.array_equal(density_2d_raw(pairs, bw, grid, grid),
+                              plain_density_2d_raw(x, y, bw, grid, grid))
+
+    def test_joint_is_bitwise_floored_plain_loop(self):
+        # on a grid reaching far past the data, rows that no sample of a block
+        # reaches are left out of the contraction; no kept entry may change
+        x, y = ar1_sample(9000)
+        grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 128)
+        bw = silverman_2d(x, y)
+        assert np.array_equal(density_2d_raw(SimpleNamespace(x=x, y=y), bw, grid, grid),
+                              plain_density_2d_raw(x, y, bw, grid, grid, floor=True))
 
 
 class TestConditionalDensity:
