@@ -61,7 +61,6 @@ from .dynamics import (
     ergodic_distribution,
     evolve,
     net_transition_probability,
-    net_transition_probability_two_sided,
     ntp_crossings,
     support_components,
 )

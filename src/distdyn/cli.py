@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import typing
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -37,7 +38,7 @@ from .kde import MIN_GRID_POINTS
 from .panel import SECTORS, dump_panel, load_panel
 from .report import compare_years
 from .synthesis import ProcessSpec, simulate
-from .viz import PlotStyle, export_csv, render_contour, render_curves, render_surface
+from .viz import PlotStyle, _csv_chunks, render_contour, render_curves, render_surface
 
 ENV_OUT_DIR = "DISTDYN_OUT_DIR"
 DEFAULT_OUT_DIR = "distdyn-out"
@@ -189,18 +190,20 @@ def _validate(cfg: RunConfig, command: str):
             raise ConfigError(f"{key} must {f.metadata['must']}, got {value!r}")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _write_atomic(path: Path, data: bytes | Iterable[bytes]) -> str:
+    """Write bytes, or a stream of byte chunks, via a temp file and rename.
 
-
-def _write_atomic(path: Path, data: bytes) -> str:
-    """Write bytes via a temp file and rename; returns the content hash."""
+    Each chunk is hashed as it is written; returns the content hash.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in [data] if isinstance(data, bytes) else data:
+            fh.write(chunk)
+            digest.update(chunk)
     os.replace(tmp, path)
-    return _sha256(data)
+    return digest.hexdigest()
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -225,15 +228,15 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
     gdir = out_base / label
     files: dict[str, str] = {}
 
-    def put(name: str, data: bytes):
+    def put(name: str, data: bytes | Iterable[bytes]):
         files[f"{label}/{name}"] = _write_atomic(gdir / name, data)
 
     def on_estimate(est, ntp):
-        put("pairs.csv", export_csv(est.pairs))
-        put("kernel.csv", export_csv(est.kernel))
+        put("pairs.csv", _csv_chunks(est.pairs))
+        put("kernel.csv", _csv_chunks(est.kernel))
         put("contour.svg", render_contour(est.kernel, style).encode("utf-8"))
         put("surface.svg", render_surface(est.kernel, style).encode("utf-8"))
-        put("ntp.csv", export_csv(ntp))
+        put("ntp.csv", _csv_chunks(ntp))
         put(
             "ntp.svg",
             render_curves(
@@ -249,7 +252,7 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
             tol=cfg.tol, max_iter=cfg.max_iter, min_prominence=cfg.prominence,
             on_estimate=on_estimate,
         )
-        put("ergodic.csv", export_csv(res.ergodic.density))
+        put("ergodic.csv", _csv_chunks(res.ergodic.density))
         put(
             "ergodic.svg",
             render_curves(
@@ -350,7 +353,7 @@ def _cmd_compare_years(cfg: RunConfig) -> int:
             labeled.append((f"{sector} {first}", a))
             labeled.append((f"{sector} {last}", b))
     out_base = Path(cfg.out_dir)
-    h_csv = _write_atomic(out_base / "compare.csv", export_csv(labeled))
+    h_csv = _write_atomic(out_base / "compare.csv", _csv_chunks(labeled))
     svg = render_curves(labeled, PlotStyle(), y_label="density")
     h_svg = _write_atomic(out_base / "compare.svg", svg.encode("utf-8"))
     print(f"wrote {out_base / 'compare.csv'} ({h_csv[:12]}) and compare.svg ({h_svg[:12]})")

@@ -14,6 +14,7 @@ evolution, fixed point, and NTP integrals are mutually consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,23 +63,69 @@ class ErgodicSolution:
     iterations: int
 
 
+class _Step:
+    """The forward step of one kernel, set up once and applied many times.
+
+    Holds the trapezoid weights, the supported rows as one contiguous block
+    with their x weights, and scratch, so :meth:`apply` allocates nothing.
+    Unsupported rows are never read: they would add 0*row, and a kernel's
+    entries are finite, so skipping them changes no bit.
+    """
+
+    def __init__(self, kernel: StochasticKernel):
+        if kernel.n_supported == 0:
+            raise NoSupportedRows("kernel has no supported rows")
+        self._sup = np.flatnonzero(kernel.supported)
+        self._rows = np.ascontiguousarray(kernel.rows[self._sup])
+        self._w_x = _quad.weights(kernel.grid_x)
+        self._w_sup = self._w_x[self._sup]
+        self._w_y = _quad.weights(kernel.grid_y)
+        self._c = np.empty(self._sup.size)
+        self._x = np.empty(kernel.grid_x.count)
+        self._y = np.empty(kernel.grid_y.count)
+
+    def apply(self, f: np.ndarray, out: np.ndarray) -> None:
+        """Write the unit-mass image of point values ``f`` into ``out``.
+
+        Each sum is ``np.add.reduce``, the pairwise sum that ``np.sum``
+        runs on a 1-D array, so it matches its ``_quad`` counterpart
+        bitwise; the checks are those of ``DensityCurve.from_values``.
+        """
+        c = np.take(f, self._sup, out=self._c)
+        np.multiply(self._w_sup, c, out=c)
+        if np.add.reduce(c) <= 0.0:
+            raise NoSupportedRows("density carries no mass on the kernel's supported rows")
+        # default einsum: fixed-order C contraction, no BLAS
+        np.einsum("i,iy->y", c, self._rows, out=out)
+        mass = float(np.add.reduce(np.multiply(self._w_y, out, out=self._y)))
+        if not math.isfinite(mass) or mass <= 0:
+            raise ValueError("cannot normalize a curve with nonpositive mass")
+        np.divide(out, mass, out=out)
+        # min and max carry a NaN through, so this is "finite and nonnegative"
+        if not (np.minimum.reduce(out) >= 0.0 and np.maximum.reduce(out) < np.inf):
+            raise ValueError("density values must be finite and nonnegative")
+        if abs(float(np.add.reduce(np.multiply(self._w_y, out, out=self._y))) - 1.0) > 1e-6:
+            raise ValueError("density does not integrate to 1; use from_values")
+
+    def l1(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Trapezoid L1 distance on the x grid, bitwise ``_quad.l1_distance``."""
+        d = np.abs(np.subtract(a, b, out=self._x), out=self._x)
+        return float(np.add.reduce(np.multiply(self._w_x, d, out=d)))
+
+
 def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
     """One forward step: g(y) = integral of kernel(y|x) * f(x) dx.
 
-    Unsupported kernel rows are excluded; the input mass is renormalized
-    over the supported region (equivalently, the output is renormalized,
-    which is what happens here). Output has unit trapezoid mass.
+    Unsupported kernel rows are excluded, and never read; the input mass is
+    renormalized over the supported region (equivalently, the output is
+    renormalized, which is what happens here). Output has unit trapezoid
+    mass.
     """
     if f.grid != kernel.grid_x:
         raise GridMismatch("density grid differs from the kernel's x grid")
-    if kernel.n_supported == 0:
-        raise NoSupportedRows("kernel has no supported rows")
-    contrib = _quad.weights(kernel.grid_x) * f.values * kernel.supported
-    if float(np.sum(contrib)) <= 0.0:
-        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
-    # default einsum: fixed-order C contraction, no BLAS
-    out = np.einsum("i,iy->y", contrib, kernel.rows)
-    return DensityCurve.from_values(kernel.grid_y, out)
+    out = np.empty(kernel.grid_y.count)
+    _Step(kernel).apply(f.values, out)
+    return DensityCurve(grid=kernel.grid_y, values=out)
 
 
 def ergodic_distribution(
@@ -91,9 +138,11 @@ def ergodic_distribution(
 
     Starts from ``init`` (uniform over the grid when omitted) and stops when
     the L1 change between successive iterates is at most ``tol``. The
-    returned residual is a fresh ||f - evolve(f)||_1 at the solution. The
-    Markov operator is L1 non-expansive, so on success the residual cannot
-    exceed the final delta.
+    iterates are `evolve` applied repeatedly, bit for bit: one step, set up
+    once for the kernel, runs in place on two buffers and never reads an
+    unsupported row. The returned residual is a fresh ||f - evolve(f)||_1
+    at the solution. The Markov operator is L1 non-expansive, so on success
+    the residual cannot exceed the final delta.
 
     Raises :class:`NotConverged` after ``max_iter`` steps, carrying the last
     two deltas so a stall is distinguishable from oscillation.
@@ -105,21 +154,22 @@ def ergodic_distribution(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if init is None:
-        flat = np.ones(kernel.grid_x.count)
-        f = DensityCurve.from_values(kernel.grid_x, flat)
-    else:
-        if init.grid != kernel.grid_x:
-            raise GridMismatch("init grid differs from the kernel grid")
-        f = init
+        init = DensityCurve.from_values(kernel.grid_x, np.ones(kernel.grid_x.count))
+    elif init.grid != kernel.grid_x:
+        raise GridMismatch("init grid differs from the kernel grid")
+    step = _Step(kernel)
+    f, nxt = np.array(init.values), np.empty(kernel.grid_x.count)
     deltas = (np.inf, np.inf)
     for iteration in range(1, max_iter + 1):
-        nxt = evolve(kernel, f)
-        delta = _quad.l1_distance(kernel.grid_x, f.values, nxt.values)
+        step.apply(f, nxt)
+        delta = step.l1(f, nxt)
         deltas = (deltas[1], delta)
-        f = nxt
+        f, nxt = nxt, f
         if delta <= tol:
-            residual = _quad.l1_distance(kernel.grid_x, f.values, evolve(kernel, f).values)
-            return ErgodicSolution(density=f, residual=residual, iterations=iteration)
+            step.apply(f, nxt)
+            residual = step.l1(f, nxt)
+            density = DensityCurve(grid=kernel.grid_y, values=f)
+            return ErgodicSolution(density=density, residual=residual, iterations=iteration)
     raise NotConverged(
         f"no fixed point after {max_iter} iterations; "
         f"last two L1 deltas {deltas[0]:.3e}, {deltas[1]:.3e}",
@@ -141,31 +191,6 @@ def net_transition_probability(kernel: StochasticKernel) -> NTPCurve:
     cdf_at_x = np.diagonal(_quad.cumulative(kernel.grid_y, kernel.rows))
     values = np.clip(1.0 - 2.0 * cdf_at_x, -1.0, 1.0)
     values[~kernel.supported] = np.nan
-    return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
-
-
-def net_transition_probability_two_sided(kernel: StochasticKernel) -> NTPCurve:
-    """NTP by the two one-sided integrals, accumulated independently.
-
-    Upward mass integrates the row from x to the top of the grid, downward
-    mass from the bottom up to x; their difference is the NTP. Kept separate
-    from :func:`net_transition_probability` as a cross-check of the
-    discretization.
-    """
-    grid_y = kernel.grid_y
-    values = np.full(kernel.grid_x.count, np.nan)
-    for i in range(kernel.grid_x.count):
-        if not kernel.supported[i]:
-            continue
-        row = kernel.rows[i]
-        x = float(kernel.grid_x.points[i])
-        down = float(np.interp(x, grid_y.points, _quad.cumulative(grid_y, row)))
-        # accumulate the upper tail from the top down so it is an
-        # independent sum, not 1 - down
-        rev = _quad.cumulative(grid_y, row[::-1])
-        up_from_top = rev[::-1]
-        up = float(np.interp(x, grid_y.points, up_from_top))
-        values[i] = min(1.0, max(-1.0, up - down))
     return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
 
 

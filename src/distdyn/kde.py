@@ -188,7 +188,8 @@ class DensitySurface:
 class StochasticKernel:
     """Discretized conditional density: one row (a density over grid_y) per
     x grid point. Rows where the conditioning marginal was too thin are
-    flagged unsupported and hold zeros."""
+    flagged unsupported and hold zeros. Every entry is finite and
+    nonnegative."""
 
     grid_x: Grid
     grid_y: Grid
@@ -205,6 +206,8 @@ class StochasticKernel:
         supported = np.asarray(supported, dtype=bool)
         if supported.shape != (self.grid_x.count,):
             raise ValueError("support flags do not match grid_x")
+        if np.any(rows < 0) or not np.all(np.isfinite(rows)):
+            raise ValueError("kernel entries must be finite and nonnegative")
         masses = np.sum(rows[supported] * _quad.weights(self.grid_y), axis=1)
         if np.any(np.abs(masses - 1.0) > 1e-9):
             raise ValueError("supported rows must integrate to 1; use from_rows")

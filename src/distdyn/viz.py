@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -435,30 +436,28 @@ def _g(xv: float) -> str:
     return "%.17g" % float(xv)
 
 
-def export_csv(obj) -> bytes:
-    """Serialize a plotted array losslessly as CSV (LF endings).
+_CSV_VALUES = 8192  # values per CSV chunk: 4,096 rows of two columns
 
-    Handles DensityCurve (``x,density``), NTPCurve (``x,ntp``, NaN at
-    unsupported points), TransitionPairs (``x,y``), a labeled curve
-    collection (``x,<label>,...``), and StochasticKernel / DensitySurface
-    as a wide matrix with x down the rows, y across the columns, and the
-    corner cell labeled ``x\\y``. Floats carry 17 significant digits, so a
-    round-trip parse reproduces every value bit for bit.
+
+def _csv_chunks(obj) -> Iterator[bytes]:
+    """The bytes of ``export_csv(obj)`` as a stream of chunks.
+
+    The input is checked before the first chunk is asked for. The header
+    comes first; then each chunk holds as many whole rows as fit in 8,192
+    values (4,096 rows of a two-column table, one row at the least),
+    formatted by one ``%`` over the chunk's values, so neither a long nor
+    a wide table is ever held whole as text.
     """
-    lines: list[str] = []
     if isinstance(obj, (DensityCurve, NTPCurve)):
-        lines.append("x,density" if isinstance(obj, DensityCurve) else "x,ntp")
-        for xv, vv in zip(obj.grid.points, obj.values):
-            lines.append("%s,%s" % (_g(xv), _g(vv)))
+        header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
+        table = np.column_stack((obj.grid.points, obj.values))
     elif isinstance(obj, (StochasticKernel, DensitySurface)):
         x, y, v = _surface_arrays(obj)
-        lines.append("x\\y," + ",".join(_g(yv) for yv in y))
-        for i, xv in enumerate(x):
-            lines.append(_g(xv) + "," + ",".join(_g(vv) for vv in v[i]))
+        header = "x\\y," + ",".join(_g(yv) for yv in y)
+        table = np.column_stack((x, v))
     elif hasattr(obj, "x") and hasattr(obj, "y"):  # TransitionPairs
-        lines.append("x,y")
-        for xv, yv in zip(obj.x, obj.y):
-            lines.append("%s,%s" % (_g(xv), _g(yv)))
+        header = "x,y"
+        table = np.column_stack((obj.x, obj.y))
     else:
         items = list(obj)
         if not items:
@@ -469,8 +468,28 @@ def export_csv(obj) -> bytes:
         for crv in curves[1:]:
             if crv.grid != grid:
                 raise GridMismatch("all exported curves must share one grid")
-        lines.append("x," + ",".join(labels))
-        for i, xv in enumerate(grid.points):
-            row = [_g(xv)] + [_g(cr.values[i]) for cr in curves]
-            lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        header = "x," + ",".join(labels)
+        table = np.column_stack([grid.points] + [c.values for c in curves])
+    return _csv_rows(header, table.astype(float, copy=False))
+
+
+def _csv_rows(header: str, table: np.ndarray) -> Iterator[bytes]:
+    yield (header + "\n").encode("utf-8")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    step = max(1, _CSV_VALUES // table.shape[1])
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        yield ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def export_csv(obj) -> bytes:
+    """Serialize a plotted array losslessly as CSV (LF endings).
+
+    Handles DensityCurve (``x,density``), NTPCurve (``x,ntp``, NaN at
+    unsupported points), TransitionPairs (``x,y``), a labeled curve
+    collection (``x,<label>,...``), and StochasticKernel / DensitySurface
+    as a wide matrix with x down the rows, y across the columns, and the
+    corner cell labeled ``x\\y``. Floats carry 17 significant digits, so a
+    round-trip parse reproduces every value bit for bit.
+    """
+    return b"".join(_csv_chunks(obj))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distdyn import DensityCurve, Grid, StochasticKernel
+from distdyn import DensityCurve, Grid, NTPCurve, StochasticKernel
+from distdyn import _quad
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +80,27 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     w[1:] += 0.5 * np.diff(points)
     w[:-1] += 0.5 * np.diff(points)
     return w
+
+
+def net_transition_probability_two_sided(kernel: StochasticKernel) -> NTPCurve:
+    """NTP by the two one-sided integrals, accumulated independently.
+
+    Upward mass integrates the row from x to the top of the grid, downward
+    mass from the bottom up to x; their difference is the NTP. An oracle
+    for ``net_transition_probability``, which reads one CDF on the diagonal.
+    """
+    grid_y = kernel.grid_y
+    values = np.full(kernel.grid_x.count, np.nan)
+    for i in range(kernel.grid_x.count):
+        if not kernel.supported[i]:
+            continue
+        row = kernel.rows[i]
+        x = float(kernel.grid_x.points[i])
+        down = float(np.interp(x, grid_y.points, _quad.cumulative(grid_y, row)))
+        # accumulate the upper tail from the top down so it is an
+        # independent sum, not 1 - down
+        rev = _quad.cumulative(grid_y, row[::-1])
+        up_from_top = rev[::-1]
+        up = float(np.interp(x, grid_y.points, up_from_top))
+        values[i] = min(1.0, max(-1.0, up - down))
+    return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())

@@ -36,7 +36,6 @@ from distdyn import (
     estimate_kernel,
     evolve,
     net_transition_probability,
-    net_transition_probability_two_sided,
     ntp_crossings,
     prepare_panel,
     silverman_bandwidth,
@@ -44,7 +43,12 @@ from distdyn import (
 )
 from distdyn.cli import main
 
-from conftest import gaussian, random_kernel, trapezoid_weights
+from conftest import (
+    gaussian,
+    net_transition_probability_two_sided,
+    random_kernel,
+    trapezoid_weights,
+)
 
 
 def l1(points, a, b):

@@ -1,6 +1,7 @@
 """Distribution evolution, ergodic solutions and net transition probabilities."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdyn import (
+    Bandwidths,
     DensityCurve,
     ErgodicSolution,
     Grid,
@@ -16,15 +18,29 @@ from distdyn import (
     NotConverged,
     NTPCurve,
     StochasticKernel,
+    conditional_density,
+    density_1d,
     ergodic_distribution,
+    estimate_kernel,
     evolve,
     net_transition_probability,
-    net_transition_probability_two_sided,
     ntp_crossings,
+    silverman_bandwidth,
     support_components,
 )
+from distdyn import _quad
+from distdyn.kde import joint_and_marginal
+from distdyn.panel import load_panel
+from distdyn.pipeline import default_grid, expand_groups, prepare_panel
 
-from conftest import gaussian, lognormal_pdf, mixture_row, random_kernel, trapezoid_weights
+from conftest import (
+    gaussian,
+    lognormal_pdf,
+    mixture_row,
+    net_transition_probability_two_sided,
+    random_kernel,
+    trapezoid_weights,
+)
 
 
 def identical_rows_kernel(grid, mu=1.0, sd=0.25):
@@ -179,6 +195,130 @@ class TestErgodic:
         sol = ergodic_distribution(identical_rows_kernel(g))
         assert isinstance(sol, ErgodicSolution)
         assert isinstance(sol.density, DensityCurve)
+
+
+def evolve_before(kernel, f):
+    """One step as `evolve` took it before the shared step: all rows, fresh arrays."""
+    contrib = _quad.weights(kernel.grid_x) * f.values * kernel.supported
+    if float(np.sum(contrib)) <= 0.0:
+        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
+    out = np.einsum("i,iy->y", contrib, kernel.rows)
+    return DensityCurve.from_values(kernel.grid_y, out)
+
+
+def ergodic_before(kernel, f, tol=1e-10, max_iter=10000):
+    """The power iteration as it ran on `evolve_before`."""
+    deltas = (np.inf, np.inf)
+    for iteration in range(1, max_iter + 1):
+        nxt = evolve_before(kernel, f)
+        delta = _quad.l1_distance(kernel.grid_x, f.values, nxt.values)
+        deltas = (deltas[1], delta)
+        f = nxt
+        if delta <= tol:
+            residual = _quad.l1_distance(kernel.grid_x, f.values, evolve_before(kernel, f).values)
+            return ErgodicSolution(density=f, residual=residual, iterations=iteration)
+    raise NotConverged("", last_deltas=deltas)
+
+
+def demo_kernels(demo_panel_path, count, groups):
+    """Each demo group's kernel on the shared grid, with the solve's start density."""
+    panel = prepare_panel(load_panel(demo_panel_path))
+    grid = default_grid(panel, count=count)
+    out = {}
+    for label, gpanel in expand_groups(panel, groups):
+        est = estimate_kernel(gpanel, grid)
+        init = density_1d(est.pairs.x, silverman_bandwidth(est.pairs.x, 1), grid)
+        out[f"{label}-{count}"] = (est.kernel, init)
+    return out
+
+
+def ar1_sample_kernel():
+    rng = np.random.default_rng(43)
+    logs = np.empty(3001)
+    logs[0] = 0.0
+    for i, e in enumerate(rng.normal(0.0, 0.25, size=3000)):
+        logs[i + 1] = 0.9 * logs[i] + e
+    pairs = SimpleNamespace(x=np.exp(logs[:-1]), y=np.exp(logs[1:]))
+    g = Grid.uniform(0.0, 8.0, 96)
+    bw = Bandwidths(silverman_bandwidth(pairs.x, 2), silverman_bandwidth(pairs.y, 2))
+    joint, marginal = joint_and_marginal(pairs, bw, g, g)
+    kern = conditional_density(joint, marginal)
+    assert 0 < kern.n_supported < g.count
+    return kern, marginal
+
+
+def interleaved_kernel():
+    rng = np.random.default_rng(47)
+    g = Grid.uniform(0.0, 2.0, 80)
+    supported = rng.random(g.count) > 0.35
+    kern = StochasticKernel.from_rows(g, g, random_kernel(g, rng).rows, supported=supported)
+    f = DensityCurve.from_values(g, mixture_row(g.points, rng))
+    return kern, f
+
+
+@pytest.fixture(scope="module")
+def solve_cases(demo_panel_path):
+    every_group = "pooled,per-sector,per-region,poorest-fraction"
+    return {
+        **demo_kernels(demo_panel_path, 16, every_group),
+        **demo_kernels(demo_panel_path, 128, every_group),
+        **demo_kernels(demo_panel_path, 512, "pooled"),
+        "ar1-sample": ar1_sample_kernel(),
+        "interleaved": interleaved_kernel(),
+    }
+
+
+SOLVE_IDS = (
+    [f"{label}-{count}" for count in (16, 128)
+     for label in ("pooled", "urban", "rural", "east", "central", "west", "poorest")]
+    + ["pooled-512", "ar1-sample", "interleaved"]
+)
+
+
+class TestSharedStep:
+    """The in-place solve against a copy of the loop it replaced."""
+
+    @pytest.mark.parametrize("case", SOLVE_IDS)
+    def test_solve_is_bitwise_the_evolve_loop(self, solve_cases, case):
+        kern, init = solve_cases[case]
+        want = ergodic_before(kern, init)
+        got = ergodic_distribution(kern, init)
+        assert np.array_equal(got.density.values, want.density.values)
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        assert np.array_equal(evolve(kern, init).values, evolve_before(kern, init).values)
+
+    @pytest.mark.parametrize("case", ["pooled-128", "ar1-sample", "interleaved"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 7])
+    def test_not_converged_carries_the_same_deltas(self, solve_cases, case, max_iter):
+        kern, init = solve_cases[case]
+        with pytest.raises(NotConverged) as want:
+            ergodic_before(kern, init, tol=1e-300, max_iter=max_iter)
+        with pytest.raises(NotConverged) as got:
+            ergodic_distribution(kern, init, tol=1e-300, max_iter=max_iter)
+        assert got.value.last_deltas == want.value.last_deltas
+
+    def test_start_on_unsupported_rows_only(self, solve_cases):
+        kern, _ = solve_cases["interleaved"]
+        values = np.where(kern.supported, 0.0, 1.0)
+        f = DensityCurve.from_values(kern.grid_x, values)
+        with pytest.raises(NoSupportedRows, match="no mass on the kernel's supported rows"):
+            ergodic_before(kern, f)
+        with pytest.raises(NoSupportedRows, match="no mass on the kernel's supported rows"):
+            ergodic_distribution(kern, f)
+        with pytest.raises(NoSupportedRows, match="no mass on the kernel's supported rows"):
+            evolve(kern, f)
+
+    def test_rectangular_evolve_is_bitwise(self):
+        rng = np.random.default_rng(53)
+        gx = Grid.uniform(0.0, 2.0, 48)
+        gy = Grid.uniform(0.0, 2.5, 71)
+        rows = np.stack([mixture_row(gy.points, rng) for _ in range(gx.count)])
+        kern = StochasticKernel.from_rows(gx, gy, rows, supported=rng.random(gx.count) > 0.3)
+        f = DensityCurve.from_values(gx, mixture_row(gx.points, rng))
+        got = evolve(kern, f)
+        assert got.grid == gy
+        assert np.array_equal(got.values, evolve_before(kern, f).values)
 
 
 class TestNTP:

@@ -501,6 +501,32 @@ class TestCurveAndKernelTypes:
         assert abs(np.sum(w * kern.rows[2]) - 1.0) < 1e-12
         assert np.all(kern.rows[0] == 0.0)
 
+    def test_kernel_rejects_nan_in_supported_row(self):
+        # |nan - 1| > tol is False, so the row-mass check alone let it pass
+        g = Grid.uniform(0.0, 1.0, 16)
+        rows = np.ones((16, 16))
+        rows[4, 7] = np.nan
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StochasticKernel(g, g, rows)
+
+    def test_kernel_rejects_negative_entry(self):
+        # the row still integrates to 1: -5 and +5 on two interior points
+        g = Grid.uniform(0.0, 1.0, 16)
+        rows = np.ones((16, 16))
+        rows[3, 5], rows[3, 6] = -4.0, 6.0
+        assert abs(np.sum(trapezoid_weights(g.points) * rows[3]) - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StochasticKernel(g, g, rows)
+
+    def test_kernel_rejects_non_finite_unsupported_row(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        rows = np.ones((16, 16))
+        rows[0] = np.inf
+        supported = np.ones(16, dtype=bool)
+        supported[0] = False
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StochasticKernel(g, g, rows, supported=supported)
+
     def test_bandwidths_positive(self):
         with pytest.raises(ValueError):
             Bandwidths(0.0, 0.1)

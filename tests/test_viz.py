@@ -24,6 +24,7 @@ from distdyn import (
     render_curves,
     render_surface,
 )
+from distdyn.viz import _csv_chunks
 
 from conftest import gaussian
 
@@ -365,3 +366,51 @@ class TestExportCsv:
         b = Grid.uniform(0.0, 2.0, 65)
         with pytest.raises(GridMismatch):
             export_csv([("a", density(a)), ("b", density(b))])
+
+
+def csv_by_value(header, columns):
+    """CSV as written one "%.17g" per value, one line per row."""
+    lines = [header] + [",".join("%.17g" % float(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvChunks:
+    def test_pairs_are_bytewise_the_per_value_text(self):
+        rng = np.random.default_rng(59)
+        x = rng.lognormal(0.0, 1.0, 10000)
+        y = rng.lognormal(0.0, 1.0, 10000)
+        x[:6] = [0.0, -0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0**53 + 2]
+        pairs = TransitionPairs(x=x, y=y, tau=1)
+        chunks = list(_csv_chunks(pairs))
+        assert len(chunks) == 1 + 3  # header, then 4096-row chunks of two columns
+        assert b"".join(chunks) == export_csv(pairs) == csv_by_value("x,y", (x, y))
+
+    def test_every_kind_is_bytewise_the_per_value_text(self):
+        g = Grid.uniform(0.0, 2.0, 32)
+        kern = small_kernel(g)
+        assert export_csv(kern) == csv_by_value(
+            "x\\y," + ",".join("%.17g" % v for v in g.points), (g.points, *kern.rows.T)
+        )
+        values = np.full(32, 0.25)
+        values[:5] = np.nan
+        ntp = NTPCurve(grid=g, values=values, supported=np.isfinite(values))
+        assert export_csv(ntp) == csv_by_value("x,ntp", (g.points, values))
+        a, b = density(g, 0.8), density(g, 1.2)
+        assert export_csv([("α 1999", a), ("b", b)]) == csv_by_value(
+            "x,α 1999,b", (g.points, a.values, b.values)
+        )
+
+    def test_wide_table_is_chunked_by_values(self):
+        gx = Grid.uniform(0.0, 2.0, 40)
+        gy = Grid.uniform(0.0, 2.0, 300)
+        v = np.outer(gaussian(gx.points, 1.0, 0.3), gaussian(gy.points, 1.1, 0.4))
+        surf = DensitySurface.from_values(gx, gy, v)
+        chunks = list(_csv_chunks(surf))
+        assert len(chunks) == 1 + 2  # header, then 8192 // 301 = 27 rows a chunk
+        assert b"".join(chunks) == csv_by_value(
+            "x\\y," + ",".join("%.17g" % v for v in gy.points), (gx.points, *surf.values.T)
+        )
+
+    def test_bad_input_fails_before_the_first_chunk(self):
+        with pytest.raises(EmptyPlot):
+            _csv_chunks([])
