@@ -24,6 +24,7 @@ from .errors import (
     MissingCpi,
     MissingYear,
     NoClosedForm,
+    NonFiniteSample,
     NonPositiveIncome,
     NoPairs,
     NoSupportedRows,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _quad
 from .errors import GridMismatch, NoSupportedRows, NotConverged
-from .kde import DensityCurve, Grid, StochasticKernel
+from .kde import DensityCurve, Grid, StochasticKernel, _frozen, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +37,8 @@ class NTPCurve:
     supported: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        sup = np.asarray(self.supported, dtype=bool)
+        v = _readonly(self.values)
+        sup = _readonly(self.supported, bool)
         if v.shape != (self.grid.count,) or sup.shape != (self.grid.count,):
             raise ValueError("values/support flags do not match the grid")
         ok = v[sup]
@@ -46,10 +46,6 @@ class NTPCurve:
             raise ValueError("supported NTP values must lie in [-1, 1]")
         if not np.all(np.isnan(v[~sup])):
             raise ValueError("unsupported points must hold NaN")
-        v = np.ascontiguousarray(v)
-        v.flags.writeable = False
-        sup = np.ascontiguousarray(sup)
-        sup.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "supported", sup)
 
@@ -125,7 +121,7 @@ def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
         raise GridMismatch("density grid differs from the kernel's x grid")
     out = np.empty(kernel.grid_y.count)
     _Step(kernel).apply(f.values, out)
-    return DensityCurve(grid=kernel.grid_y, values=out)
+    return DensityCurve(grid=kernel.grid_y, values=_frozen(out))
 
 
 def ergodic_distribution(
@@ -168,7 +164,7 @@ def ergodic_distribution(
         if delta <= tol:
             step.apply(f, nxt)
             residual = step.l1(f, nxt)
-            density = DensityCurve(grid=kernel.grid_y, values=f)
+            density = DensityCurve(grid=kernel.grid_y, values=_frozen(f))
             return ErgodicSolution(density=density, residual=residual, iterations=iteration)
     raise NotConverged(
         f"no fixed point after {max_iter} iterations; "
@@ -191,7 +187,7 @@ def net_transition_probability(kernel: StochasticKernel) -> NTPCurve:
     cdf_at_x = np.diagonal(_quad.cumulative(kernel.grid_y, kernel.rows))
     values = np.clip(1.0 - 2.0 * cdf_at_x, -1.0, 1.0)
     values[~kernel.supported] = np.nan
-    return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
+    return NTPCurve(grid=kernel.grid_x, values=_frozen(values), supported=kernel.supported)
 
 
 def ntp_crossings(ntp: NTPCurve) -> list[float]:

@@ -58,6 +58,10 @@ class EmptySamples(DistDynError):
     """A density estimate was requested for an empty sample."""
 
 
+class NonFiniteSample(DistDynError):
+    """A density estimate was given a NaN or infinite sample."""
+
+
 class DegenerateGrid(DistDynError):
     """Grid construction arguments do not describe a valid uniform grid."""
 

@@ -10,10 +10,12 @@ renormalized on its grid after evaluation (truncation correction). Raw,
 pre-normalization evaluations are available separately where point values
 matter.
 
-Sample sums are accumulated in input order in fixed-size blocks, so results
-are bitwise reproducible and independent of caller threading. The 2-D
-accumulation uses ``np.einsum`` with its default non-optimized (fixed-order,
-BLAS-free) contraction for the same reason.
+Sample sums are accumulated in sorted order, by x and then y, in blocks of
+a fixed size, so results are bitwise reproducible, independent of caller
+threading and of the order of the samples: an estimate is a function of the
+multiset of samples (or pairs). The 2-D accumulation uses ``np.einsum``
+with its default non-optimized (fixed-order, BLAS-free) contraction for the
+same reason.
 
 Two rules keep the weight loops off numpy's slow floating-point paths:
 
@@ -30,6 +32,14 @@ Two rules keep the weight loops off numpy's slow floating-point paths:
   e^-354 / (2*pi*h_x*h_y), about 2.9e-155 / (h_x*h_y), up to rounding in
   the sums. Grid rows left without any weight in a block add only zeros
   and are skipped in that block's contraction.
+
+So a weight has two reach radii: it is exactly 0.0 more than
+sqrt(2*746) = 38.6 bandwidths from its sample, and a joint weight is
+dropped more than sqrt(2*354) = 26.6 bandwidths away. A block of sorted
+samples spans a narrow x range, so it computes x weights only on the rows
+within 38.6*h_x plus one grid step of its x range, and y weights only on
+the rows within 26.6*h_y plus one grid step of its y range. Every row left
+out would add an exact zero.
 
 The x-marginal of a joint estimate comes from the same pass: it is the
 row sum of the exact x weights, taken before the floor, so
@@ -49,19 +59,39 @@ from .errors import (
     EmptySamples,
     GridMismatch,
     InsufficientData,
+    NonFiniteSample,
     ZeroSpread,
 )
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_BLOCK = 4096  # samples per accumulation block; fixed so sums are reproducible
+_BLOCK = 2048  # samples per accumulation block; fixed so sums are reproducible
 MIN_GRID_POINTS = 16  # fewest points a Grid may have
 _EXP_UNDERFLOW = -746.0  # exp of any smaller argument rounds to 0.0
 _JOINT_FLOOR = -354.0  # joint weights with a smaller argument are dropped
 _JOINT_MIN_WEIGHT = float(np.exp(_JOINT_FLOOR))
+_REACH = float(np.sqrt(-2.0 * _EXP_UNDERFLOW))  # 38.6: beyond, a weight is 0.0
+_JOINT_REACH = float(np.sqrt(-2.0 * _JOINT_FLOOR))  # 26.6: beyond, a joint weight is dropped
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``, so a caller's own buffer is
+    never frozen or shared.
+
+    An array that is already read-only and owns its memory is taken as it
+    is: nobody else can write to it. Constructors that just made a buffer
+    hand it over that way, by freezing it first (see :func:`_frozen`).
+    """
+    if not (
+        isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
+        and not a.flags.writeable and a.flags.c_contiguous
+    ):
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Clear the write flag on a buffer the caller just made, and return it."""
     a.flags.writeable = False
     return a
 
@@ -76,7 +106,7 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _readonly(self.points)
         if self.count < MIN_GRID_POINTS:
             raise DegenerateGrid(f"grid needs at least {MIN_GRID_POINTS} points, got {self.count}")
         if pts.shape != (self.count,):
@@ -88,7 +118,7 @@ class Grid:
         step = (self.upper - self.lower) / (self.count - 1)
         if not np.allclose(np.diff(pts), step, rtol=1e-12, atol=1e-12 * abs(step)):
             raise DegenerateGrid("grid spacing is not uniform")
-        object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def uniform(cls, lower: float, upper: float, count: int) -> "Grid":
@@ -132,14 +162,14 @@ class DensityCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _readonly(self.values)
         if v.shape != (self.grid.count,):
             raise ValueError("values do not match the grid")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("density values must be finite and nonnegative")
         if abs(_quad.integrate(self.grid, v) - 1.0) > 1e-6:
             raise ValueError("density does not integrate to 1; use from_values")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "DensityCurve":
@@ -148,7 +178,7 @@ class DensityCurve:
         mass = _quad.integrate(grid, v)
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("cannot normalize a curve with nonpositive mass")
-        return cls(grid=grid, values=v / mass)
+        return cls(grid=grid, values=_frozen(v / mass))
 
     def integral(self) -> float:
         return _quad.integrate(self.grid, self.values)
@@ -163,14 +193,14 @@ class DensitySurface:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _readonly(self.values)
         if v.shape != (self.grid_x.count, self.grid_y.count):
             raise ValueError("values do not match the grid pair")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("surface values must be finite and nonnegative")
         if abs(_quad.integrate_2d(self.grid_x, self.grid_y, v) - 1.0) > 1e-6:
             raise ValueError("surface does not integrate to 1; use from_values")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_values(cls, grid_x: Grid, grid_y: Grid, values) -> "DensitySurface":
@@ -178,7 +208,7 @@ class DensitySurface:
         mass = _quad.integrate_2d(grid_x, grid_y, v)
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("cannot normalize a surface with nonpositive mass")
-        return cls(grid_x=grid_x, grid_y=grid_y, values=v / mass)
+        return cls(grid_x=grid_x, grid_y=grid_y, values=_frozen(v / mass))
 
     def integral(self) -> float:
         return _quad.integrate_2d(self.grid_x, self.grid_y, self.values)
@@ -197,13 +227,13 @@ class StochasticKernel:
     supported: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _readonly(self.rows)
         if rows.shape != (self.grid_x.count, self.grid_y.count):
             raise ValueError("rows do not match the grid pair")
         supported = self.supported
         if supported is None:
             supported = np.ones(self.grid_x.count, dtype=bool)
-        supported = np.asarray(supported, dtype=bool)
+        supported = _readonly(supported, bool)
         if supported.shape != (self.grid_x.count,):
             raise ValueError("support flags do not match grid_x")
         if np.any(rows < 0) or not np.all(np.isfinite(rows)):
@@ -211,15 +241,13 @@ class StochasticKernel:
         masses = np.sum(rows[supported] * _quad.weights(self.grid_y), axis=1)
         if np.any(np.abs(masses - 1.0) > 1e-9):
             raise ValueError("supported rows must integrate to 1; use from_rows")
-        object.__setattr__(self, "rows", _readonly(rows))
-        sup = np.ascontiguousarray(supported)
-        sup.flags.writeable = False
-        object.__setattr__(self, "supported", sup)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "supported", supported)
 
     @classmethod
     def from_rows(cls, grid_x: Grid, grid_y: Grid, rows, supported=None) -> "StochasticKernel":
         """Row-normalize raw conditional values; zero-mass rows become unsupported."""
-        rows = np.array(rows, dtype=float)
+        rows = np.asarray(rows, dtype=float)
         if rows.shape != (grid_x.count, grid_y.count):
             raise ValueError("rows do not match the grid pair")
         if supported is None:
@@ -231,11 +259,20 @@ class StochasticKernel:
         supported &= (mass > 0) & np.isfinite(mass)
         out = np.zeros_like(rows)
         out[supported] = rows[supported] / mass[supported, None]
-        return cls(grid_x=grid_x, grid_y=grid_y, rows=out, supported=supported)
+        return cls(grid_x=grid_x, grid_y=grid_y, rows=_frozen(out), supported=_frozen(supported))
 
     @property
     def n_supported(self) -> int:
         return int(np.count_nonzero(self.supported))
+
+
+def _check_finite(what: str, **axes: np.ndarray) -> None:
+    """Raise NonFiniteSample naming the first index with a NaN or infinity."""
+    ok = np.logical_and.reduce([np.isfinite(a) for a in axes.values()])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        values = ", ".join(f"{name}={a[i]}" for name, a in axes.items())
+        raise NonFiniteSample(f"KDE {what} {i} is not finite ({values})")
 
 
 def silverman_bandwidth(samples, dimensions: int = 1) -> float:
@@ -244,7 +281,7 @@ def silverman_bandwidth(samples, dimensions: int = 1) -> float:
     Sample standard deviation uses the n-1 denominator; quartiles use linear
     interpolation between order statistics. ``dimensions`` selects the
     exponent: -1/5 for a univariate estimate, -1/6 per axis of a bivariate
-    product kernel.
+    product kernel. Raises NonFiniteSample for a NaN or infinite sample.
     """
     x = np.asarray(samples, dtype=float)
     if dimensions not in (1, 2):
@@ -252,6 +289,7 @@ def silverman_bandwidth(samples, dimensions: int = 1) -> float:
     n = x.size
     if n < 2:
         raise InsufficientData(f"bandwidth needs at least 2 samples, got {n}")
+    _check_finite("sample", x=x)
     sd = float(np.std(x, ddof=1))
     q25, q75 = np.percentile(x, [25.0, 75.0])
     spread = min(sd, (q75 - q25) / 1.34)
@@ -283,39 +321,62 @@ def _reached(k: np.ndarray) -> slice:
     return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
 
 
+def _rows_near(grid: Grid, lo: float, hi: float, reach: float) -> slice:
+    """The grid rows within ``reach`` plus one grid step of [lo, hi]."""
+    pad = reach + grid.spacing
+    return slice(
+        int(np.searchsorted(grid.points, lo - pad, "left")),
+        int(np.searchsorted(grid.points, hi + pad, "right")),
+    )
+
+
+def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
+    """A contiguous (rows, width) view at the start of the flat scratch buf."""
+    n = rows.stop - rows.start
+    return buf[:n * width].reshape(n, width)
+
+
 def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | None = None):
-    """Raw KDE values from sums of Gaussian weights, block by block in input order.
+    """Raw KDE values from sums of Gaussian weights, block by block in sorted order.
 
     Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on grid_x from the
     exact weights. With ``y`` given, ``fxy`` is the product-kernel joint
     KDE on the grid pair from the floored weights; otherwise it is None.
     """
+    order = np.argsort(x, kind="stable") if y is None else np.lexsort((y, x))
     sx = np.zeros(grid_x.count)
     sxy = None if y is None else np.zeros((grid_x.count, grid_y.count))
+    width = min(_BLOCK, x.size)
     rows = grid_x.count if y is None else max(grid_x.count, grid_y.count)
-    kx = None
+    xb, kx_buf = np.empty(width), np.empty(grid_x.count * width)
+    mask_buf = np.empty(rows * width, dtype=bool)
+    if y is not None:
+        yb, ky_buf = np.empty(width), np.empty(grid_y.count * width)
     for start in range(0, x.size, _BLOCK):
-        width = min(_BLOCK, x.size - start)
-        if kx is None or kx.shape[1] != width:
-            # full blocks share one set of scratch; a short last block has its own
-            kx = np.empty((grid_x.count, width))
-            mask = np.empty((rows, width), dtype=bool)
-            ky = None if y is None else np.empty((grid_y.count, width))
-        mx = mask[:grid_x.count]
-        np.subtract(grid_x.points[:, None], x[None, start:start + width], out=kx)
+        idx = order[start:start + _BLOCK]
+        width = idx.size
+        xs = np.take(x, idx, out=xb[:width])
+        # xs is sorted; every x weight outside rx is exactly 0.0
+        rx = _rows_near(grid_x, xs[0], xs[-1], _REACH * h_x)
+        kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
+        np.subtract(grid_x.points[rx, None], xs[None, :], out=kx)
         kx /= h_x
-        sx += np.sum(_gauss(kx, mask=mx), axis=1)
+        sx[rx] += np.sum(_gauss(kx, mask=mx), axis=1)
         if y is None:
             continue
         np.less(kx, _JOINT_MIN_WEIGHT, out=mx)
         np.putmask(kx, mx, 0.0)
-        np.subtract(grid_y.points[:, None], y[None, start:start + width], out=ky)
+        ys = np.take(y, idx, out=yb[:width])
+        # every y weight outside ry is below the joint floor
+        ry = _rows_near(grid_y, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
+        ky = _scratch(ky_buf, ry, width)
+        np.subtract(grid_y.points[ry, None], ys[None, :], out=ky)
         ky /= h_y
-        _gauss(ky, _JOINT_FLOOR, mask[:grid_y.count])
+        _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
         # default einsum: fixed-order C contraction, no BLAS. Skipping rows
         # without weight leaves each kept entry the same dot product.
-        rx, ry = _reached(kx), _reached(ky)
-        sxy[rx, ry] += np.einsum("xi,yi->xy", kx[rx], ky[ry])
+        ax, ay = _reached(kx), _reached(ky)
+        sxy[rx, ry][ax, ay] += np.einsum("xi,yi->xy", kx[ax], ky[ay])
     fx = sx * (_INV_SQRT_2PI / (x.size * h_x))
     if y is None:
         return fx, None
@@ -326,11 +387,14 @@ def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
     """Gaussian KDE point values on the grid, before any renormalization.
 
     Value at g is (1/(n*h)) * sum_i K((g - x_i)/h) with K the standard
-    normal density. Samples accumulate in input order.
+    normal density. Samples accumulate in sorted order, so the result does
+    not depend on their order. Raises NonFiniteSample for a NaN or
+    infinite sample.
     """
     x = np.ascontiguousarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySamples("cannot estimate a density from zero samples")
+    _check_finite("sample", x=x)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     return _raw_values(x, h, grid)[0]
@@ -349,7 +413,8 @@ def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
     """Gaussian KDE renormalized to unit mass on the grid.
 
     Raises InsufficientData when the estimate has no positive finite mass
-    on the grid, as with a bandwidth far below the grid spacing.
+    on the grid, as with a bandwidth far below the grid spacing, and
+    NonFiniteSample for a NaN or infinite sample.
     """
     return _curve(density_1d_raw(samples, h, grid), h, grid)
 
@@ -362,6 +427,7 @@ def _joint_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid):
         raise EmptySamples("cannot estimate a joint density from zero pairs")
     if x.shape != y.shape:
         raise ValueError(f"pairs need as many y as x values, got {x.size} and {y.size}")
+    _check_finite("pair", x=x, y=y)
     return _raw_values(x, bandwidths.h_x, grid_x, y, bandwidths.h_y, grid_y)
 
 
@@ -382,7 +448,8 @@ def joint_and_marginal(
     The marginal is the KDE of the x samples at ``h_x``, bitwise equal to
     ``density_1d(pairs.x, bandwidths.h_x, grid_x)``, taken from the joint
     pass. Raises InsufficientData for fewer than 2 pairs, or when either
-    estimate has no positive finite mass on its grid.
+    estimate has no positive finite mass on its grid, and NonFiniteSample
+    for a pair with a NaN or infinite value.
     """
     if np.asarray(pairs.x).size < 2:
         raise InsufficientData("joint estimate needs at least 2 pairs")

@@ -572,6 +572,14 @@ class TestNTPCurveType:
         with pytest.raises(ValueError):
             NTPCurve(grid=g, values=v, supported=sup)
 
+    def test_callers_arrays_stay_theirs(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        v = np.zeros(16)
+        sup = np.ones(16, dtype=bool)
+        curve = NTPCurve(grid=g, values=v, supported=sup)
+        assert v.flags.writeable and sup.flags.writeable
+        assert curve.values is not v and curve.supported is not sup
+
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)

@@ -26,7 +26,8 @@ from distdyn import (
     density_2d_raw,
     silverman_bandwidth,
 )
-from distdyn.kde import MIN_GRID_POINTS, _gauss, joint_and_marginal
+from distdyn.errors import NonFiniteSample
+from distdyn.kde import _BLOCK, MIN_GRID_POINTS, _gauss, _joint_raw, joint_and_marginal
 from distdyn.panel import build_transition_pairs, load_panel
 from distdyn.pipeline import default_grid, expand_groups, prepare_panel
 
@@ -277,30 +278,38 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 JOINT_FLOOR = -354.0  # the documented floor on joint weight arguments
 
 
-def plain_density_1d_raw(x, h, grid):
-    """The 1-D loop before the exact-zero rule: exp over every argument."""
+def plain_density_1d_raw(x, h, grid, block):
+    """The 1-D loop before the exact-zero rule: exp over every argument,
+    ``block`` samples at a time in the given order."""
     out = np.zeros(grid.count)
     pts = grid.points[:, None]
-    for start in range(0, x.size, 4096):
-        z = (pts - x[None, start:start + 4096]) / h
+    for start in range(0, x.size, block):
+        z = (pts - x[None, start:start + block]) / h
         out += np.sum(np.exp(-0.5 * z * z), axis=1)
     return out * (_INV_SQRT_2PI / (x.size * h))
 
 
-def plain_density_2d_raw(x, y, bw, gx, gy, floor=False):
-    """The 2-D loop before the joint floor: every product enters the sum.
-    With ``floor``, weights whose argument is below the floor are zeroed."""
+def plain_density_2d_raw(x, y, bw, gx, gy, block, floor=False):
+    """The 2-D loop before the joint floor: every product enters the sum,
+    ``block`` pairs at a time in the given order. With ``floor``, weights
+    whose argument is below the floor are zeroed."""
 
     def weights(z):
         arg = -0.5 * z * z
         return np.where(arg < JOINT_FLOOR, 0.0, np.exp(arg)) if floor else np.exp(arg)
 
     out = np.zeros((gx.count, gy.count))
-    for start in range(0, x.size, 4096):
-        zx = (gx.points[:, None] - x[None, start:start + 4096]) / bw.h_x
-        zy = (gy.points[:, None] - y[None, start:start + 4096]) / bw.h_y
+    for start in range(0, x.size, block):
+        zx = (gx.points[:, None] - x[None, start:start + block]) / bw.h_x
+        zy = (gy.points[:, None] - y[None, start:start + block]) / bw.h_y
         out += np.einsum("xi,yi->xy", weights(zx), weights(zy))
     return out * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * bw.h_x * bw.h_y))
+
+
+def by_pair(x, y):
+    """The pairs in (x, y) order, the order the weight loops sum them in."""
+    order = np.lexsort((y, x))
+    return x[order], y[order]
 
 
 def ar1_sample(n, rho=0.8, sigma=0.2, seed=19):
@@ -343,7 +352,8 @@ class TestWeightLoops:
         for x in (np.asarray(demo_pairs.x), x_ar):
             grid = Grid.uniform(0.0, 1.1 * float(x.max()), 128)
             h = silverman_bandwidth(x, 2)
-            assert np.array_equal(density_1d_raw(x, h, grid), plain_density_1d_raw(x, h, grid))
+            assert np.array_equal(density_1d_raw(x, h, grid),
+                                  plain_density_1d_raw(np.sort(x), h, grid, _BLOCK))
 
     def test_fused_marginal_is_bitwise_density_1d(self, demo_pairs):
         x_ar, y_ar = ar1_sample(9000)
@@ -362,7 +372,7 @@ class TestWeightLoops:
             x, y = np.asarray(pairs.x), np.asarray(pairs.y)
             bw = silverman_2d(x, y)
             new = density_2d_raw(pairs, bw, grid, grid)
-            old = plain_density_2d_raw(x, y, bw, grid, grid)
+            old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK)
             bound = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
             assert np.max(np.abs(new - old)) <= bound, label
             changed += int(not np.array_equal(new, old))
@@ -375,7 +385,7 @@ class TestWeightLoops:
         bw = Bandwidths(grid.upper / 20.0, grid.upper / 25.0)
         pairs = SimpleNamespace(x=x, y=y)
         assert np.array_equal(density_2d_raw(pairs, bw, grid, grid),
-                              plain_density_2d_raw(x, y, bw, grid, grid))
+                              plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK))
 
     def test_joint_is_bitwise_floored_plain_loop(self):
         # on a grid reaching far past the data, rows that no sample of a block
@@ -384,7 +394,94 @@ class TestWeightLoops:
         grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 128)
         bw = silverman_2d(x, y)
         assert np.array_equal(density_2d_raw(SimpleNamespace(x=x, y=y), bw, grid, grid),
-                              plain_density_2d_raw(x, y, bw, grid, grid, floor=True))
+                              plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
+                                                   floor=True))
+
+
+class TestSortedBlocks:
+    """The weight loops sum sorted blocks and weigh only the grid rows a block
+    can reach; every value equals the plain loop over the sorted pairs."""
+
+    @staticmethod
+    def assert_plain(x, y, bw, grid):
+        xs, ys = by_pair(x, y)
+        pairs = SimpleNamespace(x=x, y=y)
+        marginal, joint = _joint_raw(pairs, bw, grid, grid)
+        one_d = plain_density_1d_raw(xs, bw.h_x, grid, _BLOCK)
+        assert np.array_equal(density_1d_raw(x, bw.h_x, grid), one_d)
+        assert np.array_equal(marginal, one_d)
+        assert np.array_equal(joint, plain_density_2d_raw(xs, ys, bw, grid, grid, _BLOCK,
+                                                          floor=True))
+
+    @pytest.mark.parametrize("h_per_dx", [0.05, 1.0, 3.0, 20.0])
+    def test_bitwise_plain_loop_at_bandwidth(self, h_per_dx):
+        # the grid reaches far past the data, so some rows hold only the
+        # subnormal weights of samples more than 35 bandwidths away
+        x, y = ar1_sample(3 * _BLOCK + 7)
+        grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 96)
+        h = h_per_dx * grid.spacing
+        self.assert_plain(x, y, Bandwidths(h, 0.9 * h), grid)
+
+    def test_samples_off_both_ends_of_the_grid(self):
+        x, y = ar1_sample(2 * _BLOCK + 100)
+        grid = Grid.uniform(0.8, 1.3, 64)
+        far = np.array([-40.0, 0.1, 30.0, 1e6])
+        x, y = np.concatenate([x, far]), np.concatenate([y, far[::-1]])
+        assert x.min() < grid.lower and x.max() > grid.upper
+        self.assert_plain(x, y, Bandwidths(2 * grid.spacing, 2 * grid.spacing), grid)
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_block_edges(self, n):
+        x, y = ar1_sample(n, seed=n)
+        grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 48)
+        self.assert_plain(x, y, silverman_2d(x, y), grid)
+
+    @given(
+        n=st.integers(2, 3 * _BLOCK),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_independent_of_pair_order(self, n, ties, seed):
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.normal(0.0, 0.4, size=n))
+        y = x * np.exp(rng.normal(0.0, 0.2, size=n))
+        if ties:  # equal x with unequal y, and whole duplicate pairs
+            x = np.round(x, 1)
+            k = n // 3
+            x[:k], y[:k] = x[k:2 * k], y[k:2 * k]
+        grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 32)
+        bw = Bandwidths(0.1, 0.12)
+        perm = rng.permutation(n)
+        joint, marginal = joint_and_marginal(SimpleNamespace(x=x, y=y), bw, grid, grid)
+        joint_p, marginal_p = joint_and_marginal(SimpleNamespace(x=x[perm], y=y[perm]),
+                                                 bw, grid, grid)
+        assert np.array_equal(joint.values, joint_p.values)
+        assert np.array_equal(marginal.values, marginal_p.values)
+        assert np.array_equal(density_1d_raw(x, 0.1, grid), density_1d_raw(x[perm], 0.1, grid))
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_1d_names_the_sample(self, bad):
+        g = Grid.uniform(0.0, 2.0, 16)
+        x = np.array([0.5, 1.0, bad, 1.5, bad])
+        for estimate in (density_1d_raw, density_1d):
+            with pytest.raises(NonFiniteSample, match=r"sample 2 is not finite \(x=-?(nan|inf)\)"):
+                estimate(x, 0.3, g)
+        with pytest.raises(NonFiniteSample, match="sample 2 is not finite"):
+            silverman_bandwidth(x, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_joint_names_the_pair(self, bad, axis):
+        g = Grid.uniform(0.0, 2.0, 16)
+        pairs = {"x": np.array([0.5, 1.0, 1.2, 1.5]), "y": np.array([0.6, 0.9, 1.1, 1.4])}
+        pairs[axis][1] = bad
+        pairs[axis][3] = bad
+        for estimate in (joint_and_marginal, density_2d_raw):
+            with pytest.raises(NonFiniteSample, match=rf"pair 1 is not finite .*{axis}=-?(nan|inf)"):
+                estimate(SimpleNamespace(**pairs), Bandwidths(0.3, 0.3), g, g)
 
 
 class TestConditionalDensity:
@@ -526,6 +623,31 @@ class TestCurveAndKernelTypes:
         supported[0] = False
         with pytest.raises(ValueError, match="finite and nonnegative"):
             StochasticKernel(g, g, rows, supported=supported)
+
+    def test_callers_arrays_stay_theirs(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        v = np.ones(16)
+        surface = np.ones((16, 16))
+        sup = np.ones(16, dtype=bool)
+        built = [
+            (DensityCurve(g, v).values, v),
+            (DensitySurface(g, g, surface).values, surface),
+            (StochasticKernel(g, g, surface, supported=sup).rows, surface),
+            (StochasticKernel(g, g, surface, supported=sup).supported, sup),
+        ]
+        for held, mine in built:
+            assert mine.flags.writeable
+            assert held is not mine and not held.flags.writeable
+        v[0] = 2.0  # the caller's buffer is free to change; the curve's is not
+        assert built[0][0][0] == 1.0
+
+    def test_constructors_hand_over_fresh_buffers(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        curve = DensityCurve.from_values(g, np.full(16, 3.0))
+        kern = StochasticKernel.from_rows(g, g, np.ones((16, 16)))
+        # a frozen buffer that owns its memory is taken without a copy
+        assert DensityCurve(g, curve.values).values is curve.values
+        assert StochasticKernel(g, g, kern.rows, kern.supported).rows is kern.rows
 
     def test_bandwidths_positive(self):
         with pytest.raises(ValueError):
