@@ -1,14 +1,14 @@
 """Long-format income panel: ingestion, deflation, relative incomes, subgroups.
 
 A panel holds one row per (unit, sector, year) with a positive income and an
-optional CPI index. Storage is columnar (numpy arrays): ingestion parses
-each row straight into the columns. All operations are pure: each returns a
-new panel.
+optional CPI index. Storage is columnar (numpy arrays): ingestion tokenizes
+the CSV a block of rows at a time and parses each block into the columns.
+All operations are pure: each returns a new panel.
 
 Input CSV contract: UTF-8, header exactly ``unit_id,sector,region,year,income``
 with an optional trailing ``cpi`` column; sector in {urban, rural}; region in
-{east, central, west, other}, one per (unit_id, sector); plain decimal
-numbers.
+{east, central, west, other}, one per (unit_id, sector); a year that Python's
+``int()`` reads and 64 bits hold; numbers that ``float()`` reads.
 """
 
 from __future__ import annotations
@@ -17,12 +17,18 @@ import csv
 import io
 import math
 import os
+import re
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DistDynError,
     DuplicateKey,
     EmptySelection,
     EmptyYear,
@@ -43,10 +49,11 @@ _HEADER = ["unit_id", "sector", "region", "year", "income"]
 class Panel:
     """Columnar long-format panel. ``cpi`` is None once dropped (or never given).
 
-    A unit is one (unit_id, sector) pair. Its rows share a unit code, the
-    unit's number in first-appearance order, built once per panel on first
-    use; units, transition pairs, the poorest selection and region shares
-    all read it.
+    A unit is one (unit_id, sector) pair. Its rows share a unit code, a
+    number that grows with the unit's first appearance; units, transition
+    pairs, the poorest selection and region shares all read it.
+    ``load_panel`` builds it, and panels derived from one carry it; a panel
+    built in code numbers its units on first use.
     """
 
     unit_id: np.ndarray
@@ -85,11 +92,16 @@ class Panel:
             (index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=len(self)
         )
 
+    def _with_unit_code(self, code: np.ndarray) -> "Panel":
+        self.__dict__["_unit_code"] = code  # fills the cached property
+        return self
+
     def _first_rows(self) -> np.ndarray:
-        """Row of each unit's first appearance, indexed by unit code."""
+        """Row of each unit's first appearance, in unit-code order."""
         return np.unique(self._unit_code, return_index=True)[1]
 
     def _take(self, mask_or_idx, **overrides) -> "Panel":
+        """The rows a mask, an index array or a slice picks, with the unit code if built."""
         kw = dict(
             unit_id=self.unit_id[mask_or_idx],
             sector=self.sector[mask_or_idx],
@@ -100,7 +112,10 @@ class Panel:
             is_relative=self.is_relative,
         )
         kw.update(overrides)
-        return Panel(**kw)
+        taken = Panel(**kw)
+        if "_unit_code" in self.__dict__:
+            taken._with_unit_code(self._unit_code[mask_or_idx])
+        return taken
 
 
 @dataclass(frozen=True)
@@ -121,124 +136,288 @@ class TransitionPairs:
         return len(self.x)
 
 
-def _open_source(source):
-    """A text stream over ``source``: a path, CSV bytes, or a readable object."""
+# Rows per block, in reading and in writing a panel CSV. A block's token
+# array stays under 100 KiB; at 8,192 rows the freed blocks left the
+# heap of a later, larger stage higher than the row loop had.
+_BLOCK = 2048
+_SECTOR_CODE = {s: i for i, s in enumerate(SECTORS)}
+_REGION_CODE = {r: i for i, r in enumerate(REGIONS)}
+_RAGGED = re.compile(r"changed from (\d+) to (\d+) at row (\d+)")  # np.loadtxt's message
+
+
+def _content(source):
+    """``source`` as the ``Path`` of a regular file, or its CSV content as bytes or str."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
+        path = Path(source)
+        return path if path.is_file() else path.read_bytes()  # a pipe is read once
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return source
     if hasattr(source, "read"):
-        data = source.read()
-        return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return source.read()
     raise TypeError(f"cannot read a panel from {type(source).__name__}")
+
+
+def _text(content):
+    """A UTF-8 text stream over ``content`` that leaves line endings to the CSV reader."""
+    if isinstance(content, Path):
+        return open(content, "r", encoding="utf-8", newline="")
+    if isinstance(content, bytes):
+        return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", newline="")
+    return io.StringIO(content, newline="")
 
 
 def load_panel(source) -> Panel:
     """Parse a long-format CSV into a panel.
 
     ``source`` is a path (``str`` or ``os.PathLike``), the CSV content as
-    ``bytes``, or an object with ``.read()`` returning text or bytes.
-    Raises :class:`MalformedRow` (also for an empty ``unit_id`` and for a
-    unit whose region changes),
-    :class:`NonPositiveIncome` or :class:`DuplicateKey` with the 1-based row
-    number of the offender.
-    """
-    stream = _open_source(source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("row 1: empty input, expected a header row")
-        header = [h.strip() for h in header]
-        if header == _HEADER:
-            has_cpi = False
-        elif header == _HEADER + ["cpi"]:
-            has_cpi = True
-        else:
-            raise MalformedRow(
-                f"row 1: bad header {header!r}, expected {','.join(_HEADER)}[,cpi]"
-            )
+    ``bytes``, or an object with ``.read()`` returning text or bytes. Fields
+    follow CSV rules: a quoted field may hold commas, line breaks and
+    doubled quotes, and any of LF, CRLF and CR ends a row. Blank rows are
+    skipped, but counted in row numbers.
 
-        ncols = len(header)
-        units, sectors, regions, years, incomes, cpis = [], [], [], [], [], []
-        seen: dict[tuple[str, str], tuple[str, set[int]]] = {}  # each unit's region, years
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != ncols:
-                raise MalformedRow(f"row {lineno}: expected {ncols} fields, got {len(row)}")
-            unit, sector, region = row[0].strip(), row[1].strip(), row[2].strip()
-            if not unit:
-                raise MalformedRow(f"row {lineno}: empty unit_id")
-            if sector not in SECTORS:
-                raise MalformedRow(f"row {lineno}: unknown sector {sector!r}")
-            if region not in REGIONS:
-                raise MalformedRow(f"row {lineno}: unknown region {region!r}")
+    Raises :class:`MalformedRow` (also for an empty ``unit_id``, a year
+    beyond 64-bit integers and a unit whose region changes),
+    :class:`NonPositiveIncome` or :class:`DuplicateKey` with the 1-based row
+    number of the offender. Of several faulty rows the lowest is named, and
+    of its faults the first in the order: field count, ``unit_id``, sector,
+    region, year, income, cpi, repeated key, region change. Input that is
+    not UTF-8 raises :class:`MalformedRow` naming its first bad byte,
+    whatever else is wrong with it.
+
+    Rows are tokenized ``_BLOCK`` at a time by ``np.loadtxt`` and parsed
+    into the columns before the next block is read. The checks run over
+    whole columns: those within a row over a block's, those that read a
+    unit's earlier rows over the panel's. The panel's rows share one
+    ``str`` per distinct ``unit_id``, sector and region, and its unit code
+    is built here.
+    """
+    content = _content(source)
+    try:
+        with _text(content) as stream:
             try:
-                year = int(row[3])
-            except ValueError:
-                raise MalformedRow(f"row {lineno}: year {row[3]!r} is not an integer")
-            try:
-                income = float(row[4])
-            except ValueError:
-                raise MalformedRow(f"row {lineno}: income {row[4]!r} is not a number")
-            if not math.isfinite(income) or income <= 0:
-                raise NonPositiveIncome(f"row {lineno}: income must be > 0, got {row[4]}")
-            cpi = math.nan
-            if has_cpi and row[5].strip() != "":
-                try:
-                    cpi = float(row[5])
-                except ValueError:
-                    raise MalformedRow(f"row {lineno}: cpi {row[5]!r} is not a number")
-                if not math.isfinite(cpi) or cpi <= 0:
-                    raise MalformedRow(f"row {lineno}: cpi must be > 0, got {row[5]}")
-            region0, unit_years = seen.setdefault((unit, sector), (region, set()))
-            if year in unit_years:
-                key = (unit, sector, year)
-                raise DuplicateKey(f"row {lineno}: repeated (unit_id, sector, year) {key}")
-            if region != region0:
-                raise MalformedRow(f"row {lineno}: unit ({unit!r}, {sector!r}) in region "
-                                   f"{region!r}, but in {region0!r} on its earlier rows")
-            unit_years.add(year)
-            units.append(unit)
-            sectors.append(sector)
-            regions.append(region)
-            years.append(year)
-            incomes.append(income)
-            if has_cpi:
-                cpis.append(cpi)
-    finally:
-        stream.close()
-    cpi_col = np.array(cpis, dtype=float)  # empty, hence dropped, without a cpi column
+                return _read_panel(stream, content)
+            except DistDynError:
+                while stream.read(1 << 16):  # an undecodable byte further on comes first
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise _not_utf8(content) from None
+
+
+def _read_panel(stream, content) -> Panel:
+    header = next(csv.reader(_lines(stream)), None)
+    if header is None:
+        raise MalformedRow("row 1: empty input, expected a header row")
+    header = [h.strip() for h in header]
+    if header not in (_HEADER, _HEADER + ["cpi"]):
+        raise MalformedRow(f"row 1: bad header {header!r}, expected {','.join(_HEADER)}[,cpi]")
+    ncols = len(header)
+
+    unit_number = defaultdict()  # stripped unit_id -> number in first-appearance order
+    unit_number.default_factory = unit_number.__len__
+    blocks, rows, fault = [], 0, None
+    while fault is None:
+        tokens, width = _read_block(stream, ncols)
+        columns, bad = _parse_block(tokens, unit_number)
+        blocks.append(columns)
+        if bad is None and width is not None:
+            bad = (len(tokens), MalformedRow, f"expected {ncols} fields, got {width}")
+        if bad is not None:
+            fault = (rows + bad[0],) + bad[1:]
+        rows += len(tokens)
+        if len(tokens) < _BLOCK:
+            break
+    n = rows if fault is None else fault[0]  # the rows before the first with a fault of its own
+    uid, sector, region, year, income, cpi = (np.concatenate(c)[:n] for c in zip(*blocks))
+    unit_id = np.array(list(unit_number), dtype=object)[uid]
+    code, first = _first_appearance(uid * len(SECTORS) + sector)
+    fault = _unit_fault(unit_id, sector, region, year, code, first) or fault
+    if fault is not None:
+        index, error, message = fault
+        raise error(f"row {_row_number(content, index)}: {message}")
     return Panel(
-        unit_id=np.array(units, dtype=object),
-        sector=np.array(sectors, dtype=object),
-        region=np.array(regions, dtype=object),
-        year=np.array(years, dtype=int),
-        income=np.array(incomes, dtype=float),
-        cpi=None if np.all(np.isnan(cpi_col)) else cpi_col,
+        unit_id=unit_id,
+        sector=np.array(SECTORS, dtype=object)[sector],
+        region=np.array(REGIONS, dtype=object)[region],
+        year=year,
+        income=income,
+        cpi=None if np.all(np.isnan(cpi)) else cpi,
+    )._with_unit_code(code)
+
+
+def _lines(stream):
+    """The stream's lines, read by readline, not next(), so stream.tell() keeps working."""
+    return iter(stream.readline, "")
+
+
+def _tokens(stream, rows: int) -> np.ndarray:
+    """The next ``rows`` CSV records of ``stream``, as a 2-D array of str; blank lines skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # on blank lines, and on an empty read
+        return np.loadtxt(_lines(stream), delimiter=",", quotechar='"', comments=None,
+                          dtype=object, ndmin=2, max_rows=rows)
+
+
+def _read_block(stream, ncols: int) -> tuple[np.ndarray, int | None]:
+    """The next block's records before its first without ``ncols`` fields, and that one's count.
+
+    The count is None when every record of the block has ``ncols`` fields.
+    """
+    start = stream.tell()
+    try:
+        tokens = _tokens(stream, _BLOCK)
+    except ValueError as e:
+        ragged = _RAGGED.search(str(e))
+        if ragged is None:
+            raise
+        width, then, at = map(int, ragged.groups())
+        if width != ncols:  # the block's first record is the ragged one
+            return np.empty((0, ncols), dtype=object), width
+        stream.seek(start)
+        return _tokens(stream, at - 1), then
+    if len(tokens) and tokens.shape[1] != ncols:
+        return np.empty((0, ncols), dtype=object), tokens.shape[1]
+    return tokens.reshape(len(tokens), ncols), None
+
+
+def _parse_block(tokens: np.ndarray, unit_number) -> tuple[tuple, tuple | None]:
+    """A block's columns, and its first faulty record as (index, error, message) or None.
+
+    The columns are the unit_id number, sector and region codes (-1 when
+    unknown), year, income and cpi (NaN when blank or absent).
+    """
+    n, ncols = tokens.shape
+
+    def stripped(k):
+        return map(str.strip, tokens[:, k])
+
+    uid = np.fromiter(map(unit_number.__getitem__, stripped(0)), np.intp, n)
+    sector = np.fromiter(map(_SECTOR_CODE.get, stripped(1), repeat(-1)), np.int8, n)
+    region = np.fromiter(map(_REGION_CODE.get, stripped(2), repeat(-1)), np.int8, n)
+    year, bad_year = _convert(tokens[:, 3], int)
+    income, bad_income = _convert(tokens[:, 4], float)
+    cpi, bad_cpi = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    given = np.zeros(n, dtype=bool)
+    if ncols > len(_HEADER):
+        given = np.fromiter(map(bool, stripped(5)), bool, n)
+        cpi[given], bad_cpi[given] = _convert(tokens[given, 5], float)
+    checks = (  # in the order a row is checked
+        (uid == unit_number.get("", -1), MalformedRow, "empty unit_id"),
+        (sector < 0, MalformedRow, "unknown sector {sector!r}"),
+        (region < 0, MalformedRow, "unknown region {region!r}"),
+        (bad_year, MalformedRow, "year {year!r} is not an integer"),
+        (bad_income, MalformedRow, "income {income!r} is not a number"),
+        (~(np.isfinite(income) & (income > 0)), NonPositiveIncome,
+         "income must be > 0, got {income}"),
+        (bad_cpi, MalformedRow, "cpi {cpi!r} is not a number"),
+        (given & ~(np.isfinite(cpi) & (cpi > 0)), MalformedRow, "cpi must be > 0, got {cpi}"),
     )
+    failed = np.logical_or.reduce([mask for mask, _, _ in checks])
+    fault = None
+    if failed.any():
+        i = int(np.argmax(failed))
+        error, message = next((e, m) for mask, e, m in checks if mask[i])
+        fields = dict(zip(_HEADER + ["cpi"], tokens[i]), sector=tokens[i, 1].strip(),
+                      region=tokens[i, 2].strip())
+        fault = (i, error, message.format(**fields))
+    return (uid, sector, region, year, income, cpi), fault
+
+
+def _convert(tokens: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """``tokens`` converted by ``kind`` (``int`` or ``float``), and the mask of those it rejects.
+
+    ``astype`` calls ``int()`` or ``float()`` on each str, so the values and
+    the accepted spellings are Python's; an int outside 64 bits is rejected.
+    """
+    try:
+        return tokens.astype(kind), np.zeros(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        bad = np.zeros(len(tokens), dtype=bool)
+        for i in range(len(tokens)):
+            try:
+                tokens[i:i + 1].astype(kind)
+            except (ValueError, OverflowError):
+                bad[i] = True
+        values = np.zeros(len(tokens), dtype=kind)
+        values[~bad] = tokens[~bad].astype(kind)
+        return values, bad
+
+
+def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's key numbered in first-appearance order, and the first row of each number."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse], first[order]
+
+
+def _unit_fault(unit_id, sector, region, year, code, first) -> tuple | None:
+    """The first row that repeats its unit's year or changes its unit's region.
+
+    Returned as (index, error, message); a repeated year is named before a
+    region change on the same row.
+    """
+    by_unit = np.lexsort((year, code))  # stable: a repeat follows its first row
+    again = (code[by_unit][1:] == code[by_unit][:-1]) & (year[by_unit][1:] == year[by_unit][:-1])
+    repeated = by_unit[1:][again]
+    moved = np.flatnonzero(region != region[first[code]])
+    if len(repeated) and (not len(moved) or repeated.min() <= moved[0]):
+        i = int(repeated.min())
+        key = (unit_id[i], SECTORS[sector[i]], int(year[i]))
+        return i, DuplicateKey, f"repeated (unit_id, sector, year) {key}"
+    if len(moved):
+        i = int(moved[0])
+        unit, sec = unit_id[i], SECTORS[sector[i]]
+        region0 = REGIONS[region[first[code[i]]]]
+        return i, MalformedRow, (f"unit ({unit!r}, {sec!r}) in region {REGIONS[region[i]]!r}, "
+                                 f"but in {region0!r} on its earlier rows")
+    return None
+
+
+def _row_number(content, index: int) -> int:
+    """The CSV row number of data record ``index``: the header is row 1 and blank rows count."""
+    with _text(content) as stream:
+        numbered = enumerate(csv.reader(stream), start=1)
+        next(numbered)  # the header
+        return next(islice((number for number, row in numbered if row), index, None))
+
+
+def _not_utf8(content) -> MalformedRow:
+    """The error for content that is not UTF-8, naming the offset of its first bad byte."""
+    raw = content.read_bytes() if isinstance(content, Path) else content
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return MalformedRow(f"byte {e.start}: input is not UTF-8 ({e.reason})")
+    return MalformedRow("input is not UTF-8")  # the file changed while it was read
 
 
 def dump_panel(panel: Panel) -> bytes:
-    """Serialize a panel back to the input CSV format (17 significant digits)."""
-    buf = io.StringIO()
+    """Serialize a panel back to the input CSV format (17 significant digits).
+
+    Rows are formatted ``_BLOCK`` at a time, by one ``%`` over the block's
+    values; a blank cpi cell takes a row format without the cpi value.
+    """
     has_cpi = panel.cpi is not None
-    buf.write(",".join(_HEADER + (["cpi"] if has_cpi else [])) + "\n")
-    for i in range(len(panel)):
-        fields = [
-            str(panel.unit_id[i]),
-            str(panel.sector[i]),
-            str(panel.region[i]),
-            str(int(panel.year[i])),
-            "%.17g" % panel.income[i],
-        ]
-        if has_cpi:
-            c = panel.cpi[i]
-            fields.append("" if math.isnan(c) else "%.17g" % c)
-        buf.write(",".join(fields) + "\n")
-    return buf.getvalue().encode("utf-8")
+    out = [",".join(_HEADER + (["cpi"] if has_cpi else [])) + "\n"]
+    row = "%s,%s,%s,%d,%.17g"
+    columns = (panel.unit_id, panel.sector, panel.region, panel.year, panel.income)
+    for start in range(0, len(panel), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        table = np.empty((min(_BLOCK, len(panel) - start), 5 + has_cpi), dtype=object)
+        for k, column in enumerate(columns):
+            table[:, k] = column[rows]
+        if not has_cpi:
+            out.append((row + "\n") * len(table) % tuple(table.ravel().tolist()))
+            continue
+        table[:, 5] = panel.cpi[rows]
+        blank = np.isnan(panel.cpi[rows])
+        keep = np.ones(table.shape, dtype=bool)
+        keep[:, 5] = ~blank
+        formats = np.where(blank, row + ",\n", row + ",%.17g\n")
+        out.append("".join(formats.tolist()) % tuple(table[keep].tolist()))
+    return "".join(out).encode("utf-8")
 
 
 def deflate(panel: Panel) -> Panel:
@@ -248,15 +427,7 @@ def deflate(panel: Panel) -> Panel:
     if panel.cpi is None or np.any(np.isnan(panel.cpi)):
         missing = "all" if panel.cpi is None else str(int(np.argmax(np.isnan(panel.cpi)) + 1))
         raise MissingCpi(f"deflation needs a cpi on every observation (missing: {missing})")
-    return Panel(
-        unit_id=panel.unit_id,
-        sector=panel.sector,
-        region=panel.region,
-        year=panel.year,
-        income=panel.income * 100.0 / panel.cpi,
-        cpi=None,
-        is_relative=False,
-    )
+    return panel._take(slice(None), income=panel.income * 100.0 / panel.cpi, cpi=None)
 
 
 def to_relative(panel: Panel, scope: str = "pooled") -> Panel:
@@ -286,15 +457,7 @@ def to_relative(panel: Panel, scope: str = "pooled") -> Panel:
             k = (int(panel.year[first[c]]), panel.sector[first[c]])[: len(columns)]
             raise EmptyYear(f"no usable observations in scope {k}")
         income[rows] = panel.income[rows] / mean
-    return Panel(
-        unit_id=panel.unit_id,
-        sector=panel.sector,
-        region=panel.region,
-        year=panel.year,
-        income=income,
-        cpi=panel.cpi,
-        is_relative=True,
-    )
+    return panel._take(slice(None), income=income, is_relative=True)
 
 
 def filter_group(panel: Panel, sector: str | None = None, region: str | None = None) -> Panel:

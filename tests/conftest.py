@@ -1,5 +1,6 @@
 """Shared fixtures and small construction helpers for the test suite."""
 
+import csv
 import math
 import os
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distdyn import DensityCurve, Grid, NTPCurve, StochasticKernel
+from distdyn import DensityCurve, Grid, NTPCurve, Panel, StochasticKernel
 from distdyn import _quad
+from distdyn.errors import DuplicateKey, MalformedRow, NonPositiveIncome
+from distdyn.panel import _HEADER, REGIONS, SECTORS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,3 +107,90 @@ def net_transition_probability_two_sided(kernel: StochasticKernel) -> NTPCurve:
         up = float(np.interp(x, grid_y.points, up_from_top))
         values[i] = min(1.0, max(-1.0, up - down))
     return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
+
+
+def load_panel_rows(stream) -> Panel:
+    """Parse a panel CSV from a text stream, one ``csv.reader`` row at a time.
+
+    The row loop ``load_panel`` ran before it read whole columns, kept as
+    its oracle: the same columns, and for a bad input the same error and
+    message. Two faults it misses are fixed in ``load_panel`` and modeled
+    by the tests: a year beyond 64 bits reaches ``np.array`` as an
+    ``OverflowError``, and input that is not UTF-8 is the caller's decode
+    error. Open the stream with ``newline=""``.
+    """
+    try:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow("row 1: empty input, expected a header row")
+        header = [h.strip() for h in header]
+        if header == _HEADER:
+            has_cpi = False
+        elif header == _HEADER + ["cpi"]:
+            has_cpi = True
+        else:
+            raise MalformedRow(
+                f"row 1: bad header {header!r}, expected {','.join(_HEADER)}[,cpi]"
+            )
+
+        ncols = len(header)
+        units, sectors, regions, years, incomes, cpis = [], [], [], [], [], []
+        seen: dict[tuple[str, str], tuple[str, set[int]]] = {}  # each unit's region, years
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != ncols:
+                raise MalformedRow(f"row {lineno}: expected {ncols} fields, got {len(row)}")
+            unit, sector, region = row[0].strip(), row[1].strip(), row[2].strip()
+            if not unit:
+                raise MalformedRow(f"row {lineno}: empty unit_id")
+            if sector not in SECTORS:
+                raise MalformedRow(f"row {lineno}: unknown sector {sector!r}")
+            if region not in REGIONS:
+                raise MalformedRow(f"row {lineno}: unknown region {region!r}")
+            try:
+                year = int(row[3])
+            except ValueError:
+                raise MalformedRow(f"row {lineno}: year {row[3]!r} is not an integer")
+            try:
+                income = float(row[4])
+            except ValueError:
+                raise MalformedRow(f"row {lineno}: income {row[4]!r} is not a number")
+            if not math.isfinite(income) or income <= 0:
+                raise NonPositiveIncome(f"row {lineno}: income must be > 0, got {row[4]}")
+            cpi = math.nan
+            if has_cpi and row[5].strip() != "":
+                try:
+                    cpi = float(row[5])
+                except ValueError:
+                    raise MalformedRow(f"row {lineno}: cpi {row[5]!r} is not a number")
+                if not math.isfinite(cpi) or cpi <= 0:
+                    raise MalformedRow(f"row {lineno}: cpi must be > 0, got {row[5]}")
+            region0, unit_years = seen.setdefault((unit, sector), (region, set()))
+            if year in unit_years:
+                key = (unit, sector, year)
+                raise DuplicateKey(f"row {lineno}: repeated (unit_id, sector, year) {key}")
+            if region != region0:
+                raise MalformedRow(f"row {lineno}: unit ({unit!r}, {sector!r}) in region "
+                                   f"{region!r}, but in {region0!r} on its earlier rows")
+            unit_years.add(year)
+            units.append(unit)
+            sectors.append(sector)
+            regions.append(region)
+            years.append(year)
+            incomes.append(income)
+            if has_cpi:
+                cpis.append(cpi)
+    finally:
+        stream.close()
+    cpi_col = np.array(cpis, dtype=float)  # empty, hence dropped, without a cpi column
+    return Panel(
+        unit_id=np.array(units, dtype=object),
+        sector=np.array(sectors, dtype=object),
+        region=np.array(regions, dtype=object),
+        year=np.array(years, dtype=int),
+        income=np.array(incomes, dtype=float),
+        cpi=None if np.all(np.isnan(cpi_col)) else cpi_col,
+    )

@@ -178,6 +178,17 @@ class TestAnalyze:
         code = main(["analyze", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("row, error", [
+        (b"a,urban,east,99999999999999999999,1\n", "row 2: year '99999999999999999999' is not an integer"),
+        (b"a,urban,east,1999,\xff\n", "byte 52: input is not UTF-8 (invalid start byte)"),
+    ])
+    def test_year_out_of_range_or_bytes_not_utf8(self, tmp_path, capsys, row, error):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(HEADER.encode() + row)
+        code = main(["analyze", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_header_only_input(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(HEADER)

@@ -582,7 +582,7 @@ class TestNTPCurveType:
 
 
 @given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 def test_ergodic_is_stationary_property(seed):
     rng = np.random.default_rng(seed)
     g = Grid.uniform(0.0, 2.0, 64)

@@ -185,7 +185,7 @@ class TestDensity1D:
         n=st.integers(5, 60),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_normalized_integral_property(self, loc, scale, n, seed):
         rng = np.random.default_rng(seed)
         samples = rng.normal(loc, scale, size=n)

@@ -1,14 +1,23 @@
 """Panel loading, validation, normalization, grouping and pair construction."""
 
+import csv
 import io
 import math
+import os
+import re
+import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import load_panel_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distdyn import panel as panel_module
 from distdyn import (
+    DistDynError,
     DuplicateKey,
     EmptySelection,
     EmptyYear,
@@ -27,6 +36,7 @@ from distdyn import (
     poorest_fraction,
     to_relative,
 )
+from distdyn.panel import _BLOCK, _HEADER, REGIONS, SECTORS
 
 HEADER = "unit_id,sector,region,year,income\n"
 HEADER_CPI = "unit_id,sector,region,year,income,cpi\n"
@@ -83,6 +93,18 @@ class TestLoadPanel:
     def test_str_is_always_a_path(self):
         with pytest.raises(FileNotFoundError):
             load_panel(HEADER + "a1,urban,east,1999,5.0\n")
+
+    def test_reads_a_named_pipe(self, tmp_path):
+        # a path that can be read only once still gets the row of its fault
+        fifo = tmp_path / "panel.fifo"
+        os.mkfifo(fifo)
+        data = (HEADER + "a1,urban,east,1999,5.0\n\na1,urban,east,2000,-1\n").encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with pytest.raises(NonPositiveIncome, match="^row 4: "):
+            load_panel(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_reads_text_stream(self):
         p = load_panel(io.StringIO(HEADER + "a1,urban,east,1999,5.0\n"))
@@ -408,7 +430,7 @@ class TestPoorestFraction:
             poorest_fraction(self._panel(), base_year=1999, fraction=0.0)
 
     @given(frac=st.floats(0.05, 1.0), n=st.integers(1, 12))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_count_matches_ceiling(self, frac, n):
         rows = [f"h{u:02d},rural,east,1999,{float(u + 1)!r}" for u in range(n)]
         sub = poorest_fraction(csv_panel(rows), base_year=1999, fraction=frac)
@@ -487,7 +509,7 @@ class TestTransitionPairs:
         seed=st.integers(0, 10_000),
         tau=st.integers(1, 3),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     def test_count_matches_enumeration(self, n_units, seed, tau):
         rng = np.random.default_rng(seed)
         rows = []
@@ -672,3 +694,329 @@ class TestUnitIndexMatchesReference:
         with pytest.raises(NoPairs, match="spans 1 year"):
             build_transition_pairs(empty, tau=1)
         assert empty.units() == []
+
+
+# The columnar loader against the row loop it replaced (conftest.load_panel_rows).
+
+
+def expected_load(data: bytes):
+    """What ``load_panel(data)`` must give: the oracle's panel or error, with two fixes.
+
+    Input that is not UTF-8 is a MalformedRow naming its first bad byte,
+    whatever else is wrong with it. A year that ``int()`` reads but 64 bits
+    do not hold is a MalformedRow at its row, unless an earlier row fails;
+    the oracle, which reads on, raises a later row's error or OverflowError.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return MalformedRow(f"byte {e.start}: input is not UTF-8 ({e.reason})")
+    try:
+        return load_panel_rows(io.StringIO(text, newline=""))
+    except (DistDynError, OverflowError) as e:
+        error = e
+    huge = _first_huge_year(text)
+    if huge is not None:
+        row = re.match(r"row (\d+):", str(error))
+        if row is None or int(row[1]) >= huge[0]:
+            return MalformedRow(f"row {huge[0]}: year {huge[1]!r} is not an integer")
+    return error
+
+
+def _first_huge_year(text):
+    """(row, token) of the first row that passes the checks before a year beyond int64."""
+    rows = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
+    ncols = len(next(rows, (0, []))[1])
+    for number, row in rows:
+        if not row or len(row) != ncols or not row[0].strip():
+            continue
+        if row[1].strip() not in SECTORS or row[2].strip() not in REGIONS:
+            continue
+        try:
+            year = int(row[3])
+        except ValueError:
+            continue
+        if not -(2**63) <= year < 2**63:
+            return number, row[3]
+    return None
+
+
+def assert_same_panel(got, want):
+    for name in ("unit_id", "sector", "region"):
+        assert getattr(got, name).dtype == object
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+    for name in ("year", "income"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.cpi is None) == (want.cpi is None)
+    if got.cpi is not None:
+        assert got.cpi.tobytes() == want.cpi.tobytes()
+    assert not got.is_relative
+    # the loader's unit code equals the one a panel built in code numbers on first use
+    assert "_unit_code" in got.__dict__
+    assert np.array_equal(got._unit_code, want._unit_code)
+
+
+def assert_loads_like_oracle(source, data: bytes):
+    want = expected_load(data)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            load_panel(source)
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
+    else:
+        assert_same_panel(load_panel(source), want)
+
+
+def _field(value: str, quote: bool) -> str:
+    return '"' + value.replace('"', '""') + '"' if quote else value
+
+
+@st.composite
+def mutated_panel_csv(draw):
+    """Bytes of a small panel CSV with CSV corners and, of drawn kinds at a drawn rate, faults.
+
+    Each value comes from a list of valid spellings, odd ones included, or
+    from a list of faulty ones.
+    """
+    kinds = ("header", "unit", "sector", "region", "year", "income", "cpi", "fields", "repeat",
+             "blank")
+    faulty_kinds = draw(st.sets(st.sampled_from(kinds), max_size=3))
+    odds = draw(st.sampled_from([20, 6, 1]))  # a fault in 1 of odds + 1 draws
+
+    def pick(kind, valid, faulty):
+        fault = kind in faulty_kinds and draw(st.integers(0, odds)) == 0
+        return draw(st.sampled_from(faulty if fault else valid))
+
+    has_cpi = draw(st.booleans())
+    header = _HEADER + (["cpi"] if has_cpi else [])
+    header = pick("header", [header], [header[:-1], header + ["x"], [" unit_id "] + header[1:], []])
+    region_of, seen = {}, {}
+    records = []
+    for _ in range(draw(st.integers(0, 9))):
+        unit = pick("unit", ["u1", "u2"] * 4 + [" u1 ", "a,b", 'q"x', "l\nm", "r\r\ns", "é"],
+                    ["", "  "])
+        sector = pick("sector", ["urban"] * 3 + ["rural", " urban"], ["Urban", "", "town"])
+        key = (unit.strip(), sector.strip())
+        region = region_of.setdefault(key, pick("region", ["east", "west", " other ", "central"],
+                                                ["north", ""]))
+        region = pick("region", [region], ["east", "west", "north"])  # a region change
+        k = seen[key] = seen.get(key, -1) + 1  # the unit's k-th row gets a year of its own
+        year = pick("year", [str(1999 + k)] * 4 + [f" {1999 + k} ", f"{1999 + k:_}",
+                                                    str(2**63 - 1 - k), str(-(2**63) + k)],
+                    ["1999.0", "x", "", "99999999999999999999", "-9223372036854775809"])
+        income = pick("income", ["1.5", "2", "0.25", "7e-3", "1_000", " 3 ", "１２", "1e-300"],
+                      ["nan", "inf", "-inf", "1e309", "-1", "0", "-0.0", "x", ""])
+        fields = [unit, sector, region, year, income]
+        if has_cpi:
+            fields.append(pick("cpi", ["", " ", "100", "1e2", "95.5"], ["0", "nan", "x", "-5"]))
+        fields = pick("fields", [fields], [fields[:-1], fields + [""], fields[:2]])
+        quote = draw(st.integers(0, 7))  # 0: quote each field; 1: none; else where needed
+        needs_quotes = [any(c in f for c in ',"\r\n') for f in fields]
+        records.append(",".join(_field(f, quote == 0 or (quote > 1 and q))
+                                for f, q in zip(fields, needs_quotes)))
+        records += pick("repeat", [[]], [[records[draw(st.integers(0, len(records) - 1))]]])
+        # a blank row, or one that looks blank
+        records += pick("blank", [[], [], [""]], [[" "], ["\t"], [",,"], ['""']])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([",".join(header)] + records) + draw(st.sampled_from([newline, ""]))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 11)) == 0:
+        data = b"\xef\xbb\xbf" + data  # a BOM
+    if draw(st.integers(0, 11)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+def valid_rows(n):
+    """n valid rows: unit u{i // 5}, sector rural when 3 divides i, years 2000-2004."""
+    return [f"u{i // 5},{'urban' if i % 3 else 'rural'},east,{2000 + i % 5},{1 + i / 7!r}"
+            for i in range(n)]
+
+
+class TestLoaderMatchesRowLoop:
+    @given(data=mutated_panel_csv(), block=st.sampled_from([1, 2, 3, 8192]),
+           kind=st.sampled_from(["bytes", "binary stream", "text stream", "path"]))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_mutated_csv(self, data, block, kind, tmp_path_factory):
+        if kind == "text stream":
+            try:
+                source = io.StringIO(data.decode("utf-8"))
+            except UnicodeDecodeError:
+                source = io.BytesIO(data)
+        elif kind == "binary stream":
+            source = io.BytesIO(data)
+        elif kind == "path":
+            source = tmp_path_factory.getbasetemp() / "mutated.csv"
+            source.write_bytes(data)
+        else:
+            source = data
+        with mock.patch.object(panel_module, "_BLOCK", block):
+            assert_loads_like_oracle(source, data)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_block_and_one_more_row(self, extra):
+        data = (HEADER + "".join(r + "\n" for r in valid_rows(_BLOCK + extra))).encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's warning on the final, empty read stays inside
+            assert_loads_like_oracle(data, data)
+        assert len(load_panel(data)) == _BLOCK + extra
+
+    def test_blank_lines_count_in_row_numbers(self):
+        rows = valid_rows(_BLOCK + 3)
+        rows[_BLOCK + 2] = "u9999,urban,east,2000,-1"
+        text = HEADER + "\n\n" + '"u0",urban,east,1990,"1\n"\n' + "".join(r + "\n\r\n" for r in rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveIncome, match=rf"^row {5 + 2 * (_BLOCK + 2)}: "):
+                load_panel(text.encode())
+        assert_loads_like_oracle(text.encode(), text.encode())
+
+    @pytest.mark.parametrize("earlier", ["none", "same block", "previous block"])
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_ragged_row_after_a_block_boundary(self, earlier, offset):
+        rows = valid_rows(_BLOCK + 10)
+        rows[_BLOCK + offset] += ",extra"
+        if earlier == "same block" and offset:
+            rows[_BLOCK + 2] = rows[_BLOCK + 2].replace("east", "north")
+        elif earlier == "previous block":
+            rows[_BLOCK - 1] = rows[_BLOCK - 1].replace("urban", "town").replace("rural", "town")
+        data = (HEADER + "".join(r + "\n" for r in rows)).encode()
+        assert_loads_like_oracle(data, data)
+        want = {
+            "none": f"row {_BLOCK + offset + 2}: expected 5 fields, got 6",
+            "same block": f"row {_BLOCK + (2 if offset else offset) + 2}: "
+                          + ("unknown region 'north'" if offset else "expected 5 fields, got 6"),
+            "previous block": f"row {_BLOCK + 1}: unknown sector 'town'",
+        }[earlier]
+        with pytest.raises(MalformedRow) as info:
+            load_panel(data)
+        assert str(info.value) == want
+
+    def test_fault_in_the_block_before_a_short_ragged_row(self):
+        rows = valid_rows(_BLOCK + 4)
+        rows[_BLOCK + 1] = rows[_BLOCK + 1].rsplit(",", 1)[0] + ",zero"
+        rows[_BLOCK + 3] = "u1,urban"
+        data = (HEADER + "".join(r + "\n" for r in rows)).encode()
+        with pytest.raises(MalformedRow, match=rf"^row {_BLOCK + 3}: income 'zero' is not a number$"):
+            load_panel(data)
+        assert_loads_like_oracle(data, data)
+
+    @pytest.mark.parametrize("moved", [5, 6, 7])
+    def test_repeat_and_region_change_name_the_lower_row(self, moved):
+        rows = valid_rows(_BLOCK + 10)
+        rows[_BLOCK + 6] = rows[3]  # row 5, (u0, rural, 2003), again as row _BLOCK + 8
+        # (u0, rural) is in east; on row _BLOCK + moved + 2 it moves to west
+        moving = rows[_BLOCK + 6] if moved == 6 else "u0,rural,east,1990,1"
+        rows[_BLOCK + moved] = moving.replace("east", "west")
+        data = (HEADER + "".join(r + "\n" for r in rows)).encode()
+        assert_loads_like_oracle(data, data)
+        if moved == 5:
+            want = MalformedRow, (rf"^row {_BLOCK + 7}: unit \('u0', 'rural'\) in region 'west', "
+                                  "but in 'east' on its earlier rows$")
+        else:  # on the same row, the repeat is named
+            want = DuplicateKey, (rf"^row {_BLOCK + 8}: repeated \(unit_id, sector, year\) "
+                                  r"\('u0', 'rural', 2003\)$")
+        with pytest.raises(want[0], match=want[1]):
+            load_panel(data)
+
+
+class TestLoaderCheckOrder:
+    @pytest.mark.parametrize("row, error, message", [
+        (",Urban,north,x,y,0", MalformedRow, "empty unit_id"),
+        ("a,Urban,north,x,y,0", MalformedRow, "unknown sector 'Urban'"),
+        ("a, urban ,north,x,y,0", MalformedRow, "unknown region 'north'"),
+        ("a,urban,east,x,y,0", MalformedRow, "year 'x' is not an integer"),
+        ("a,urban,east,1e3,y,0", MalformedRow, "year '1e3' is not an integer"),
+        ("a,urban,east,1999,y,0", MalformedRow, "income 'y' is not a number"),
+        ("a,urban,east,1999,-1,0", NonPositiveIncome, "income must be > 0, got -1"),
+        ("a,urban,east,1999, 1 ,x", MalformedRow, "cpi 'x' is not a number"),
+        ("a,urban,east,1999,1,0", MalformedRow, "cpi must be > 0, got 0"),
+        ("a,urban,east,1999,1,inf", MalformedRow, "cpi must be > 0, got inf"),
+        ("b,urban,east,1998,1,", DuplicateKey, "repeated (unit_id, sector, year) ('b', 'urban', 1998)"),
+    ])
+    def test_a_row_names_its_first_fault(self, row, error, message):
+        data = (HEADER_CPI + "b,urban,west,1998,2,100\n\n" + row + "\nc,urban,east,1999,-5,0\n").encode()
+        with pytest.raises(error) as info:
+            load_panel(data)
+        assert str(info.value) == f"row 4: {message}"
+        assert_loads_like_oracle(data, data)
+
+
+class TestLoaderFixes:
+    def test_year_beyond_int64(self):
+        with pytest.raises(MalformedRow, match=r"^row 3: year '99999999999999999999' is not an integer$"):
+            csv_panel(["a,urban,east,1999,1", "a,urban,east,99999999999999999999,1",
+                       "a,urban,east,2000,0"])
+
+    def test_int64_bounds_load(self):
+        p = csv_panel(["a,urban,east,-9223372036854775808,1", "a,urban,east,9223372036854775807,1"])
+        assert list(p.year) == [-(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize("kind", ["bytes", "path"])
+    def test_not_utf8_names_the_byte_whatever_comes_first(self, kind, tmp_path):
+        # an earlier bad row does not hide it, even in a later block of the file
+        rows = ["a,urban,east,1999,-1"] + valid_rows(3 * _BLOCK)
+        data = (HEADER + "".join(r + "\n" for r in rows)).encode() + b"b,urban,east,1999,\xff\n"
+        source = data
+        if kind == "path":
+            source = tmp_path / "p.csv"
+            source.write_bytes(data)
+        want = rf"^byte {len(data) - 2}: input is not UTF-8 \(invalid start byte\)$"
+        with pytest.raises(MalformedRow, match=want):
+            load_panel(source)
+
+    def test_bad_header_does_not_hide_bad_bytes(self):
+        with pytest.raises(MalformedRow, match=r"^byte 6: input is not UTF-8"):
+            load_panel(b"a,b,c\n\xff\n")
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"])
+    def test_every_source_kind_reads_any_line_ending(self, newline, tmp_path):
+        text = newline.join([HEADER.strip(), "a,urban,east,1999,1", '"b\rc",rural,west,2000,2', ""])
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        sources = [text.encode(), path, io.StringIO(text, newline=""), io.BytesIO(text.encode())]
+        panels = [load_panel(s) for s in sources]
+        for p in panels:
+            assert list(p.unit_id) == ["a", "b\rc"]
+            assert p.income.tolist() == [1.0, 2.0]
+
+    def test_rows_share_one_str_per_value(self):
+        p = csv_panel([f" u{i % 3} ,urban ,east,{1999 + i},1" for i in range(9)])
+        for column in (p.unit_id, p.sector, p.region):
+            assert len({id(v) for v in column}) == len(set(column))
+
+    def test_derived_panels_carry_the_unit_code(self):
+        p = csv_panel(["a,urban,east,1999,1,100", "b,rural,west,1999,2,100", "a,urban,east,2000,3,100"],
+                      cpi=True)
+        for derived in (deflate(p), to_relative(deflate(p)), filter_group(p, sector="urban")):
+            assert "_unit_code" in derived.__dict__
+        assert filter_group(p, sector="urban")._unit_code.tolist() == [0, 0]
+
+
+class TestDumpPanelChunks:
+    @staticmethod
+    def _plain(panel):
+        lines = [",".join(_HEADER + (["cpi"] if panel.cpi is not None else []))]
+        for i in range(len(panel)):
+            fields = [str(panel.unit_id[i]), str(panel.sector[i]), str(panel.region[i]),
+                      str(int(panel.year[i])), "%.17g" % panel.income[i]]
+            if panel.cpi is not None:
+                fields.append("" if math.isnan(panel.cpi[i]) else "%.17g" % panel.cpi[i])
+            lines.append(",".join(fields))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("cpi", [False, True])
+    def test_bytes_equal_a_row_at_a_time(self, n, cpi):
+        rng = np.random.default_rng(n)
+        p = Panel(
+            unit_id=np.array([f"ü{i % 97}" for i in range(n)], dtype=object),
+            sector=np.array(["urban", "rural"] * n, dtype=object)[:n],
+            region=np.array(["east"] * n, dtype=object),
+            year=np.arange(n) - 5,
+            income=rng.lognormal(0.0, 3.0, n),
+            cpi=np.where(rng.random(n) < 0.3, np.nan, rng.uniform(1, 200, n)) if cpi else None,
+        )
+        assert dump_panel(p) == self._plain(p)

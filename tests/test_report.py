@@ -313,7 +313,7 @@ class TestBuildReport:
     mus=st.lists(st.floats(0.5, 3.5), min_size=1, max_size=4),
     seed=st.integers(0, 1000),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_mode_count_never_exceeds_component_count(mus, seed):
     # a mixture of k unimodal bumps has at most k strict local maxima
     rng = np.random.default_rng(seed)
