@@ -96,50 +96,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Uniformly spaced evaluation grid."""
+    """``count`` evenly spaced points from ``lower`` to ``upper``, both included.
 
-    points: np.ndarray
+    ``points`` is the read-only ``np.linspace(lower, upper, count)``. Grids
+    compare and hash by (lower, upper, count). Raises DegenerateGrid for
+    fewer than ``MIN_GRID_POINTS`` points, or unless upper > lower, a finite span apart.
+    """
+
     lower: float
     upper: float
     count: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = _readonly(self.points)
         if self.count < MIN_GRID_POINTS:
             raise DegenerateGrid(f"grid needs at least {MIN_GRID_POINTS} points, got {self.count}")
-        if pts.shape != (self.count,):
-            raise DegenerateGrid("point array does not match declared count")
-        if not np.all(np.isfinite(pts)) or not self.upper > self.lower:
-            raise DegenerateGrid(
-                f"grid bounds must be finite with upper > lower, got [{self.lower}, {self.upper}]"
-            )
-        step = (self.upper - self.lower) / (self.count - 1)
-        if not np.allclose(np.diff(pts), step, rtol=1e-12, atol=1e-12 * abs(step)):
-            raise DegenerateGrid("grid spacing is not uniform")
-        object.__setattr__(self, "points", pts)
+        if not (np.isfinite(self.upper - self.lower) and self.upper > self.lower):
+            raise DegenerateGrid(f"grid bounds must be finite with upper > lower, "
+                                 f"got [{self.lower}, {self.upper}]")
+        object.__setattr__(self, "points", _frozen(np.linspace(self.lower, self.upper, self.count)))
 
     @classmethod
     def uniform(cls, lower: float, upper: float, count: int) -> "Grid":
-        if count < MIN_GRID_POINTS:
-            raise DegenerateGrid(f"grid needs at least {MIN_GRID_POINTS} points, got {count}")
-        pts = np.linspace(lower, upper, count)
-        return cls(points=pts, lower=float(lower), upper=float(upper), count=int(count))
+        return cls(float(lower), float(upper), int(count))
 
     @property
     def spacing(self) -> float:
         return (self.upper - self.lower) / (self.count - 1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.count == other.count
-            and np.array_equal(self.points, other.points)
-        )
-
-    def __hash__(self):
-        return hash((self.lower, self.upper, self.count))
 
 
 @dataclass(frozen=True)

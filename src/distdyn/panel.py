@@ -22,7 +22,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,10 @@ def load_panel(source) -> Panel:
 
 
 def _read_panel(stream, content) -> Panel:
-    header = next(csv.reader(_lines(stream)), None)
+    try:
+        header = next(csv.reader(_lines(stream)), None)
+    except csv.Error as e:  # a field over csv.field_size_limit()
+        raise MalformedRow(f"row 1: {e}") from None
     if header is None:
         raise MalformedRow("row 1: empty input, expected a header row")
     header = [h.strip() for h in header]
@@ -376,11 +379,22 @@ def _unit_fault(unit_id, sector, region, year, code, first) -> tuple | None:
 
 
 def _row_number(content, index: int) -> int:
-    """The CSV row number of data record ``index``: the header is row 1 and blank rows count."""
+    """The CSV row number of data record ``index``: the header is row 1 and blank rows count.
+
+    The rows are scanned by ``csv.reader``; a field over its
+    ``csv.field_size_limit()`` on the way raises MalformedRow naming that
+    field's row.
+    """
     with _text(content) as stream:
-        numbered = enumerate(csv.reader(stream), start=1)
-        next(numbered)  # the header
-        return next(islice((number for number, row in numbered if row), index, None))
+        number = 0
+        try:
+            for number, row in enumerate(csv.reader(stream), start=1):
+                if row and number > 1:
+                    if not index:
+                        return number
+                    index -= 1
+        except csv.Error as e:
+            raise MalformedRow(f"row {number + 1}: {e}") from None
 
 
 def _not_utf8(content) -> MalformedRow:
@@ -396,13 +410,16 @@ def _not_utf8(content) -> MalformedRow:
 def dump_panel(panel: Panel) -> bytes:
     """Serialize a panel back to the input CSV format (17 significant digits).
 
-    Rows are formatted ``_BLOCK`` at a time, by one ``%`` over the block's
-    values; a blank cpi cell takes a row format without the cpi value.
+    ``load_panel`` reads the bytes back: a ``unit_id`` that holds a comma,
+    a double quote, CR or LF is quoted by CSV rules, decided once per
+    distinct id. Rows are formatted ``_BLOCK`` at a time, by one ``%`` over
+    the block's values; a blank cpi cell takes a row format without the
+    cpi value.
     """
     has_cpi = panel.cpi is not None
     out = [",".join(_HEADER + (["cpi"] if has_cpi else [])) + "\n"]
     row = "%s,%s,%s,%d,%.17g"
-    columns = (panel.unit_id, panel.sector, panel.region, panel.year, panel.income)
+    columns = (_csv_ids(panel.unit_id), panel.sector, panel.region, panel.year, panel.income)
     for start in range(0, len(panel), _BLOCK):
         rows = slice(start, start + _BLOCK)
         table = np.empty((min(_BLOCK, len(panel) - start), 5 + has_cpi), dtype=object)
@@ -418,6 +435,19 @@ def dump_panel(panel: Panel) -> bytes:
         formats = np.where(blank, row + ",\n", row + ",%.17g\n")
         out.append("".join(formats.tolist()) % tuple(table[keep].tolist()))
     return "".join(out).encode("utf-8")
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_ids(unit_id: np.ndarray) -> np.ndarray:
+    """The unit_id column as CSV fields; the column itself when no id needs quotes."""
+    distinct = set(unit_id.tolist())
+    if not _NEEDS_QUOTES.search("".join(map(str, distinct))):
+        return unit_id
+    quoted = {u: '"' + str(u).replace('"', '""') + '"'
+              for u in distinct if _NEEDS_QUOTES.search(str(u))}
+    return np.array([quoted.get(u, u) for u in unit_id.tolist()], dtype=object)
 
 
 def deflate(panel: Panel) -> Panel:
@@ -515,13 +545,23 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
     start = end = np.empty(0, dtype=np.intp)
     if tau < span:
         # rows sorted by unit code, then year; the key steps span + tau per
-        # unit, so year + tau never reaches the next unit's keys
+        # unit, so year + tau never reaches the next unit's keys. Each
+        # scratch array is made in place where it can be, and freed as soon
+        # as it is used, so few row-sized arrays are alive at once.
         order = np.lexsort((panel.year, panel._unit_code))
-        key = panel._unit_code[order] * (span + tau) + (panel.year[order] - years[0])
-        target = key + tau
-        at = np.minimum(np.searchsorted(key, target), len(key) - 1)
-        hit = key[at] == target
-        start, end = order[hit], order[at[hit]]
+        key = panel._unit_code[order]
+        key *= span + tau
+        key += panel.year[order]
+        key -= years[0]
+        at = np.searchsorted(key, key + tau)
+        np.minimum(at, len(key) - 1, out=at)
+        gap = key[at]
+        gap -= key
+        hit = gap == tau
+        del key, gap
+        at = at[hit]
+        start, end = order[hit], order[at]
+        del order, at, hit
     if not len(start):
         raise NoPairs(f"no unit is observed {tau} years apart (panel spans {span} year(s))")
     return TransitionPairs(x=panel.income[start], y=panel.income[end], tau=tau)

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distdyn import DensityCurve, Grid, NTPCurve, Panel, StochasticKernel
-from distdyn import _quad
+from distdyn import Grid, _quad
+from distdyn.dynamics import NTPCurve
+from distdyn.kde import DensityCurve, StochasticKernel
 from distdyn.errors import DuplicateKey, MalformedRow, NonPositiveIncome
-from distdyn.panel import _HEADER, REGIONS, SECTORS
+from distdyn.panel import _HEADER, REGIONS, SECTORS, Panel
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

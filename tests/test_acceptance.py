@@ -22,25 +22,25 @@ import pytest
 
 from distdyn import (
     DEMO_SPEC,
-    Bandwidths,
-    DensityCurve,
     Grid,
     ProcessSpec,
-    StochasticKernel,
     analyze_group,
     default_grid,
+    evolve,
+    prepare_panel,
+    simulate,
+)
+from distdyn.dynamics import ergodic_distribution, net_transition_probability, ntp_crossings
+from distdyn.kde import (
+    Bandwidths,
+    DensityCurve,
+    StochasticKernel,
     density_1d,
     density_1d_raw,
     density_2d_raw,
-    ergodic_distribution,
-    estimate_kernel,
-    evolve,
-    net_transition_probability,
-    ntp_crossings,
-    prepare_panel,
     silverman_bandwidth,
-    simulate,
 )
+from distdyn.pipeline import estimate_kernel
 from distdyn.cli import main
 
 from conftest import (

@@ -1,6 +1,7 @@
 """Command line interface: argument handling, outputs, manifests, exit codes."""
 
 import argparse
+import csv
 import hashlib
 import json
 import re
@@ -188,6 +189,16 @@ class TestAnalyze:
         code = main(["analyze", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("head, row", [("unit_id{long}", 1), ("unit_id", 2)])
+    def test_over_long_field_exits_3(self, tmp_path, capsys, head, row):
+        limit = csv.field_size_limit()
+        data = head + ",sector,region,year,income\n{long},urban,east,1999,1\na,urban,east,1999,-1\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(data.format(long="u" * (limit + 1)))
+        code = main(["analyze", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: row {row}: field larger than field limit ({limit})\n"
 
     def test_header_only_input(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -8,30 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdyn import (
+from distdyn import Grid, _quad, evolve
+from distdyn.dynamics import (
+    ErgodicSolution,
+    NTPCurve,
+    ergodic_distribution,
+    net_transition_probability,
+    ntp_crossings,
+    support_components,
+)
+from distdyn.errors import GridMismatch, NoSupportedRows, NotConverged
+from distdyn.kde import (
     Bandwidths,
     DensityCurve,
-    ErgodicSolution,
-    Grid,
-    GridMismatch,
-    NoSupportedRows,
-    NotConverged,
-    NTPCurve,
     StochasticKernel,
     conditional_density,
     density_1d,
-    ergodic_distribution,
-    estimate_kernel,
-    evolve,
-    net_transition_probability,
-    ntp_crossings,
+    joint_and_marginal,
     silverman_bandwidth,
-    support_components,
 )
-from distdyn import _quad
-from distdyn.kde import joint_and_marginal
 from distdyn.panel import load_panel
-from distdyn.pipeline import default_grid, expand_groups, prepare_panel
+from distdyn.pipeline import default_grid, estimate_kernel, expand_groups, prepare_panel
 
 from conftest import (
     gaussian,

@@ -16,27 +16,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdyn import panel as panel_module
-from distdyn import (
-    DistDynError,
+from distdyn import DistDynError, MalformedRow, dump_panel, load_panel
+from distdyn.errors import (
     DuplicateKey,
     EmptySelection,
     EmptyYear,
-    MalformedRow,
     MissingBaseYear,
     MissingCpi,
     NonPositiveIncome,
     NoPairs,
+)
+from distdyn.panel import (
+    _BLOCK,
+    _HEADER,
+    REGIONS,
+    SECTORS,
     Panel,
     build_transition_pairs,
     deflate,
-    dump_panel,
     filter_group,
     group_shares,
-    load_panel,
     poorest_fraction,
     to_relative,
 )
-from distdyn.panel import _BLOCK, _HEADER, REGIONS, SECTORS
 
 HEADER = "unit_id,sector,region,year,income\n"
 HEADER_CPI = "unit_id,sector,region,year,income,cpi\n"
@@ -209,6 +211,31 @@ class TestDumpPanel:
         p = csv_panel(["a1,urban,east,1999,100,95.5"], cpi=True)
         again = load_panel(dump_panel(p))
         assert again.cpi[0] == 95.5
+
+    @pytest.mark.parametrize("n", [1, _BLOCK + 1])
+    @pytest.mark.parametrize("cpi", [False, True])
+    def test_ids_that_need_quotes_load_back(self, n, cpi):
+        ids = ["a,b", 'q"x', "l\nm", "c\rd", '"', "plain"]
+        rng = np.random.default_rng(n)
+        p = Panel(
+            unit_id=np.array([ids[i % len(ids)] for i in range(n)], dtype=object),
+            sector=np.array(["urban", "rural"] * n, dtype=object)[:n],
+            region=np.array(["west"] * n, dtype=object),
+            year=2000 + np.arange(n) // len(ids),
+            income=rng.lognormal(0.0, 1.0, n),
+            cpi=np.where(np.arange(n) % 3 == 1, np.nan, rng.uniform(1, 200, n)) if cpi else None,
+        )
+        raw = dump_panel(p)
+        assert raw.startswith(b'unit_id,sector,region,year,income' + (b",cpi" if cpi else b"")
+                              + b'\n"a,b",urban,west,2000,')
+        again = load_panel(raw)
+        for name in ("unit_id", "sector", "region", "year", "income"):
+            assert getattr(again, name).tolist() == getattr(p, name).tolist()
+        if cpi:
+            assert np.array_equal(again.cpi, p.cpi, equal_nan=True)
+        else:
+            assert again.cpi is None
+        assert dump_panel(again) == raw
 
 
 class TestDeflate:
@@ -981,6 +1008,23 @@ class TestLoaderFixes:
         for p in panels:
             assert list(p.unit_id) == ["a", "b\rc"]
             assert p.income.tolist() == [1.0, 2.0]
+
+    LIMIT = csv.field_size_limit()
+    LONG = "u" * (LIMIT + 1)
+
+    def test_over_long_field_loads_in_a_valid_file(self):
+        p = csv_panel([f"{self.LONG},urban,east,1999,1", "b,urban,east,1999,2"])
+        assert p.unit_id.tolist() == [self.LONG, "b"]
+
+    @pytest.mark.parametrize("data, row", [
+        ("unit_id{long},sector,region,year,income\nb,urban,east,1999,2\n", 1),
+        (HEADER + "{long},urban,east,1999,1\nb,urban,east,1999,-1\n", 2),
+        (HEADER + '"b\nc",urban,east,1999,1\n\n{long},urban,east,1999,1\nb,urban,east,1999,0\n', 4),
+    ], ids=["header", "before a fault", "after a line break and a blank row"])
+    def test_over_long_field_before_a_fault_is_named(self, data, row):
+        want = rf"^row {row}: field larger than field limit \({self.LIMIT}\)$"
+        with pytest.raises(MalformedRow, match=want):
+            load_panel(data.format(long=self.LONG).encode())
 
     def test_rows_share_one_str_per_value(self):
         p = csv_panel([f" u{i % 3} ,urban ,east,{1999 + i},1" for i in range(9)])

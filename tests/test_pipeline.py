@@ -5,19 +5,16 @@ import pytest
 
 from distdyn import (
     Grid,
-    GroupResult,
-    KernelEstimate,
-    NotConverged,
     ProcessSpec,
     analyze_group,
-    build_transition_pairs,
     default_grid,
-    estimate_kernel,
-    expand_groups,
     load_panel,
     prepare_panel,
     simulate,
 )
+from distdyn.errors import NotConverged
+from distdyn.panel import build_transition_pairs
+from distdyn.pipeline import GroupResult, KernelEstimate, estimate_kernel, expand_groups
 
 HEADER = "unit_id,sector,region,year,income\n"
 

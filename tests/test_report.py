@@ -9,27 +9,18 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdyn import (
+from distdyn import Grid, ProcessSpec, load_panel, simulate
+from distdyn.dynamics import ErgodicSolution, NTPCurve
+from distdyn.errors import EmptySelection, GridMismatch, MissingYear
+from distdyn.kde import DensityCurve, density_1d, silverman_bandwidth
+from distdyn.panel import build_transition_pairs, to_relative
+from distdyn.report import (
     AnalysisReport,
-    DensityCurve,
-    EmptySelection,
-    ErgodicSolution,
-    Grid,
-    GridMismatch,
-    MissingYear,
     Mode,
-    NTPCurve,
-    ProcessSpec,
     build_report,
-    build_transition_pairs,
     compare_years,
-    density_1d,
     find_modes,
-    load_panel,
     report_to_json,
-    silverman_bandwidth,
-    simulate,
-    to_relative,
 )
 
 from conftest import gaussian, trapezoid_weights

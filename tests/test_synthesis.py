@@ -9,16 +9,14 @@ import scipy.stats
 from distdyn import (
     DEMO_SPEC,
     Grid,
-    InvalidSpec,
-    NoClosedForm,
     ProcessSpec,
     club_assignments,
-    club_share,
     dump_panel,
     simulate,
     stationary_density,
-    stationary_log_sd,
 )
+from distdyn.errors import InvalidSpec, NoClosedForm
+from distdyn.synthesis import club_share, stationary_log_sd
 
 
 class TestProcessSpec:

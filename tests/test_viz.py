@@ -8,23 +8,19 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from distdyn import (
-    DegenerateSurface,
-    DensityCurve,
-    DensitySurface,
-    EmptyPlot,
-    Grid,
-    GridMismatch,
-    NTPCurve,
+from distdyn import Grid
+from distdyn.dynamics import NTPCurve
+from distdyn.errors import DegenerateSurface, EmptyPlot, GridMismatch
+from distdyn.kde import DensityCurve, DensitySurface, StochasticKernel
+from distdyn.panel import TransitionPairs
+from distdyn.viz import (
     PlotStyle,
-    StochasticKernel,
-    TransitionPairs,
+    _csv_chunks,
     export_csv,
     render_contour,
     render_curves,
     render_surface,
 )
-from distdyn.viz import _csv_chunks
 
 from conftest import gaussian
 
