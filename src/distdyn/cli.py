@@ -36,7 +36,7 @@ from . import pipeline
 from .errors import DistDynError, InvalidSpec, MissingYear, NotConverged
 from .kde import MIN_GRID_POINTS
 from .panel import SECTORS, dump_panel, load_panel
-from .report import compare_years
+from .report import compare_years, json_text, report_to_json
 from .synthesis import ProcessSpec, simulate
 from .viz import PlotStyle, _csv_chunks, render_contour, render_curves, render_surface
 
@@ -219,9 +219,11 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotStyle) -> dict:
+def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path,
+               style: PlotStyle) -> tuple[dict, dict[str, str]]:
     """One group end to end, persisting artifacts as they become available.
 
+    Returns the group's manifest entry and the hash of each file written.
     A failed solve (NotConverged) keeps the estimation-stage files on disk
     and marks the group; any other domain error marks the group as failed.
     """
@@ -259,23 +261,23 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path, style: PlotS
                 [(label, res.ergodic.density)], style, y_label="density"
             ).encode("utf-8"),
         )
-        put("report.json", res.report.to_json().encode("utf-8"))
+        put("report.json", report_to_json(res.report).encode("utf-8"))
         entry.update(
             status="ok",
             ergodic_iterations=res.ergodic.iterations,
-            ergodic_residual="%.17g" % res.ergodic.residual,
-            support_components=[["%.17g" % a, "%.17g" % b] for a, b in res.components],
+            ergodic_residual=res.ergodic.residual,
+            support_components=res.components,
         )
     except NotConverged as e:
         entry.update(
             status="not_converged",
             error=str(e),
-            last_deltas=["%.17g" % d for d in e.last_deltas],
+            # an infinite delta is one never measured (the solve stopped first)
+            last_deltas=[d if math.isfinite(d) else None for d in e.last_deltas],
         )
     except DistDynError as e:
         entry.update(status="failed", error=str(e))
-    entry["files"] = files
-    return entry
+    return entry, files
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -289,14 +291,18 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     out_base.mkdir(parents=True, exist_ok=True)
     style = PlotStyle()
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        entries = list(
-            ex.map(lambda g: _run_group(g[0], g[1], grid, cfg, out_base, style), groups)
-        )
+    def run(group):
+        return _run_group(*group, grid, cfg, out_base, style)
 
-    all_files: dict[str, str] = {}
-    for e in entries:
-        all_files.update(e["files"])
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+            results = list(ex.map(run, groups))
+    else:  # in this thread, so the groups' arrays share the caller's heap
+        results = list(map(run, groups))
+
+    entries = [entry for entry, _ in results]
+    # in group order, whatever the thread count
+    all_files = {name: digest for _, files in results for name, digest in files.items()}
     manifest = {
         "command": "analyze",
         "config": _config_echo(cfg),
@@ -304,8 +310,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "groups": entries,
         "files": all_files,
     }
-    data = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
-    _write_atomic(out_base / "manifest.json", data)
+    _write_atomic(out_base / "manifest.json", json_text(manifest).encode("utf-8"))
 
     for e in entries:
         note = e["status"] if e["status"] == "ok" else f"{e['status']} ({e['error']})"

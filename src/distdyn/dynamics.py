@@ -14,7 +14,6 @@ evolution, fixed point, and NTP integrals are mutually consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +65,12 @@ class _Step:
     with their x weights, and scratch, so :meth:`apply` allocates nothing.
     Unsupported rows are never read: they would add 0*row, and a kernel's
     entries are finite, so skipping them changes no bit.
+
+    :meth:`apply` checks only for mass on the supported rows, which an
+    input density can lack. The kernel's invariants (finite, nonnegative
+    entries; unit mass on each supported row) make the image of a valid
+    density finite, nonnegative and of unit integral, so callers validate
+    the result once, as a ``DensityCurve``.
     """
 
     def __init__(self, kernel: StochasticKernel):
@@ -81,11 +86,12 @@ class _Step:
         self._y = np.empty(kernel.grid_y.count)
 
     def apply(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Write the unit-mass image of point values ``f`` into ``out``.
+        """Write the unit-mass image of finite, nonnegative point values
+        ``f`` into ``out``.
 
         Each sum is ``np.add.reduce``, the pairwise sum that ``np.sum``
         runs on a 1-D array, so it matches its ``_quad`` counterpart
-        bitwise; the checks are those of ``DensityCurve.from_values``.
+        bitwise.
         """
         c = np.take(f, self._sup, out=self._c)
         np.multiply(self._w_sup, c, out=c)
@@ -93,15 +99,7 @@ class _Step:
             raise NoSupportedRows("density carries no mass on the kernel's supported rows")
         # default einsum: fixed-order C contraction, no BLAS
         np.einsum("i,iy->y", c, self._rows, out=out)
-        mass = float(np.add.reduce(np.multiply(self._w_y, out, out=self._y)))
-        if not math.isfinite(mass) or mass <= 0:
-            raise ValueError("cannot normalize a curve with nonpositive mass")
-        np.divide(out, mass, out=out)
-        # min and max carry a NaN through, so this is "finite and nonnegative"
-        if not (np.minimum.reduce(out) >= 0.0 and np.maximum.reduce(out) < np.inf):
-            raise ValueError("density values must be finite and nonnegative")
-        if abs(float(np.add.reduce(np.multiply(self._w_y, out, out=self._y))) - 1.0) > 1e-6:
-            raise ValueError("density does not integrate to 1; use from_values")
+        np.divide(out, np.add.reduce(np.multiply(self._w_y, out, out=self._y)), out=out)
 
     def l1(self, a: np.ndarray, b: np.ndarray) -> float:
         """Trapezoid L1 distance on the x grid, bitwise ``_quad.l1_distance``."""

@@ -412,9 +412,10 @@ def dump_panel(panel: Panel) -> bytes:
 
     ``load_panel`` reads the bytes back: a ``unit_id`` that holds a comma,
     a double quote, CR or LF is quoted by CSV rules, decided once per
-    distinct id. Rows are formatted ``_BLOCK`` at a time, by one ``%`` over
-    the block's values; a blank cpi cell takes a row format without the
-    cpi value.
+    distinct id, and an empty id or one with leading or trailing
+    whitespace raises ValueError. Rows are formatted ``_BLOCK`` at a time,
+    by one ``%`` over the block's values; a blank cpi cell takes a row
+    format without the cpi value.
     """
     has_cpi = panel.cpi is not None
     out = [",".join(_HEADER + (["cpi"] if has_cpi else [])) + "\n"]
@@ -441,8 +442,18 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _csv_ids(unit_id: np.ndarray) -> np.ndarray:
-    """The unit_id column as CSV fields; the column itself when no id needs quotes."""
+    """The unit_id column as CSV fields; the column itself when no id needs quotes.
+
+    Raises ValueError, naming the first such id, on an id that
+    ``load_panel`` would read back as another: an empty one, or one with
+    leading or trailing whitespace, as the loader strips every field.
+    """
     distinct = set(unit_id.tolist())
+    changed = {u for u in distinct if not (s := str(u)) or s != s.strip()}
+    if changed:
+        first = next(u for u in unit_id.tolist() if u in changed)
+        raise ValueError(f"unit_id {str(first)!r} would not load back: load_panel "
+                         "strips the whitespace around a field and refuses an empty one")
     if not _NEEDS_QUOTES.search("".join(map(str, distinct))):
         return unit_id
     quoted = {u: '"' + str(u).replace('"', '""') + '"'

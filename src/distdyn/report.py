@@ -4,7 +4,8 @@ The quantities of interest from a distribution-dynamics run are a handful
 of scalars: where the long-run density peaks, where the net transition
 probability changes sign, how a group is composed by region, and how the
 first and last cross-sections compare. This module extracts them and
-serializes a stable JSON report.
+serializes a stable JSON report with :func:`json_text`, the one JSON
+writer of the package.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ class AnalysisReport:
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"region shares sum to {total}, expected 1")
 
-    def to_json(self) -> str:
-        return report_to_json(self)
-
 
 def build_report(
     group_label: str,
@@ -174,38 +172,19 @@ def build_report(
     )
 
 
-def _num(x: float) -> str:
-    """A float as a JSON number with 17 significant digits (lossless)."""
-    return "%.17g" % float(x)
+def json_text(obj) -> str:
+    """Strict JSON, indented by two: floats by ``repr`` (the shortest text
+    that reads back to the same bits); NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """Serialize with a stable field order and lossless numbers."""
-    lines = ["{"]
-    lines.append(f'  "group_label": {json.dumps(report.group_label)},')
-    counts = ", ".join(
-        f"{json.dumps(k)}: {int(v)}" for k, v in report.sample_counts.items()
-    )
-    lines.append(f'  "sample_counts": {{{counts}}},')
-    if report.modes:
-        lines.append('  "modes": [')
-        for i, m in enumerate(report.modes):
-            tail = "," if i < len(report.modes) - 1 else ""
-            lines.append(
-                f'    {{"location": {_num(m.location)}, "value": {_num(m.value)}, '
-                f'"prominence": {_num(m.prominence)}}}{tail}'
-            )
-        lines.append("  ],")
-    else:
-        lines.append('  "modes": [],')
-    crossings = ", ".join(_num(c) for c in report.ntp_crossings)
-    lines.append(f'  "ntp_crossings": [{crossings}],')
-    lines.append(f'  "ergodic_residual": {_num(report.ergodic_residual)},')
-    shares = ", ".join(
-        f"{json.dumps(r)}: {_num(report.region_shares[r])}"
-        for r in REGIONS
-        if r in report.region_shares
-    )
-    lines.append(f'  "region_shares": {{{shares}}}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Serialize with a stable field order; region shares in ``REGIONS`` order."""
+    return json_text({
+        "group_label": report.group_label,
+        "sample_counts": report.sample_counts,
+        "modes": [m._asdict() for m in report.modes],
+        "ntp_crossings": list(report.ntp_crossings),
+        "ergodic_residual": report.ergodic_residual,
+        "region_shares": {r: report.region_shares[r] for r in REGIONS if r in report.region_shares},
+    })

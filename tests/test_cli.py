@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -126,6 +127,33 @@ class TestAnalyze:
         assert "kernel.csv" in files
         assert "ergodic.csv" not in files
         assert "report.json" not in files
+
+    def test_never_measured_delta_is_null(self, tmp_path):
+        panel = write_panel(tmp_path / "panel.csv")
+        code, out = run_analyze(tmp_path, panel, "out", "--max-iter", "1")
+        assert code == 4
+        manifest = strict_json(out / "manifest.json")
+        first, last = manifest["groups"][0]["last_deltas"]
+        assert first is None
+        assert isinstance(last, float) and last > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_thread_runs_groups_in_the_calling_thread(self, tmp_path, monkeypatch, threads):
+        seen = []
+        run_group = cli._run_group
+
+        def recording(*args):
+            seen.append(threading.current_thread())
+            return run_group(*args)
+
+        monkeypatch.setattr(cli, "_run_group", recording)
+        panel = write_panel(tmp_path / "panel.csv")
+        code, _ = run_analyze(tmp_path, panel, "out", "--groups", "pooled,per-sector",
+                              "--threads", str(threads))
+        assert code == 0
+        assert len(seen) == 3
+        on_main = [t is threading.main_thread() for t in seen]
+        assert on_main == [threads == 1] * 3
 
     def test_failed_group_recorded_without_aborting(self, tmp_path):
         # the east region has a single unit observed in a single year, so no
@@ -274,6 +302,62 @@ class TestAnalyze:
         assert code == 0
         assert (out / "manifest.json").is_file()
         assert not (tmp_path / "env-out").exists()
+
+
+def strict_json(path):
+    """Parse a file as strict JSON: NaN, Infinity and -Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+class TestStrictJson:
+    @pytest.fixture(scope="class")
+    def demo_out(self, tmp_path_factory, demo_config_path, demo_panel_path):
+        out = tmp_path_factory.mktemp("strict") / "out"
+        code = main(["analyze", "--config", str(demo_config_path), "--input", str(demo_panel_path),
+                     "--grid-count", "32", "--out-dir", str(out)])
+        assert code == 0
+        return out
+
+    def test_reports_are_strict_json_with_numbers(self, demo_out):
+        manifest = strict_json(demo_out / "manifest.json")
+        assert len(manifest["groups"]) == 7
+        for g in manifest["groups"]:
+            report = strict_json(demo_out / g["label"] / "report.json")
+            assert is_number(report["ergodic_residual"])
+            assert report["modes"]
+            for mode in report["modes"]:
+                assert list(mode) == ["location", "value", "prominence"]
+                assert all(is_number(v) for v in mode.values())
+            assert all(is_number(c) for c in report["ntp_crossings"])
+            assert all(is_number(v) for v in report["region_shares"].values())
+
+    def test_manifest_is_strict_json_with_numbers(self, demo_out):
+        manifest = strict_json(demo_out / "manifest.json")
+        for g in manifest["groups"]:
+            assert g["status"] == "ok"
+            assert is_number(g["ergodic_residual"])
+            assert g["ergodic_residual"] == strict_json(
+                demo_out / g["label"] / "report.json")["ergodic_residual"]
+            assert g["support_components"]
+            for block in g["support_components"]:
+                assert len(block) == 2 and all(is_number(v) for v in block)
+        assert all(is_number(manifest["grid"][k]) for k in ("lower", "upper", "count"))
+
+    def test_manifest_lists_each_file_once(self, demo_out):
+        raw = (demo_out / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(raw)
+        written = {p.relative_to(demo_out).as_posix() for p in demo_out.rglob("*") if p.is_file()}
+        assert set(manifest["files"]) == written - {"manifest.json"}
+        assert len(manifest["files"]) == 63
+        for name in manifest["files"]:
+            assert raw.count(json.dumps(name)) == 1, name
+        assert all("files" not in g for g in manifest["groups"])
 
 
 class TestConfigFile:

@@ -237,6 +237,65 @@ class TestDumpPanel:
             assert again.cpi is None
         assert dump_panel(again) == raw
 
+    @pytest.mark.parametrize("bad", [" a", "a ", "", "\ta", "a\n", "\r\n", "\u00a0a"])
+    def test_refuses_ids_that_would_not_load_back(self, bad):
+        p = Panel(
+            unit_id=np.array(["a", bad, "b"], dtype=object),
+            sector=np.array(["urban"] * 3, dtype=object),
+            region=np.array(["east"] * 3, dtype=object),
+            year=np.array([2000, 2000, 2000]),
+            income=np.array([1.0, 2.0, 3.0]),
+        )
+        with pytest.raises(ValueError, match=re.escape(f"unit_id {bad!r} would not load back")):
+            dump_panel(p)
+
+    def test_names_the_first_refused_id(self):
+        ids = ["x", "b ", " a", "b "]
+        p = Panel(
+            unit_id=np.array(ids, dtype=object),
+            sector=np.array(["urban"] * 4, dtype=object),
+            region=np.array(["east"] * 4, dtype=object),
+            year=np.array([2000, 2000, 2000, 2001]),
+            income=np.ones(4),
+        )
+        with pytest.raises(ValueError, match=re.escape("unit_id 'b ' would not")):
+            dump_panel(p)
+
+
+# ids that load_panel reads back unchanged: no whitespace at either end, but
+# commas, quotes, line breaks, tabs and blanks inside
+_ROUND_TRIP_IDS = st.lists(
+    st.text(alphabet='ab\u00fc,"\r\n\t #', min_size=1, max_size=5).filter(
+        lambda u: u == u.strip()),
+    min_size=1, max_size=6, unique=True)
+
+
+class TestDumpPanelRoundTrip:
+    @given(ids=_ROUND_TRIP_IDS, cpi=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 2, 13, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_load_of_dump_is_the_panel(self, ids, cpi, seed, n):
+        # row i is unit ids[i % k] in sector (i // k) % 2 and year 2000 + i // 2k,
+        # so no key repeats, and each (unit_id, sector) keeps one region
+        k = len(ids)
+        i = np.arange(n)
+        rng = np.random.default_rng(seed)
+        cpi = np.where(rng.random(n) < 0.3, np.nan, rng.uniform(1, 200, n)) if cpi else None
+        p = Panel(
+            unit_id=np.array(ids, dtype=object)[i % k],
+            sector=np.array(SECTORS, dtype=object)[(i // k) % 2],
+            region=np.array(REGIONS, dtype=object)[(i % k + (i // k) % 2) % len(REGIONS)],
+            year=2000 + i // (2 * k),
+            income=rng.lognormal(0.0, 2.0, n),
+            cpi=cpi,
+        )
+        got = load_panel(dump_panel(p))
+        if cpi is not None and np.all(np.isnan(cpi)):
+            # a cpi column with no value loads as no cpi column
+            assert got.cpi is None
+            p = p._take(slice(None), cpi=None)
+        assert_same_panel(got, p)
+
 
 class TestDeflate:
     def test_rescales_by_cpi(self):

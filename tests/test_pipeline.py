@@ -15,6 +15,7 @@ from distdyn import (
 from distdyn.errors import NotConverged
 from distdyn.panel import build_transition_pairs
 from distdyn.pipeline import GroupResult, KernelEstimate, estimate_kernel, expand_groups
+from distdyn.report import report_to_json
 
 HEADER = "unit_id,sector,region,year,income\n"
 
@@ -196,6 +197,6 @@ class TestAnalyzeGroup:
         panel = prepare_panel(simulate(spec))
         grid = default_grid(panel, count=64)
         result = analyze_group("pooled", panel, grid)
-        text = result.report.to_json()
+        text = report_to_json(result.report)
         assert text.startswith("{")
         assert '"group_label": "pooled"' in text

@@ -1,5 +1,6 @@
 """Mode extraction, year comparisons and the per-group JSON report."""
 
+import dataclasses
 import json
 import math
 
@@ -231,6 +232,21 @@ class TestReportJson:
 
     def test_ends_with_newline(self):
         assert report_to_json(make_report()).endswith("}\n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_raises(self, bad):
+        report = make_report()
+        with pytest.raises(ValueError):
+            report_to_json(dataclasses.replace(report, ergodic_residual=bad))
+        with pytest.raises(ValueError):
+            report_to_json(make_report(crossings=(bad,)))
+
+    def test_floats_are_written_by_repr(self):
+        x = 0.1 + 0.2  # repr 0.30000000000000004, "%.17g" 0.30000000000000004
+        y = 1e-5       # repr 1e-05, "%.17g" 1.0000000000000001e-05
+        text = report_to_json(make_report(crossings=(x, y, 2.0)))
+        assert json.loads(text)["ntp_crossings"] == [x, y, 2.0]
+        assert "[\n    0.30000000000000004,\n    1e-05,\n    2.0\n  ]" in text
 
     def test_unsorted_modes_rejected(self):
         with pytest.raises(ValueError):
