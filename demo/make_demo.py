@@ -19,21 +19,14 @@ _REGIONS = ("east", "central", "west")
 
 def build_demo_panel() -> Panel:
     base = simulate(DEMO_SPEC)
-    clubs = club_assignments(DEMO_SPEC)
-    sector_of = {}
-    region_of = {}
-    for u in range(DEMO_SPEC.units):
-        uid = f"u{u:04d}"
-        sector_of[uid] = "rural" if clubs[u] == 0 else "urban"
-        region_of[uid] = _REGIONS[u % len(_REGIONS)]
+    sector = np.array(["rural", "urban"], dtype=object)[club_assignments(DEMO_SPEC)]
+    region = np.array(_REGIONS, dtype=object)[np.arange(DEMO_SPEC.units) % len(_REGIONS)]
     return Panel(
         unit_id=base.unit_id,
-        sector=np.array([sector_of[u] for u in base.unit_id], dtype=object),
-        region=np.array([region_of[u] for u in base.unit_id], dtype=object),
+        sector=np.repeat(sector, DEMO_SPEC.years),
+        region=np.repeat(region, DEMO_SPEC.years),
         year=base.year,
         income=base.income,
-        cpi=None,
-        is_relative=False,
     )
 
 

@@ -327,7 +327,18 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
     Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on grid_x from the
     exact weights. With ``y`` given, ``fxy`` is the product-kernel joint
     KDE on the grid pair from the floored weights; otherwise it is None.
+
+    A z = (g - x)/h, or z*z, that overflows at a tiny bandwidth weighs 0.0,
+    as any z beyond the reach does. Raises InsufficientData, before any
+    sum, when the scale 1/(n*h_x) or 1/(n*h_x*h_y) is zero or not finite.
     """
+    with np.errstate(over="ignore", divide="ignore"):
+        scale_x = _INV_SQRT_2PI / (x.size * h_x)
+        scale_xy = None if y is None else _INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * h_x * h_y)
+    if not all(0 < s < np.inf for s in (scale_x, scale_xy) if s is not None):
+        what = f"KDE at bandwidth {h_x}" if y is None else f"joint KDE at bandwidths ({h_x}, {h_y})"
+        raise InsufficientData(f"{what} puts no mass on the grid: its scale, 1 over n = {x.size} "
+                               "times the bandwidths, is out of floating-point range")
     order = np.argsort(x, kind="stable") if y is None else np.lexsort((y, x))
     sx = np.zeros(grid_x.count)
     sxy = None if y is None else np.zeros((grid_x.count, grid_y.count))
@@ -337,35 +348,36 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
     mask_buf = np.empty(rows * width, dtype=bool)
     if y is not None:
         yb, ky_buf = np.empty(width), np.empty(grid_y.count * width)
-    for start in range(0, x.size, _BLOCK):
-        idx = order[start:start + _BLOCK]
-        width = idx.size
-        xs = np.take(x, idx, out=xb[:width])
-        # xs is sorted; every x weight outside rx is exactly 0.0
-        rx = _rows_near(grid_x, xs[0], xs[-1], _REACH * h_x)
-        kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
-        np.subtract(grid_x.points[rx, None], xs[None, :], out=kx)
-        kx /= h_x
-        sx[rx] += np.sum(_gauss(kx, mask=mx), axis=1)
-        if y is None:
-            continue
-        np.less(kx, _JOINT_MIN_WEIGHT, out=mx)
-        np.putmask(kx, mx, 0.0)
-        ys = np.take(y, idx, out=yb[:width])
-        # every y weight outside ry is below the joint floor
-        ry = _rows_near(grid_y, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
-        ky = _scratch(ky_buf, ry, width)
-        np.subtract(grid_y.points[ry, None], ys[None, :], out=ky)
-        ky /= h_y
-        _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
-        # default einsum: fixed-order C contraction, no BLAS. Skipping rows
-        # without weight leaves each kept entry the same dot product.
-        ax, ay = _reached(kx), _reached(ky)
-        sxy[rx, ry][ax, ay] += np.einsum("xi,yi->xy", kx[ax], ky[ay])
-    fx = sx * (_INV_SQRT_2PI / (x.size * h_x))
+    with np.errstate(over="ignore"):  # an overflowing z, or z*z, weighs 0.0
+        for start in range(0, x.size, _BLOCK):
+            idx = order[start:start + _BLOCK]
+            width = idx.size
+            xs = np.take(x, idx, out=xb[:width])
+            # xs is sorted; every x weight outside rx is exactly 0.0
+            rx = _rows_near(grid_x, xs[0], xs[-1], _REACH * h_x)
+            kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
+            np.subtract(grid_x.points[rx, None], xs[None, :], out=kx)
+            kx /= h_x
+            sx[rx] += np.sum(_gauss(kx, mask=mx), axis=1)
+            if y is None:
+                continue
+            np.less(kx, _JOINT_MIN_WEIGHT, out=mx)
+            np.putmask(kx, mx, 0.0)
+            ys = np.take(y, idx, out=yb[:width])
+            # every y weight outside ry is below the joint floor
+            ry = _rows_near(grid_y, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
+            ky = _scratch(ky_buf, ry, width)
+            np.subtract(grid_y.points[ry, None], ys[None, :], out=ky)
+            ky /= h_y
+            _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
+            # default einsum: fixed-order C contraction, no BLAS. Skipping rows
+            # without weight leaves each kept entry the same dot product.
+            ax, ay = _reached(kx), _reached(ky)
+            sxy[rx, ry][ax, ay] += np.einsum("xi,yi->xy", kx[ax], ky[ay])
+    fx = sx * scale_x
     if y is None:
         return fx, None
-    return fx, sxy * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * h_x * h_y))
+    return fx, sxy * scale_xy
 
 
 def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:

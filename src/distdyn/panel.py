@@ -5,10 +5,11 @@ optional CPI index. Storage is columnar (numpy arrays): ingestion tokenizes
 the CSV a block of rows at a time and parses each block into the columns.
 All operations are pure: each returns a new panel.
 
-Input CSV contract: UTF-8, header exactly ``unit_id,sector,region,year,income``
-with an optional trailing ``cpi`` column; sector in {urban, rural}; region in
-{east, central, west, other}, one per (unit_id, sector); a year that Python's
-``int()`` reads and 64 bits hold; numbers that ``float()`` reads.
+Input CSV contract: UTF-8, where a leading byte-order mark is skipped; header
+exactly ``unit_id,sector,region,year,income`` with an optional trailing
+``cpi`` column; sector in {urban, rural}; region in {east, central, west,
+other}, one per (unit_id, sector); a year that Python's ``int()`` reads and
+64 bits hold; numbers that ``float()`` reads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _HEADER = ["unit_id", "sector", "region", "year", "income"]
 
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """Columnar long-format panel. ``cpi`` is None once dropped (or never given).
+    """Columnar long-format panel. ``cpi`` is None once dropped, never given,
+    or without a value: all NaN, as ``load_panel`` reads blank cpi cells.
 
     A unit is one (unit_id, sector) pair. Its rows share a unit code, a
     number that grows with the unit's first appearance; units, transition
@@ -71,6 +73,8 @@ class Panel:
                 raise ValueError(f"column {name} has wrong length")
         if self.cpi is not None and len(self.cpi) != n:
             raise ValueError("column cpi has wrong length")
+        if self.cpi is not None and np.all(np.isnan(self.cpi)):
+            object.__setattr__(self, "cpi", None)
 
     def __len__(self) -> int:
         return len(self.unit_id)
@@ -205,6 +209,8 @@ def load_panel(source) -> Panel:
 
 
 def _read_panel(stream, content) -> Panel:
+    if stream.read(1) != "\ufeff":  # skip one byte-order mark, as spreadsheets write
+        stream.seek(0)
     try:
         header = next(csv.reader(_lines(stream)), None)
     except csv.Error as e:  # a field over csv.field_size_limit()
@@ -244,7 +250,7 @@ def _read_panel(stream, content) -> Panel:
         region=np.array(REGIONS, dtype=object)[region],
         year=year,
         income=income,
-        cpi=None if np.all(np.isnan(cpi)) else cpi,
+        cpi=cpi,
     )._with_unit_code(code)
 
 

@@ -11,10 +11,10 @@ Three generators cover the verification needs of the estimation stack:
 
 Determinism contract: random numbers come from numpy's Philox counter-based
 generator. Unit u of a simulation with seed s uses the stream keyed by the
-two 64-bit words (s, u), drawing one standard normal for the initial level
-and then the innovations for the remaining years in a single batch. The
-sequence is therefore independent of evaluation order and reproducible from
-the (seed, unit) pair alone.
+two 64-bit words (s, u) and draws all of the unit's standard normals in
+one batch: the first sets the initial level, the others are the
+innovations of the later years. The sequence is therefore independent of
+evaluation order and reproducible from the (seed, unit) pair alone.
 """
 
 from __future__ import annotations
@@ -125,18 +125,6 @@ def club_assignments(spec: ProcessSpec) -> np.ndarray:
     return out
 
 
-def _unit_log_path(spec: ProcessSpec, unit: int, mean: float, a: float, init_sd: float) -> np.ndarray:
-    """Log-income path: z' = mean + a*(z - mean) + sigma*eps, stationary start."""
-    rng = _unit_rng(spec.seed, unit)
-    z = np.empty(spec.years)
-    z[0] = mean + init_sd * rng.standard_normal()
-    if spec.years > 1:
-        eps = rng.standard_normal(spec.years - 1)
-        for t in range(1, spec.years):
-            z[t] = mean + a * (z[t - 1] - mean) + spec.sigma * eps[t - 1]
-    return z
-
-
 def simulate(spec: ProcessSpec) -> Panel:
     """Generate a panel from the process, deterministic given the seed.
 
@@ -145,33 +133,30 @@ def simulate(spec: ProcessSpec) -> Panel:
     group structure can relabel.
     """
     if spec.kind == "two_club":
-        clubs = club_assignments(spec)
-        means = np.log(np.asarray(spec.club_centers))
+        mu = np.log(np.asarray(spec.club_centers))[club_assignments(spec)]
         a = 1.0 - spec.club_pull
         init_sd = club_log_sd(spec)
     else:
-        clubs = np.zeros(spec.units, dtype=int)
-        means = np.zeros(1)
+        mu = np.zeros(spec.units)
         a = spec.rho
         init_sd = stationary_log_sd(spec)
 
-    width = max(4, len(str(spec.units - 1)))
-    incomes = np.empty(spec.units * spec.years)
-    ids = np.empty(spec.units * spec.years, dtype=object)
+    z = np.empty((spec.units, spec.years))  # each unit's normals, then its log income
     for u in range(spec.units):
-        z = _unit_log_path(spec, u, float(means[clubs[u]]), a, init_sd)
-        incomes[u * spec.years:(u + 1) * spec.years] = np.exp(z)
-        ids[u * spec.years:(u + 1) * spec.years] = f"u{u:0{width}d}"
-    years = np.tile(np.arange(START_YEAR, START_YEAR + spec.years), spec.units)
-    n = spec.units * spec.years
+        _unit_rng(spec.seed, u).standard_normal(out=z[u])
+    z[:, 0] = mu + init_sd * z[:, 0]  # a stationary start, then one year at a time
+    for t in range(1, spec.years):
+        z[:, t] = mu + a * (z[:, t - 1] - mu) + spec.sigma * z[:, t]
+    np.exp(z, out=z)
+
+    width = max(4, len(str(spec.units - 1)))
+    ids = np.array([f"u{u:0{width}d}" for u in range(spec.units)], dtype=object)
     return Panel(
-        unit_id=ids,
-        sector=np.array(["urban"] * n, dtype=object),
-        region=np.array(["other"] * n, dtype=object),
-        year=years,
-        income=incomes,
-        cpi=None,
-        is_relative=False,
+        unit_id=np.repeat(ids, spec.years),
+        sector=np.full(z.size, "urban", dtype=object),
+        region=np.full(z.size, "other", dtype=object),
+        year=np.tile(np.arange(START_YEAR, START_YEAR + spec.years), spec.units),
+        income=z.ravel(),
     )
 
 

@@ -13,6 +13,14 @@ from distdyn.dynamics import NTPCurve
 from distdyn.kde import DensityCurve, StochasticKernel
 from distdyn.errors import DuplicateKey, MalformedRow, NonPositiveIncome
 from distdyn.panel import _HEADER, REGIONS, SECTORS, Panel
+from distdyn.synthesis import (
+    START_YEAR,
+    ProcessSpec,
+    _unit_rng,
+    club_assignments,
+    club_log_sd,
+    stationary_log_sd,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,4 +202,50 @@ def load_panel_rows(stream) -> Panel:
         year=np.array(years, dtype=int),
         income=np.array(incomes, dtype=float),
         cpi=None if np.all(np.isnan(cpi_col)) else cpi_col,
+    )
+
+
+def simulate_unit_loop(spec: ProcessSpec) -> Panel:
+    """Simulate the process one unit and one year at a time.
+
+    The per-unit recursion ``synthesis.simulate`` ran before it stepped
+    all units a year at a time, kept as its oracle: unit u draws one
+    standard normal for its initial level, then its innovations, from its
+    own ``(seed, u)`` stream, and its log-income path is filled year by
+    year in Python floats.
+    """
+    if spec.kind == "two_club":
+        clubs = club_assignments(spec)
+        means = np.log(np.asarray(spec.club_centers))
+        a = 1.0 - spec.club_pull
+        init_sd = club_log_sd(spec)
+    else:
+        clubs = np.zeros(spec.units, dtype=int)
+        means = np.zeros(1)
+        a = spec.rho
+        init_sd = stationary_log_sd(spec)
+
+    width = max(4, len(str(spec.units - 1)))
+    incomes = np.empty(spec.units * spec.years)
+    ids = np.empty(spec.units * spec.years, dtype=object)
+    for u in range(spec.units):
+        mean = float(means[clubs[u]])
+        rng = _unit_rng(spec.seed, u)
+        z = np.empty(spec.years)
+        z[0] = mean + init_sd * rng.standard_normal()
+        if spec.years > 1:
+            eps = rng.standard_normal(spec.years - 1)
+            for t in range(1, spec.years):
+                z[t] = mean + a * (z[t - 1] - mean) + spec.sigma * eps[t - 1]
+        incomes[u * spec.years:(u + 1) * spec.years] = np.exp(z)
+        ids[u * spec.years:(u + 1) * spec.years] = f"u{u:0{width}d}"
+    n = spec.units * spec.years
+    return Panel(
+        unit_id=ids,
+        sector=np.array(["urban"] * n, dtype=object),
+        region=np.array(["other"] * n, dtype=object),
+        year=np.tile(np.arange(START_YEAR, START_YEAR + spec.years), spec.units),
+        income=incomes,
+        cpi=None,
+        is_relative=False,
     )

@@ -277,11 +277,18 @@ class TestAnalyze:
         assert not (out / "manifest.json").exists()
         assert reads == []
 
-    @pytest.mark.parametrize("flag", ["--bandwidth-x", "--bandwidth-y"])
-    def test_kde_without_mass_fails_group(self, tmp_path, demo_panel_path, flag):
+    @pytest.mark.parametrize("bandwidths", [
+        ["--bandwidth-x", "1e-9"],
+        ["--bandwidth-y", "1e-9"],
+        ["--bandwidth-x", "1e-300"],  # z*z overflows
+        ["--bandwidth-y", "1e-300"],
+        ["--bandwidth-x", "1e-300", "--bandwidth-y", "1e-300"],  # 1/(n*h_x*h_y) overflows
+    ], ids=["--bandwidth-x", "--bandwidth-y", "--bandwidth-x-1e-300", "--bandwidth-y-1e-300",
+            "both-1e-300"])
+    def test_kde_without_mass_fails_group(self, tmp_path, demo_panel_path, bandwidths):
         # a bandwidth far below the grid spacing puts no mass on the grid
         code = main(["analyze", "--input", str(demo_panel_path), "--out-dir", str(tmp_path),
-                     "--grid-count", "32", flag, "1e-9"])
+                     "--grid-count", "32", *bandwidths])
         assert code == 3
         entry = json.loads((tmp_path / "manifest.json").read_text())["groups"][0]
         assert entry["status"] == "failed"
@@ -574,3 +581,22 @@ def test_readme_flags_are_declared(repo_root):
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", text))
     assert named  # the CLI section names flags
     assert named <= set().union(*subcommand_flags().values(), {"--help"})
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate", "--club-centers", "a,b"], None,
+     "club-centers must be two comma-separated numbers, got 'a,b'"),
+    (["analyze", "--config", "{tmp}/missing.json"], None, "cannot read config file: "),
+    (["analyze", "--config", "{tmp}/run.json"], "[1, 2]", "config file must hold a flat JSON object"),
+    (["analyze", "--config", "{tmp}/run.json"], '"input"', "config file must hold a flat JSON object"),
+], ids=["club-centers", "unreadable-config", "config-list", "config-string"])
+def test_rejections(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()

@@ -587,3 +587,23 @@ def test_ergodic_is_stationary_property(seed):
     sol = ergodic_distribution(kern, tol=1e-10)
     assert sol.residual <= 1e-9
     assert abs(sol.density.integral() - 1.0) < 1e-6
+
+
+_G = Grid.uniform(0.0, 1.0, 16)
+_KERNEL = StochasticKernel(_G, _G, np.ones((16, 16)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NTPCurve(_G, np.zeros(15), np.ones(16, dtype=bool)),
+     "values/support flags do not match the grid"),
+    (lambda: NTPCurve(_G, np.zeros(16), np.ones(15, dtype=bool)),
+     "values/support flags do not match the grid"),
+    (lambda: ergodic_distribution(_KERNEL, tol=0.0), "tol must be positive, got 0.0"),
+    (lambda: ergodic_distribution(_KERNEL, tol=math.nan), "tol must be positive, got nan"),
+    (lambda: ergodic_distribution(_KERNEL, max_iter=0), "max_iter must be at least 1, got 0"),
+], ids=["ntp-values-shape", "ntp-support-shape", "tol-zero", "tol-nan", "max-iter"])
+def test_rejections(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -1,6 +1,8 @@
 """Kernel density estimation: bandwidths, grids, raw and normalized densities."""
 
 import math
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,6 +136,19 @@ class TestDensity1D:
         with pytest.raises(InsufficientData, match="bandwidth 1e-09 .* spacing 0.0666"):
             density_1d(np.array([0.03, 0.51]), 1e-9, g)
 
+    @pytest.mark.parametrize("h, message", [
+        (1e-300, "bandwidth 1e-300 puts no mass on the grid of spacing"),  # z*z overflows
+        (1e-320, "bandwidth 1e-320 puts no mass on the grid: its scale, 1 over n = 2 times "
+                 "the bandwidths, is out of floating-point range"),  # so do z and the scale
+        (1e308, "bandwidth 1e+308 puts no mass on the grid: its scale"),  # a zero scale
+    ])
+    def test_extreme_bandwidth_fails_without_warnings(self, h, message):
+        g = Grid.uniform(0.0, 1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match=re.escape(message)):
+                density_1d(np.array([0.03, 0.51]), h, g)
+
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(1.0, 0.4, size=200)
@@ -266,6 +281,20 @@ class TestDensity2D:
         pairs = SimpleNamespace(x=np.array([0.03, 0.51]), y=np.array([0.37, 0.97]))
         with pytest.raises(InsufficientData, match=r"bandwidths .* spacings"):
             density_2d(pairs, bw, g, g)
+
+    @pytest.mark.parametrize("bw, message", [
+        (Bandwidths(1e-300, 0.1), "bandwidths (1e-300, 0.1) puts no mass on the grid of spacings"),
+        (Bandwidths(0.1, 1e-300), "bandwidths (0.1, 1e-300) puts no mass on the grid of spacings"),
+        (Bandwidths(1e-300, 1e-300), "joint KDE at bandwidths (1e-300, 1e-300) puts no mass on "
+         "the grid: its scale, 1 over n = 2 times the bandwidths, is out of floating-point range"),
+    ])
+    def test_extreme_bandwidths_fail_without_warnings(self, bw, message):
+        g = Grid.uniform(0.0, 1.0, 16)
+        pairs = SimpleNamespace(x=np.array([0.03, 0.51]), y=np.array([0.37, 0.97]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match=re.escape(message)):
+                joint_and_marginal(pairs, bw, g, g)
 
     def test_mismatched_xy_lengths(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -654,3 +683,48 @@ class TestCurveAndKernelTypes:
             Bandwidths(0.0, 0.1)
         with pytest.raises(ValueError):
             Bandwidths(0.1, -1.0)
+
+
+_G = Grid.uniform(0.0, 1.0, 16)
+_ROWS = np.tile(np.ones(16), (16, 1))  # unit-mass rows on [0, 1]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: DensityCurve(_G, np.ones(15)), ValueError, "values do not match the grid"),
+    (lambda: DensityCurve(_G, -np.ones(16)), ValueError,
+     "density values must be finite and nonnegative"),
+    (lambda: DensityCurve(_G, np.full(16, np.nan)), ValueError,
+     "density values must be finite and nonnegative"),
+    (lambda: DensityCurve(_G, 2 * np.ones(16)), ValueError,
+     "density does not integrate to 1; use from_values"),
+    (lambda: DensityCurve.from_values(_G, np.zeros(16)), ValueError,
+     "cannot normalize a curve with nonpositive mass"),
+    (lambda: DensitySurface(_G, _G, _ROWS[:-1]), ValueError, "values do not match the grid pair"),
+    (lambda: DensitySurface(_G, _G, np.full((16, 16), np.inf)), ValueError,
+     "surface values must be finite and nonnegative"),
+    (lambda: DensitySurface(_G, _G, 2 * _ROWS), ValueError,
+     "surface does not integrate to 1; use from_values"),
+    (lambda: DensitySurface.from_values(_G, _G, np.zeros((16, 16))), ValueError,
+     "cannot normalize a surface with nonpositive mass"),
+    (lambda: StochasticKernel(_G, _G, _ROWS[:, :-1]), ValueError, "rows do not match the grid pair"),
+    (lambda: StochasticKernel(_G, _G, _ROWS, np.ones(15, dtype=bool)), ValueError,
+     "support flags do not match grid_x"),
+    (lambda: StochasticKernel(_G, _G, -_ROWS), ValueError,
+     "kernel entries must be finite and nonnegative"),
+    (lambda: StochasticKernel(_G, _G, 2 * _ROWS), ValueError,
+     "supported rows must integrate to 1; use from_rows"),
+    (lambda: StochasticKernel.from_rows(_G, _G, _ROWS[:-1]), ValueError,
+     "rows do not match the grid pair"),
+    (lambda: _joint_raw(SimpleNamespace(x=np.empty(0), y=np.empty(0)), Bandwidths(0.1, 0.1), _G, _G),
+     EmptySamples, "cannot estimate a joint density from zero pairs"),
+    (lambda: conditional_density(DensitySurface(_G, _G, _ROWS), DensityCurve(_G, np.ones(16)), 1.0),
+     ValueError, "floor must be a small fraction in (0, 1), got 1.0"),
+], ids=["curve-shape", "curve-negative", "curve-nan", "curve-mass", "curve-no-mass",
+        "surface-shape", "surface-inf", "surface-mass", "surface-no-mass", "kernel-shape",
+        "kernel-support-shape", "kernel-negative", "kernel-row-mass", "from-rows-shape",
+        "zero-pairs", "floor"])
+def test_rejections(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message

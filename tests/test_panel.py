@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdyn import panel as panel_module
-from distdyn import DistDynError, MalformedRow, dump_panel, load_panel
+from distdyn import DistDynError, MalformedRow, dump_panel, load_panel, prepare_panel
 from distdyn.errors import (
     DuplicateKey,
     EmptySelection,
@@ -32,6 +32,7 @@ from distdyn.panel import (
     REGIONS,
     SECTORS,
     Panel,
+    TransitionPairs,
     build_transition_pairs,
     deflate,
     filter_group,
@@ -272,15 +273,17 @@ _ROUND_TRIP_IDS = st.lists(
 
 class TestDumpPanelRoundTrip:
     @given(ids=_ROUND_TRIP_IDS, cpi=st.booleans(), seed=st.integers(0, 2**32 - 1),
-           n=st.sampled_from([1, 2, 13, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+           n=st.sampled_from([1, 2, 13, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+           blank=st.sampled_from([0.0, 0.3, 1.0]))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_load_of_dump_is_the_panel(self, ids, cpi, seed, n):
+    def test_load_of_dump_is_the_panel(self, ids, cpi, seed, n, blank):
         # row i is unit ids[i % k] in sector (i // k) % 2 and year 2000 + i // 2k,
-        # so no key repeats, and each (unit_id, sector) keeps one region
+        # so no key repeats, and each (unit_id, sector) keeps one region; a
+        # share ``blank`` of the cpi cells has no value
         k = len(ids)
         i = np.arange(n)
         rng = np.random.default_rng(seed)
-        cpi = np.where(rng.random(n) < 0.3, np.nan, rng.uniform(1, 200, n)) if cpi else None
+        cpi = np.where(rng.random(n) < blank, np.nan, rng.uniform(1, 200, n)) if cpi else None
         p = Panel(
             unit_id=np.array(ids, dtype=object)[i % k],
             sector=np.array(SECTORS, dtype=object)[(i // k) % 2],
@@ -289,12 +292,9 @@ class TestDumpPanelRoundTrip:
             income=rng.lognormal(0.0, 2.0, n),
             cpi=cpi,
         )
-        got = load_panel(dump_panel(p))
         if cpi is not None and np.all(np.isnan(cpi)):
-            # a cpi column with no value loads as no cpi column
-            assert got.cpi is None
-            p = p._take(slice(None), cpi=None)
-        assert_same_panel(got, p)
+            assert p.cpi is None  # a cpi column with no value is no cpi column
+        assert_same_panel(load_panel(dump_panel(p)), p)
 
 
 class TestDeflate:
@@ -320,6 +320,21 @@ class TestDeflate:
         )
         with pytest.raises(MissingCpi):
             deflate(p)
+
+    def test_cpi_without_values_is_no_cpi(self):
+        # in memory as after a dump and a load: nothing to deflate
+        p = Panel(
+            unit_id=np.array(["a1", "a2"], dtype=object),
+            sector=np.array(["urban"] * 2, dtype=object),
+            region=np.array(["east"] * 2, dtype=object),
+            year=np.array([1999, 2000]),
+            income=np.array([100.0, 120.0]),
+            cpi=np.full(2, np.nan),
+        )
+        assert p.cpi is None
+        assert load_panel(dump_panel(p)).cpi is None
+        assert dump_panel(p) == dump_panel(load_panel(dump_panel(p)))
+        assert prepare_panel(p).income.tolist() == [1.0, 1.0]
 
 
 class TestToRelative:
@@ -786,15 +801,17 @@ class TestUnitIndexMatchesReference:
 
 
 def expected_load(data: bytes):
-    """What ``load_panel(data)`` must give: the oracle's panel or error, with two fixes.
+    """What ``load_panel(data)`` must give: the oracle's panel or error, with three fixes.
 
     Input that is not UTF-8 is a MalformedRow naming its first bad byte,
     whatever else is wrong with it. A year that ``int()`` reads but 64 bits
     do not hold is a MalformedRow at its row, unless an earlier row fails;
     the oracle, which reads on, raises a later row's error or OverflowError.
+    One leading byte-order mark is skipped; the oracle reads it as part of
+    the header.
     """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         return MalformedRow(f"byte {e.start}: input is not UTF-8 ({e.reason})")
     try:
@@ -1068,6 +1085,38 @@ class TestLoaderFixes:
             assert list(p.unit_id) == ["a", "b\rc"]
             assert p.income.tolist() == [1.0, 2.0]
 
+    BOM = "\ufeff"
+
+    def test_byte_order_mark_is_skipped_by_every_source_kind(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with EF BB BF
+        text = HEADER_CPI + "a,urban,east,1999,1,100\n" + '"b\nc",rural,west,2000,2,\n'
+        plain = load_panel(text.encode())
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        sources = [b"\xef\xbb\xbf" + text.encode(), path, io.StringIO(self.BOM + text),
+                   io.BytesIO((self.BOM + text).encode())]
+        for source in sources:
+            assert_same_panel(load_panel(source), plain)
+        assert not dump_panel(plain).startswith(b"\xef\xbb\xbf")
+
+    def test_byte_order_mark_before_a_quoted_header_field(self):
+        p = load_panel((self.BOM + '"unit_id",sector,region,year,income\na,urban,east,1999,1\n').encode())
+        assert p.unit_id.tolist() == ["a"]
+
+    def test_rows_after_a_byte_order_mark_keep_their_numbers(self):
+        with pytest.raises(NonPositiveIncome, match=r"^row 3: "):
+            load_panel((self.BOM + HEADER + "a,urban,east,1999,1\na,urban,east,2000,0\n").encode())
+
+    def test_only_one_byte_order_mark_is_skipped(self):
+        with pytest.raises(MalformedRow, match=r"^row 1: bad header \['\\ufeffunit_id'"):
+            load_panel((2 * self.BOM + HEADER + "a,urban,east,1999,1\n").encode())
+
+    @pytest.mark.parametrize("unit", ["\ufeffa", "a\ufeff", "a\ufeffb"])
+    def test_byte_order_mark_in_a_unit_id_is_part_of_the_id(self, unit):
+        p = load_panel((self.BOM + HEADER + f"{unit},urban,east,1999,1\nb,urban,east,1999,2\n").encode())
+        assert p.unit_id.tolist() == [unit, "b"]
+        assert load_panel(dump_panel(p)).unit_id.tolist() == [unit, "b"]
+
     LIMIT = csv.field_size_limit()
     LONG = "u" * (LIMIT + 1)
 
@@ -1123,3 +1172,42 @@ class TestDumpPanelChunks:
             cpi=np.where(rng.random(n) < 0.3, np.nan, rng.uniform(1, 200, n)) if cpi else None,
         )
         assert dump_panel(p) == self._plain(p)
+
+
+def _columns(n=2, **override):
+    """Panel columns of n rows, with some replaced."""
+    columns = dict(
+        unit_id=np.array(["a"] * n, dtype=object),
+        sector=np.array(["urban"] * n, dtype=object),
+        region=np.array(["east"] * n, dtype=object),
+        year=1999 + np.arange(n),
+        income=np.ones(n),
+    )
+    return {**columns, **override}
+
+
+_RELATIVE = Panel(**_columns(), is_relative=True)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Panel(**_columns(sector=np.array(["urban"], dtype=object))), ValueError,
+     "column sector has wrong length"),
+    (lambda: Panel(**_columns(region=np.array(["east"] * 3, dtype=object))), ValueError,
+     "column region has wrong length"),
+    (lambda: Panel(**_columns(year=np.array([1999]))), ValueError, "column year has wrong length"),
+    (lambda: Panel(**_columns(income=np.ones(1))), ValueError, "column income has wrong length"),
+    (lambda: Panel(**_columns(), cpi=np.ones(3)), ValueError, "column cpi has wrong length"),
+    (lambda: TransitionPairs(np.ones(2), np.ones(3), 1), ValueError,
+     "x and y must have equal length"),
+    (lambda: TransitionPairs(np.ones(2), np.ones(2), 0), ValueError,
+     "tau must be a positive integer, got 0"),
+    (lambda: load_panel(42), TypeError, "cannot read a panel from int"),
+    (lambda: deflate(_RELATIVE), ValueError, "panel is already in relative terms"),
+    (lambda: filter_group(_RELATIVE, region="north"), ValueError, "unknown region 'north'"),
+], ids=["sector-length", "region-length", "year-length", "income-length", "cpi-length",
+        "pairs-length", "pairs-tau", "source-type", "deflate-relative", "unknown-region"])
+def test_rejections(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1,10 +1,14 @@
 """Synthetic income process generators used as verification oracles."""
 
+import importlib.util
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import simulate_unit_loop
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distdyn import (
     DEMO_SPEC,
@@ -150,6 +154,46 @@ class TestSimulate:
         high = z[clubs == 1]
         assert math.exp(low.mean()) == pytest.approx(0.5, rel=0.05)
         assert math.exp(high.mean()) == pytest.approx(1.4, rel=0.05)
+
+
+@st.composite
+def process_specs(draw):
+    """A small spec of any kind, with seeds at both ends of the 64-bit range."""
+    kind = draw(st.sampled_from(["iid_lognormal", "ar1_log", "two_club"]))
+    spec = dict(
+        kind=kind,
+        sigma=draw(st.floats(0.01, 1.0)),
+        units=draw(st.integers(1, 60)),
+        years=draw(st.integers(1, 20)),
+        seed=draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))),
+    )
+    if kind == "ar1_log":
+        spec["rho"] = draw(st.floats(0.0, 0.99))
+    if kind == "two_club":
+        spec["club_pull"] = draw(st.floats(0.01, 1.0))
+        low = draw(st.floats(0.1, 0.95))
+        spec["club_centers"] = (low, low + draw(st.floats(0.05, 2.0)))
+    return ProcessSpec(**spec)
+
+
+class TestSimulateMatchesUnitLoop:
+    # the per-unit recursion simulate ran before it stepped all units a year
+    # at a time (conftest.simulate_unit_loop) writes the same bytes
+    @given(spec=process_specs())
+    @example(spec=ProcessSpec(kind="iid_lognormal", units=1, years=1, seed=2**64 - 1))
+    @example(spec=ProcessSpec(kind="ar1_log", rho=0.9, units=1, years=20, seed=0))
+    @example(spec=ProcessSpec(kind="two_club", units=60, years=1, seed=2**64 - 1))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_panel_bytes(self, spec):
+        assert dump_panel(simulate(spec)) == dump_panel(simulate_unit_loop(spec))
+
+
+def test_demo_generator_writes_the_committed_panel(repo_root, demo_panel_path):
+    # README: demo/make_demo.py regenerates demo/panel.csv
+    found = importlib.util.spec_from_file_location("make_demo", repo_root / "demo" / "make_demo.py")
+    make_demo = importlib.util.module_from_spec(found)
+    found.loader.exec_module(make_demo)
+    assert dump_panel(make_demo.build_demo_panel()) == demo_panel_path.read_bytes()
 
 
 class TestClubCalibration:
