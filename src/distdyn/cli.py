@@ -38,7 +38,7 @@ from .kde import MIN_GRID_POINTS
 from .panel import SECTORS, dump_panel, load_panel
 from .report import compare_years, json_text, report_to_json
 from .synthesis import ProcessSpec, simulate
-from .viz import PlotStyle, _csv_chunks, render_contour, render_curves, render_surface
+from .viz import _csv_chunks, render_contour, render_curves, render_surface
 
 ENV_OUT_DIR = "DISTDYN_OUT_DIR"
 DEFAULT_OUT_DIR = "distdyn-out"
@@ -219,8 +219,7 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path,
-               style: PlotStyle) -> tuple[dict, dict[str, str]]:
+def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path) -> tuple[dict, dict[str, str]]:
     """One group end to end, persisting artifacts as they become available.
 
     Returns the group's manifest entry and the hash of each file written.
@@ -236,15 +235,11 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path,
     def on_estimate(est, ntp):
         put("pairs.csv", _csv_chunks(est.pairs))
         put("kernel.csv", _csv_chunks(est.kernel))
-        put("contour.svg", render_contour(est.kernel, style).encode("utf-8"))
-        put("surface.svg", render_surface(est.kernel, style).encode("utf-8"))
+        put("contour.svg", render_contour(est.kernel).encode("utf-8"))
+        put("surface.svg", render_surface(est.kernel).encode("utf-8"))
         put("ntp.csv", _csv_chunks(ntp))
-        put(
-            "ntp.svg",
-            render_curves(
-                [(label, ntp)], style, y_label="net transition probability"
-            ).encode("utf-8"),
-        )
+        svg = render_curves([(label, ntp)], y_label="net transition probability")
+        put("ntp.svg", svg.encode("utf-8"))
 
     entry: dict = {"label": label}
     try:
@@ -255,12 +250,8 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path,
             on_estimate=on_estimate,
         )
         put("ergodic.csv", _csv_chunks(res.ergodic.density))
-        put(
-            "ergodic.svg",
-            render_curves(
-                [(label, res.ergodic.density)], style, y_label="density"
-            ).encode("utf-8"),
-        )
+        svg = render_curves([(label, res.ergodic.density)], y_label="density")
+        put("ergodic.svg", svg.encode("utf-8"))
         put("report.json", report_to_json(res.report).encode("utf-8"))
         entry.update(
             status="ok",
@@ -289,10 +280,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     )
     out_base = Path(cfg.out_dir)
     out_base.mkdir(parents=True, exist_ok=True)
-    style = PlotStyle()
 
     def run(group):
-        return _run_group(*group, grid, cfg, out_base, style)
+        return _run_group(*group, grid, cfg, out_base)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -359,7 +349,7 @@ def _cmd_compare_years(cfg: RunConfig) -> int:
             labeled.append((f"{sector} {last}", b))
     out_base = Path(cfg.out_dir)
     h_csv = _write_atomic(out_base / "compare.csv", _csv_chunks(labeled))
-    svg = render_curves(labeled, PlotStyle(), y_label="density")
+    svg = render_curves(labeled, y_label="density")
     h_svg = _write_atomic(out_base / "compare.svg", svg.encode("utf-8"))
     print(f"wrote {out_base / 'compare.csv'} ({h_csv[:12]}) and compare.svg ({h_svg[:12]})")
     return 0

@@ -397,21 +397,41 @@ def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
     return _raw_values(x, h, grid)[0]
 
 
+@np.errstate(over="ignore")  # an overflowing sum is refused below
+def _normalized(cls, raw: np.ndarray, what: str, *grids: Grid):
+    """``cls.from_values(*grids, raw)`` for a raw estimate on one grid or a
+    grid pair. Every mass the value class refuses raises InsufficientData
+    naming ``what`` and the grid spacings: a zero mass, an overflowing mass,
+    and a mass that divides the values out of float range, so that they no
+    longer integrate to 1."""
+    one = len(grids) == 1
+    spacing = (f"spacing {grids[0].spacing}" if one
+               else f"spacings ({grids[0].spacing}, {grids[1].spacing})")
+    mass = (_quad.integrate if one else _quad.integrate_2d)(*grids, raw)
+    if mass == np.inf:
+        raise InsufficientData(f"{what} has a mass beyond the floating-point range "
+                               f"on the grid of {spacing}")
+    if not mass > 0:
+        raise InsufficientData(f"{what} puts no mass on the grid of {spacing}")
+    try:
+        return cls.from_values(*grids, raw)
+    except ValueError:
+        raise InsufficientData(f"{what} cannot be normalized on the grid of {spacing}: "
+                               f"divided by its mass {mass}, its values leave the "
+                               "floating-point range") from None
+
+
 def _curve(raw: np.ndarray, h: float, grid: Grid) -> DensityCurve:
-    mass = _quad.integrate(grid, raw)
-    if not (np.isfinite(mass) and mass > 0):
-        raise InsufficientData(
-            f"KDE at bandwidth {h} puts no mass on the grid of spacing {grid.spacing}"
-        )
-    return DensityCurve.from_values(grid, raw)
+    return _normalized(DensityCurve, raw, f"KDE at bandwidth {h}", grid)
 
 
 def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
     """Gaussian KDE renormalized to unit mass on the grid.
 
-    Raises InsufficientData when the estimate has no positive finite mass
-    on the grid, as with a bandwidth far below the grid spacing, and
-    NonFiniteSample for a NaN or infinite sample.
+    Raises InsufficientData when the estimate cannot be normalized on the
+    grid: its mass there is zero, as with a bandwidth far below the grid
+    spacing, or out of floating-point range. Raises NonFiniteSample for a
+    NaN or infinite sample.
     """
     return _curve(density_1d_raw(samples, h, grid), h, grid)
 
@@ -445,27 +465,22 @@ def joint_and_marginal(
     The marginal is the KDE of the x samples at ``h_x``, bitwise equal to
     ``density_1d(pairs.x, bandwidths.h_x, grid_x)``, taken from the joint
     pass. Raises InsufficientData for fewer than 2 pairs, or when either
-    estimate has no positive finite mass on its grid, and NonFiniteSample
-    for a pair with a NaN or infinite value.
+    estimate cannot be normalized on its grid (as in :func:`density_1d`),
+    and NonFiniteSample for a pair with a NaN or infinite value.
     """
     if np.asarray(pairs.x).size < 2:
         raise InsufficientData("joint estimate needs at least 2 pairs")
     raw_x, raw = _joint_raw(pairs, bandwidths, grid_x, grid_y)
-    mass = _quad.integrate_2d(grid_x, grid_y, raw)
-    if not (np.isfinite(mass) and mass > 0):
-        raise InsufficientData(
-            f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y}) puts no mass "
-            f"on the grid of spacings ({grid_x.spacing}, {grid_y.spacing})"
-        )
-    joint = DensitySurface.from_values(grid_x, grid_y, raw)
+    what = f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y})"
+    joint = _normalized(DensitySurface, raw, what, grid_x, grid_y)
     return joint, _curve(raw_x, bandwidths.h_x, grid_x)
 
 
 def density_2d(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> DensitySurface:
     """Product-kernel joint KDE renormalized to unit 2-D mass.
 
-    Raises InsufficientData for fewer than 2 pairs, or when the estimate has
-    no positive finite mass on the grid pair.
+    Raises InsufficientData for fewer than 2 pairs, or when the estimate
+    cannot be normalized on the grid pair.
     """
     return joint_and_marginal(pairs, bandwidths, grid_x, grid_y)[0]
 

@@ -69,6 +69,15 @@ class ProcessSpec:
         object.__setattr__(self, "club_centers", centers)
         if not (0.0 < self.club_pull <= 1.0):
             raise InvalidSpec(f"club_pull must lie in (0, 1], got {self.club_pull}")
+        if self.kind == "two_club":
+            try:
+                club_share(self)
+            except (ZeroDivisionError, OverflowError):
+                raise InvalidSpec(
+                    f"sigma {self.sigma} and club_pull {self.club_pull} put the within-club sd "
+                    "of log income, sigma / sqrt(1 - (1 - club_pull)^2), or the mean income "
+                    "factor exp(sd^2 / 2) that sets the club shares, out of floating-point range"
+                ) from None
         if self.units < 1 or self.years < 1:
             raise InvalidSpec("units and years must be positive integers")
         if not (0 <= self.seed < 2**64):
@@ -130,7 +139,8 @@ def simulate(spec: ProcessSpec) -> Panel:
 
     Rows are unit-major, years ascending from 1999. Synthetic panels carry
     sector "urban" and region "other" throughout; callers wanting richer
-    group structure can relabel.
+    group structure can relabel. Raises InvalidSpec when an income is not
+    finite and positive, as a sigma too large for exp gives.
     """
     if spec.kind == "two_club":
         mu = np.log(np.asarray(spec.club_centers))[club_assignments(spec)]
@@ -144,10 +154,16 @@ def simulate(spec: ProcessSpec) -> Panel:
     z = np.empty((spec.units, spec.years))  # each unit's normals, then its log income
     for u in range(spec.units):
         _unit_rng(spec.seed, u).standard_normal(out=z[u])
-    z[:, 0] = mu + init_sd * z[:, 0]  # a stationary start, then one year at a time
-    for t in range(1, spec.years):
-        z[:, t] = mu + a * (z[:, t - 1] - mu) + spec.sigma * z[:, t]
-    np.exp(z, out=z)
+    with np.errstate(over="ignore", invalid="ignore"):  # such incomes are refused below
+        z[:, 0] = mu + init_sd * z[:, 0]  # a stationary start, then one year at a time
+        for t in range(1, spec.years):
+            z[:, t] = mu + a * (z[:, t - 1] - mu) + spec.sigma * z[:, t]
+        np.exp(z, out=z)
+    bad = ~((z > 0) & (z < np.inf))
+    if bad.any():
+        u, t = np.argwhere(bad)[0]
+        raise InvalidSpec(f"the spec gives unit {u} in year {START_YEAR + t} an income of "
+                          f"{z[u, t]}, outside the positive floating-point range")
 
     width = max(4, len(str(spec.units - 1)))
     ids = np.array([f"u{u:0{width}d}" for u in range(spec.units)], dtype=object)

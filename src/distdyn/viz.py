@@ -1,8 +1,10 @@
 """Deterministic SVG figures and CSV exports of plotted arrays.
 
 Three figure forms: overlaid curves (densities, NTP), contour map of a
-kernel or joint surface with the 45-degree diagonal for reference, and an
-isometric 3-D mesh of the same surfaces. Everything is emitted as plain
+stochastic kernel with the 45-degree diagonal for reference, and an
+isometric 3-D mesh of the same kernel. Every figure is drawn in one fixed
+style, :class:`PlotStyle`: a 640x480 canvas, a blue ramp, nine contour
+levels and at most 64 mesh cells a side. Everything is emitted as plain
 SVG 1.1 text with no external references, and identical inputs produce
 byte-identical documents, so figures can be golden-tested.
 
@@ -14,19 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .dynamics import NTPCurve
 from .errors import DegenerateSurface, EmptyPlot, GridMismatch
-from .kde import DensityCurve, DensitySurface, StochasticKernel
+from .kde import DensityCurve, StochasticKernel
 
-RAMPS = {
-    "blues": ((0.93, 0.96, 1.00), (0.03, 0.19, 0.42)),
-    "grays": ((0.94, 0.94, 0.94), (0.15, 0.15, 0.15)),
-}
+_CURVE_X_LABEL = "relative income"
+_KERNEL_X_LABEL, _KERNEL_Y_LABEL = "relative income at t", "relative income at t+τ"
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#7f3fbf", "#8c564b", "#e377c2")
 _DASHES = (None, "8 5", "2 3", "9 3 2 3", "14 4", "5 2 1 2")
@@ -46,44 +46,38 @@ _SEGMENTS = (
 
 @dataclass(frozen=True)
 class PlotStyle:
-    """Figure geometry and palette knobs shared by all renderers."""
+    """The one figure style of every renderer. It has no settings: each
+    value is a constant of the class."""
 
-    width: int = 640
-    height: int = 480
-    margin: float = 54.0
-    font_size: float = 12.0
-    ramp: str = "blues"
-    levels: object = 9
-    mesh_limit: int = 64
-
-    def __post_init__(self):
-        if self.width < 64 or self.height < 64:
-            raise ValueError("figure must be at least 64x64 pixels")
-        if not (0 <= 2 * self.margin < min(self.width, self.height)):
-            raise ValueError("margins leave no plot area")
-        if self.font_size <= 0:
-            raise ValueError("font size must be positive")
-        if self.ramp not in RAMPS:
-            raise ValueError(f"unknown ramp {self.ramp!r}, have {sorted(RAMPS)}")
-        if isinstance(self.levels, int):
-            if self.levels < 1:
-                raise ValueError("need at least one contour level")
-        else:
-            lv = tuple(float(x) for x in self.levels)
-            if not lv or not all(math.isfinite(x) for x in lv):
-                raise ValueError("explicit levels must be nonempty finite values")
-            object.__setattr__(self, "levels", lv)
-        if self.mesh_limit < 1:
-            raise ValueError("mesh_limit must be positive")
+    width: ClassVar[int] = 640
+    height: ClassVar[int] = 480
+    margin: ClassVar[float] = 54.0
+    font_size: ClassVar[float] = 12.0
+    ramp: ClassVar[tuple] = ((0.93, 0.96, 1.00), (0.03, 0.19, 0.42))  # light to dark blue
+    levels: ClassVar[int] = 9  # contour levels
+    mesh_limit: ClassVar[int] = 64  # most mesh cells a side
 
 
 def _px(x: float) -> str:
     return "%.2f" % x
 
 
-def _ramp_colors(name: str, t) -> list[str]:
+def _text(x: float, y: float, text: str, anchor: str | None = "middle", extra: str = "") -> str:
+    """A ``<text>`` element at (x, y), its text escaped; ``anchor=None`` omits text-anchor."""
+    return '<text x="%s" y="%s" font-size="%s"%s font-family="sans-serif"%s>%s</text>' % (
+        _px(x), _px(y), _px(PlotStyle.font_size),
+        ' text-anchor="%s"' % anchor if anchor else "", extra, escape(text))
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, cls: str = "") -> str:
+    """A ``<line>`` element; ``stroke`` holds its stroke attributes."""
+    return '<line%s x1="%s" y1="%s" x2="%s" y2="%s" %s/>' % (
+        ' class="%s"' % cls if cls else "", _px(x1), _px(y1), _px(x2), _px(y2), stroke)
+
+
+def _ramp_colors(t) -> list[str]:
     """Ramp colours at the heights ``t``, each clipped to [0, 1] (NaN to 0)."""
-    lo, hi = (np.array(c) for c in RAMPS[name])
+    lo, hi = (np.array(c) for c in PlotStyle.ramp)
     t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
     rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
     return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
@@ -141,55 +135,31 @@ def _axes(style: PlotStyle, xlo, xhi, ylo, yhi, x_label, y_label) -> list[str]:
     ]
     for t in _ticks(xlo, xhi):
         X = sx(t)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333"/>'
-            % (_px(X), _px(style.height - m), _px(X), _px(style.height - m + 4))
-        )
-        out.append(
-            '<text x="%s" y="%s" font-size="%s" text-anchor="middle" '
-            'font-family="sans-serif">%s</text>'
-            % (_px(X), _px(style.height - m + 6 + fs), _px(fs), "%g" % t)
-        )
+        out.append(_line(X, style.height - m, X, style.height - m + 4, 'stroke="#333333"'))
+        out.append(_text(X, style.height - m + 6 + fs, "%g" % t))
     for t in _ticks(ylo, yhi):
         Y = sy(t)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333"/>'
-            % (_px(m - 4), _px(Y), _px(m), _px(Y))
-        )
-        out.append(
-            '<text x="%s" y="%s" font-size="%s" text-anchor="end" '
-            'font-family="sans-serif">%s</text>'
-            % (_px(m - 7), _px(Y + 0.35 * fs), _px(fs), "%g" % t)
-        )
-    if x_label:
-        out.append(
-            '<text x="%s" y="%s" font-size="%s" text-anchor="middle" '
-            'font-family="sans-serif">%s</text>'
-            % (_px(m + w / 2), _px(style.height - 6), _px(fs), escape(x_label))
-        )
+        out.append(_line(m - 4, Y, m, Y, 'stroke="#333333"'))
+        out.append(_text(m - 7, Y + 0.35 * fs, "%g" % t, "end"))
+    out.append(_text(m + w / 2, style.height - 6, x_label))
     if y_label:
         cx, cy = 14 + fs * 0.3, m + h / 2
-        out.append(
-            '<text x="%s" y="%s" font-size="%s" text-anchor="middle" '
-            'font-family="sans-serif" transform="rotate(-90 %s %s)">%s</text>'
-            % (_px(cx), _px(cy), _px(fs), _px(cx), _px(cy), escape(y_label))
-        )
+        rotate = ' transform="rotate(-90 %s %s)"' % (_px(cx), _px(cy))
+        out.append(_text(cx, cy, y_label, extra=rotate))
     return out
 
 
-def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relative income",
-                  y_label: str = "") -> str:
+def render_curves(curves, style: PlotStyle = PlotStyle(), y_label: str = "") -> str:
     """Overlay labeled curves on a shared grid as an SVG line chart.
 
     ``curves`` is a sequence of (label, curve) pairs, each curve a
-    DensityCurve or NTPCurve; a single bare curve is also accepted. Series
-    are distinguished by color and dash pattern (first solid, second
-    dashed, then cycling) with a legend entry per series. A horizontal zero
-    reference line appears whenever any value is negative or any curve is
-    an NTP curve. NaN stretches (unsupported NTP points) leave gaps.
+    DensityCurve or NTPCurve, drawn over relative income with ``y_label``
+    on the y axis (none when empty). Series are distinguished by color and
+    dash pattern (first solid, second dashed, then cycling) with a legend
+    entry per series. A horizontal zero reference line appears whenever any
+    value is negative or any curve is an NTP curve. NaN stretches
+    (unsupported NTP points) leave gaps.
     """
-    if isinstance(curves, (DensityCurve, NTPCurve)):
-        curves = [("", curves)]
     curves = list(curves)
     if not curves:
         raise EmptyPlot("no curves to draw")
@@ -213,13 +183,10 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relati
     w = style.width - 2 * m
     sx, sy = _scales(style, xlo, xhi, ylo, yhi)
     out = _svg_open(style)
-    out += _axes(style, xlo, xhi, ylo, yhi, x_label, y_label)
+    out += _axes(style, xlo, xhi, ylo, yhi, _CURVE_X_LABEL, y_label)
     if want_zero:
-        out.append(
-            '<line class="zero-line" x1="%s" y1="%s" x2="%s" y2="%s" '
-            'stroke="#999999" stroke-dasharray="4 4"/>'
-            % (_px(m), _px(sy(0.0)), _px(m + w), _px(sy(0.0)))
-        )
+        out.append(_line(m, sy(0.0), m + w, sy(0.0), 'stroke="#999999" stroke-dasharray="4 4"',
+                         "zero-line"))
     # legend, top right of the data area, drawn over the series
     fs = style.font_size
     lw = max(len(lbl) for lbl, _ in curves) * fs * 0.62 + 46
@@ -249,25 +216,17 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), x_label: str = "relati
                 '<path class="series" fill="none" %s d="%s"/>' % (stroke, " ".join(parts))
             )
         row_y = ly + 8 + k * (fs + 8) + fs / 2
-        legend.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" %s/>'
-            % (_px(lx + 6), _px(row_y), _px(lx + 34), _px(row_y), stroke)
-        )
-        legend.append(
-            '<text x="%s" y="%s" font-size="%s" font-family="sans-serif">%s</text>'
-            % (_px(lx + 40), _px(row_y + 0.35 * fs), _px(fs), escape(label))
-        )
+        legend.append(_line(lx + 6, row_y, lx + 34, row_y, stroke))
+        legend.append(_text(lx + 40, row_y + 0.35 * fs, label, None))
     out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def _surface_arrays(obj):
-    """Accept a StochasticKernel, DensitySurface, or (x, y, values) triple."""
+    """Accept a StochasticKernel or an (x, y, values) triple."""
     if isinstance(obj, StochasticKernel):
         return obj.grid_x.points, obj.grid_y.points, obj.rows
-    if isinstance(obj, DensitySurface):
-        return obj.grid_x.points, obj.grid_y.points, obj.values
     x, y, v = obj
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -277,15 +236,6 @@ def _surface_arrays(obj):
     if v.shape != (x.size, y.size):
         raise ValueError("surface values must be shaped (len(x), len(y))")
     return x, y, v
-
-
-def _resolve_levels(style: PlotStyle, vmax: float) -> list[float]:
-    if not isinstance(style.levels, int):
-        return list(style.levels)
-    k = style.levels
-    if k == 1:
-        return [0.5 * vmax]
-    return [(0.05 + 0.90 * i / (k - 1)) * vmax for i in range(k)]
 
 
 def _crossing(x, y, v, level: float, i: int, j: int, edge: int):
@@ -298,10 +248,8 @@ def _crossing(x, y, v, level: float, i: int, j: int, edge: int):
     return x[i] + t * (x[i + 1] - x[i]), y[j + aj]
 
 
-def render_contour(obj, style: PlotStyle = PlotStyle(),
-                   x_label: str = "relative income at t",
-                   y_label: str = "relative income at t+τ") -> str:
-    """Contour map of a kernel or joint surface, diagonal included.
+def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
+    """Contour map of a kernel, or an (x, y, values) triple, diagonal included.
 
     Level curves are traced by marching squares over the cells a level
     crosses: a cell's 4-bit corner case indexes the ``_SEGMENTS`` table, and
@@ -315,24 +263,21 @@ def render_contour(obj, style: PlotStyle = PlotStyle(),
     vmin = float(np.min(v))
     if vmax == vmin:
         raise DegenerateSurface("surface is constant; contours are undefined")
-    levels = _resolve_levels(style, vmax)
+    levels = [(0.05 + 0.90 * i / (style.levels - 1)) * vmax for i in range(style.levels)]
 
     xlo, xhi = float(x[0]), float(x[-1])
     ylo, yhi = float(y[0]), float(y[-1])
     sx, sy = _scales(style, xlo, xhi, ylo, yhi)
     out = _svg_open(style)
-    out += _axes(style, xlo, xhi, ylo, yhi, x_label, y_label)
+    out += _axes(style, xlo, xhi, ylo, yhi, _KERNEL_X_LABEL, _KERNEL_Y_LABEL)
 
     dlo, dhi = max(xlo, ylo), min(xhi, yhi)
     if dlo < dhi:
-        out.append(
-            '<line class="diagonal" x1="%s" y1="%s" x2="%s" y2="%s" '
-            'stroke="#666666" stroke-dasharray="6 4"/>'
-            % (_px(sx(dlo)), _px(sy(dlo)), _px(sx(dhi)), _px(sy(dhi)))
-        )
+        out.append(_line(sx(dlo), sy(dlo), sx(dhi), sy(dhi),
+                         'stroke="#666666" stroke-dasharray="6 4"', "diagonal"))
 
     centre = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
-    colors = _ramp_colors(style.ramp, 0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
+    colors = _ramp_colors(0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
     for level, color in zip(levels, colors):
         up = (v >= level).astype(np.uint8)
         case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
@@ -359,10 +304,8 @@ def _mesh_indices(n: int, limit: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n - 1, limit + 1)).astype(int))
 
 
-def render_surface(obj, style: PlotStyle = PlotStyle(),
-                   x_label: str = "relative income at t",
-                   y_label: str = "relative income at t+τ") -> str:
-    """Isometric 3-D mesh of a kernel or joint surface.
+def render_surface(obj, style: PlotStyle = PlotStyle()) -> str:
+    """Isometric 3-D mesh of a kernel, or of an (x, y, values) triple.
 
     Each mesh vertex is projected and formatted once. Cells are painted
     back to front (painter's algorithm: far diagonals i + j first, each in
@@ -399,7 +342,7 @@ def render_surface(obj, style: PlotStyle = PlotStyle(),
     vertex = [["%s,%s" % (_px(a), _px(b)) for a, b in zip(rx, ry)]
               for rx, ry in zip(px.tolist(), py.tolist())]
     mean_z = 0.25 * (zn[:-1, :-1] + zn[1:, :-1] + zn[1:, 1:] + zn[:-1, 1:])
-    colors = _ramp_colors(style.ramp, mean_z.ravel())
+    colors = _ramp_colors(mean_z.ravel())
     ci, cj = np.indices(mean_z.shape).reshape(2, -1)
 
     out = _svg_open(style)
@@ -418,16 +361,8 @@ def render_surface(obj, style: PlotStyle = PlotStyle(),
     fs = style.font_size
     xL = project(0.55, -0.08, 0)
     yL = project(-0.08, 0.55, 0)
-    out.append(
-        '<text x="%s" y="%s" font-size="%s" text-anchor="middle" '
-        'font-family="sans-serif">%s</text>'
-        % (_px(xL[0]), _px(xL[1] + fs), _px(fs), escape(x_label))
-    )
-    out.append(
-        '<text x="%s" y="%s" font-size="%s" text-anchor="middle" '
-        'font-family="sans-serif">%s</text>'
-        % (_px(yL[0]), _px(yL[1] + fs), _px(fs), escape(y_label))
-    )
+    out.append(_text(xL[0], xL[1] + fs, _KERNEL_X_LABEL))
+    out.append(_text(yL[0], yL[1] + fs, _KERNEL_Y_LABEL))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -451,7 +386,7 @@ def _csv_chunks(obj) -> Iterator[bytes]:
     if isinstance(obj, (DensityCurve, NTPCurve)):
         header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
         table = np.column_stack((obj.grid.points, obj.values))
-    elif isinstance(obj, (StochasticKernel, DensitySurface)):
+    elif isinstance(obj, StochasticKernel):
         x, y, v = _surface_arrays(obj)
         header = "x\\y," + ",".join(_g(yv) for yv in y)
         table = np.column_stack((x, v))
@@ -487,7 +422,7 @@ def export_csv(obj) -> bytes:
 
     Handles DensityCurve (``x,density``), NTPCurve (``x,ntp``, NaN at
     unsupported points), TransitionPairs (``x,y``), a labeled curve
-    collection (``x,<label>,...``), and StochasticKernel / DensitySurface
+    collection (``x,<label>,...``), and a StochasticKernel
     as a wide matrix with x down the rows, y across the columns, and the
     corner cell labeled ``x\\y``. Floats carry 17 significant digits, so a
     round-trip parse reproduces every value bit for bit.

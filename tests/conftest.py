@@ -1,6 +1,7 @@
 """Shared fixtures and small construction helpers for the test suite."""
 
 import csv
+import json
 import math
 import os
 from pathlib import Path
@@ -48,6 +49,13 @@ def demo_config_path(repo_root) -> Path:
     path = repo_root / "demo" / "config.json"
     assert path.is_file(), "bundled demo config is missing"
     return path
+
+
+def strict_json(path):
+    """Parse a file as strict JSON: NaN, Infinity and -Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def gaussian(points: np.ndarray, mu: float, sd: float) -> np.ndarray:

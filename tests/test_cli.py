@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import strict_json
 from distdyn import cli, load_panel
 from distdyn.cli import ENV_OUT_DIR, main
 
@@ -294,6 +295,20 @@ class TestAnalyze:
         assert entry["status"] == "failed"
         assert "puts no mass on the grid" in entry["error"]
 
+    @pytest.mark.parametrize("groups", ["per-sector", "pooled"])
+    @pytest.mark.parametrize("factor", ["1e170", "1e200", "1e300"])
+    def test_huge_grid_upper_factor_fails_groups(self, tmp_path, demo_panel_path, groups, factor):
+        # the KDE's mass overflows, or its values underflow when divided by it
+        code = main(["analyze", "--input", str(demo_panel_path), "--out-dir", str(tmp_path),
+                     "--grid-count", "16", "--groups", groups, "--grid-upper-factor", factor])
+        assert code == 3
+        entries = json.loads((tmp_path / "manifest.json").read_text())["groups"]
+        assert len(entries) == (2 if groups == "per-sector" else 1)
+        for entry in entries:
+            assert entry["status"] == "failed"
+            assert re.match(r"joint KDE at bandwidths \(.*\) (has a mass beyond the floating-point "
+                            r"range|cannot be normalized) on the grid of spacings", entry["error"])
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         panel = write_panel(tmp_path / "panel.csv")
         target = tmp_path / "env-out"
@@ -309,13 +324,6 @@ class TestAnalyze:
         assert code == 0
         assert (out / "manifest.json").is_file()
         assert not (tmp_path / "env-out").exists()
-
-
-def strict_json(path):
-    """Parse a file as strict JSON: NaN, Infinity and -Infinity raise."""
-    def refuse(name):
-        raise ValueError(f"{path}: {name} is not JSON")
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def is_number(v) -> bool:
@@ -464,6 +472,16 @@ class TestSimulate:
             ["simulate", "--kind", "ar1_log", "--rho", "1.0", "--out-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "two_club", "--club-pull", "1e-17"],  # 1 - (1 - pull)^2 rounds to 0
+        ["--sigma", "1e10"],  # exp overflows
+    ])
+    def test_spec_it_cannot_produce_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["simulate", *flags, "--units", "3", "--years", "3", "--out-dir", str(out)]) == 2
+        assert "floating-point range" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
 
     def test_bad_club_centers_string(self, tmp_path):
         code = main(

@@ -149,6 +149,15 @@ class TestDensity1D:
             with pytest.raises(InsufficientData, match=re.escape(message)):
                 density_1d(np.array([0.03, 0.51]), h, g)
 
+    def test_mass_beyond_float_range_fails_without_warnings(self):
+        g = Grid.uniform(0.0, 1e308, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match=re.escape(
+                    "KDE at bandwidth 0.001 has a mass beyond the floating-point range "
+                    f"on the grid of spacing {g.spacing}")):
+                density_1d(np.array([0.0, 0.0]), 1e-3, g)
+
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(1.0, 0.4, size=200)
@@ -295,6 +304,21 @@ class TestDensity2D:
             warnings.simplefilter("error")
             with pytest.raises(InsufficientData, match=re.escape(message)):
                 joint_and_marginal(pairs, bw, g, g)
+
+    @pytest.mark.parametrize("upper, at, message", [
+        # the origin's value 15.9 times its cell of 3.3e+198 by 3.3e+198 overflows
+        (1e200, 0.0, "has a mass beyond the floating-point range on the grid of spacings"),
+        # a mass of 6.5e+294, by which the origin's value 5.9e-43 divides to a subnormal
+        (1e170, 1.0, "cannot be normalized on the grid of spacings (6.666666666666667e+168, "
+                     "6.666666666666667e+168): divided by its mass"),
+    ], ids=["overflow", "underflow"])
+    def test_huge_grid_fails_without_warnings(self, upper, at, message):
+        g = Grid.uniform(0.0, upper, 16)
+        pairs = SimpleNamespace(x=np.array([at, at]), y=np.array([at, at]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match=re.escape(message)):
+                joint_and_marginal(pairs, Bandwidths(0.1, 0.1), g, g)
 
     def test_mismatched_xy_lengths(self):
         g = Grid.uniform(0.0, 1.0, 16)

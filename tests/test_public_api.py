@@ -58,3 +58,12 @@ def test_star_import_binds_exactly_the_public_names():
     namespace = {}
     exec("from distdyn import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+README_BLOCKS = [(name, source) for name, source in CALLERS if name.startswith("README.md")]
+
+
+@pytest.mark.parametrize("name, source", README_BLOCKS, ids=[name for name, _ in README_BLOCKS])
+def test_readme_python_block_runs(name, source, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)  # README paths are relative to the repository root
+    exec(compile(source, name, "exec"), {"__name__": "__readme__"})

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestProcessSpec:
         with pytest.raises(InvalidSpec):
             ProcessSpec(kind="two_club", club_pull=1.5)
 
+    @pytest.mark.parametrize("sigma, pull", [(0.2, 1e-17), (0.2, 5e-324), (50.0, 0.3), (1e170, 0.3)])
+    def test_rejects_club_spread_out_of_float_range(self, sigma, pull):
+        # 1 - (1 - pull)^2 rounds to 0, or exp(sd^2 / 2) overflows
+        with pytest.raises(InvalidSpec, match="out of floating-point range"):
+            ProcessSpec(kind="two_club", sigma=sigma, club_pull=pull)
+
     def test_rejects_zero_units(self):
         with pytest.raises(InvalidSpec):
             ProcessSpec(kind="ar1_log", units=0)
@@ -83,6 +90,17 @@ class TestSimulate:
         assert sorted(set(panel.year)) == [1999, 2000, 2001]
         assert np.all(panel.income > 0)
         assert not panel.is_relative
+
+    @pytest.mark.parametrize("spec", [
+        ProcessSpec(kind="ar1_log", sigma=1e10, units=3, years=3),
+        ProcessSpec(kind="ar1_log", rho=0.9, sigma=1e308, units=3, years=3),  # sd overflows
+        ProcessSpec(kind="iid_lognormal", sigma=1000.0, units=3, years=3),
+    ])
+    def test_refuses_incomes_out_of_float_range(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match="outside the positive floating-point range"):
+                simulate(spec)
 
     def test_unit_major_row_order(self):
         panel = simulate(ProcessSpec(kind="ar1_log", units=3, years=2, seed=5))

@@ -1,5 +1,6 @@
 """SVG rendering and lossless CSV export of analysis artifacts."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from distdyn import Grid
 from distdyn.dynamics import NTPCurve
 from distdyn.errors import DegenerateSurface, EmptyPlot, GridMismatch
-from distdyn.kde import DensityCurve, DensitySurface, StochasticKernel
+from distdyn.kde import DensityCurve, StochasticKernel
 from distdyn.panel import TransitionPairs
 from distdyn.viz import (
     PlotStyle,
@@ -48,11 +49,6 @@ class TestRenderCurves:
         g = Grid.uniform(0.0, 2.0, 64)
         root = parse_svg(render_curves([("f", density(g))]))
         assert root.tag.endswith("svg")
-
-    def test_accepts_bare_curve(self):
-        g = Grid.uniform(0.0, 2.0, 64)
-        text = render_curves(density(g))
-        assert "<path" in text
 
     def test_legend_lists_every_label(self):
         g = Grid.uniform(0.0, 2.0, 64)
@@ -110,9 +106,14 @@ class TestRenderCurves:
 
     def test_axis_labels_present(self):
         g = Grid.uniform(0.0, 2.0, 64)
-        text = render_curves([("d", density(g))], x_label="relative income", y_label="density")
-        assert "relative income" in text
-        assert "density" in text
+        text = render_curves([("d", density(g))], y_label="net transition probability")
+        assert ">relative income</text>" in text
+        assert 'rotate(-90 17.60 240.00)">net transition probability</text>' in text
+        assert "rotate(-90" not in render_curves([("d", density(g))])
+        for kernel_figure in (render_contour, render_surface):
+            text = kernel_figure(small_kernel(g))
+            assert ">relative income at t</text>" in text
+            assert ">relative income at t+τ</text>" in text
 
 
 class TestRenderContour:
@@ -161,67 +162,68 @@ class TestRenderContour:
         b = render_contour((g.points, g.points, v.T))
         assert a == b
 
-    def test_custom_levels_respected(self):
-        g = Grid.uniform(0.0, 2.0, 48)
-        kern = small_kernel(g)
-        one = render_contour(kern, style=PlotStyle(levels=1))
-        nine = render_contour(kern, style=PlotStyle(levels=9))
-        def n_levels(t):
-            return len([ln for ln in t.splitlines() if 'class="level"' in ln])
-        assert n_levels(one) == 1
-        assert n_levels(one) < n_levels(nine)
-
-    # 2x2 saddle cells, v[i, j] with bl=v[0,0], br=v[1,0], tr=v[1,1], tl=v[0,1];
-    # the cell centre averages to 0.5, so level 0.45 lies below it and 0.55 above
+    # 2x2 saddle cells, v[i, j] with bl=v[0,0], br=v[1,0], tr=v[1,1], tl=v[0,1].
+    # The cell centre averages to 0.5. Of the nine levels at vmax = 1, level 3
+    # (0.3875) lies below it, level 4 (0.5) at it and level 5 (0.6125) above.
     @pytest.mark.parametrize(
         "v, level, path",
         [
             # case 5 (bl, tr high), centre above: cut off tl, then br
-            ([[1.0, 0.0], [0.2, 0.8]], 0.45,
-             "M54.00 221.40 L353.25 54.00 M419.75 426.00 L586.00 271.00"),
+            pytest.param([[1.0, 0.0], [0.2, 0.8]], 3,
+                         "M54.00 198.15 L311.69 54.00 M461.31 426.00 L586.00 309.75",
+                         id="case5-centre-above"),
+            # case 5, centre at the level, which counts as above
+            pytest.param([[1.0, 0.0], [0.2, 0.8]], 4,
+                         "M54.00 240.00 L386.50 54.00 M386.50 426.00 L586.00 240.00",
+                         id="case5-centre-at"),
             # case 5, centre below: cut off bl, then tr
-            ([[1.0, 0.0], [0.2, 0.8]], 0.55,
-             "M54.00 258.60 L353.25 426.00 M586.00 209.00 L419.75 54.00"),
+            pytest.param([[1.0, 0.0], [0.2, 0.8]], 5,
+                         "M54.00 281.85 L311.69 426.00 M586.00 170.25 L461.31 54.00",
+                         id="case5-centre-below"),
             # case 10 (br, tl high), centre above: cut off bl, then tr
-            ([[0.2, 0.8], [1.0, 0.0]], 0.45,
-             "M54.00 271.00 L220.25 426.00 M586.00 221.40 L286.75 54.00"),
+            pytest.param([[0.2, 0.8], [1.0, 0.0]], 3,
+                         "M54.00 309.75 L178.69 426.00 M586.00 198.15 L328.31 54.00",
+                         id="case10-centre-above"),
+            # case 10, centre at the level, which counts as above
+            pytest.param([[0.2, 0.8], [1.0, 0.0]], 4,
+                         "M54.00 240.00 L253.50 426.00 M586.00 240.00 L253.50 54.00",
+                         id="case10-centre-at"),
             # case 10, centre below: cut off tl, then br
-            ([[0.2, 0.8], [1.0, 0.0]], 0.55,
-             "M54.00 209.00 L220.25 54.00 M286.75 426.00 L586.00 258.60"),
+            pytest.param([[0.2, 0.8], [1.0, 0.0]], 5,
+                         "M54.00 170.25 L178.69 54.00 M328.31 426.00 L586.00 281.85",
+                         id="case10-centre-below"),
         ],
     )
     def test_saddle_cell_paths(self, v, level, path):
         unit = np.array([0.0, 1.0])
-        text = render_contour((unit, unit, np.array(v)), PlotStyle(levels=(level,)))
-        assert re.findall(r'class="level"[^>]* d="([^"]*)"', text) == [path]
+        text = render_contour((unit, unit, np.array(v)))
+        paths = re.findall(r'class="level"[^>]* d="([^"]*)"', text)
+        assert len(paths) == 9
+        assert paths[level] == path
 
     def test_random_surface_bytes_pinned(self):
-        # 95 saddle cells over the 11 levels; the digest pins segment order,
+        # 82 saddle cells over the nine levels; the digest pins segment order,
         # saddle pairing and interpolation rounding of every crossing
         v = np.random.default_rng(7).random((12, 10))
         x, y = np.linspace(0.0, 2.0, 12), np.linspace(0.0, 3.0, 10)
-        text = render_contour((x, y, v), PlotStyle(levels=11))
+        text = render_contour((x, y, v))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9cd7f4ed05d8e1a1a70ea421ae986acf6b43ab33891d2c7a8743c2f30fcacc48"
+            "d0066c04dafa2e36b9d33d037e6308280dcda27c6655d24338b3d40c36cf786e"
         )
 
 
 class TestRenderSurface:
     def test_random_surface_bytes_pinned(self):
-        # thinned and unthinned meshes, both ramps, a small canvas; the digest
-        # pins the painter's order, every projected vertex and every fill
+        # unthinned meshes and one thinned to 64 rows; the digest pins the
+        # painter's order, every projected vertex and every fill
         rng = np.random.default_rng(13)
         digest = hashlib.sha256()
-        for shape, style in [
-            ((23, 17), PlotStyle(mesh_limit=9, ramp="grays")),
-            ((5, 40), PlotStyle(mesh_limit=64)),
-            ((70, 3), PlotStyle(mesh_limit=20, width=300, height=200)),
-        ]:
+        for shape in [(23, 17), (5, 40), (70, 3)]:
             v = rng.random(shape)
             x, y = np.linspace(-1.0, 2.0, shape[0]), np.linspace(0.5, 3.0, shape[1])
-            digest.update(render_surface((x, y, v), style).encode())
+            digest.update(render_surface((x, y, v)).encode())
         assert digest.hexdigest() == (
-            "65bb8fbb95f59411129803fc979650181b9c0f01e66abb7babaf1fd9b66ca6ff"
+            "1f3de79f2607527a630904c7d1c404206640b4a0058ec561bbe21184eac9b573"
         )
 
     def test_deterministic(self):
@@ -244,9 +246,9 @@ class TestRenderSurface:
     def test_mesh_thinning_caps_cell_count(self):
         g = Grid.uniform(0.0, 2.0, 200)
         kern = small_kernel(g)
-        text = render_surface(kern, style=PlotStyle(mesh_limit=16))
+        text = render_surface(kern)
         cells = [ln for ln in text.splitlines() if 'class="cell"' in ln]
-        assert len(cells) <= 16 * 16
+        assert len(cells) <= 64 * 64
 
     def test_peak_cell_darkest(self):
         # one sharp central bump: the unique darkest fill must be used by
@@ -270,21 +272,10 @@ class TestRenderSurface:
 
 
 class TestPlotStyle:
-    def test_rejects_tiny_canvas(self):
-        with pytest.raises(ValueError):
-            PlotStyle(width=32)
-
-    def test_rejects_unknown_ramp(self):
-        with pytest.raises(ValueError):
-            PlotStyle(ramp="viridis")
-
-    def test_rejects_zero_levels(self):
-        with pytest.raises(ValueError):
-            PlotStyle(levels=0)
-
-    def test_rejects_margin_wider_than_canvas(self):
-        with pytest.raises(ValueError):
-            PlotStyle(width=100, height=100, margin=60)
+    def test_has_no_settings(self):
+        assert dataclasses.fields(PlotStyle) == ()
+        with pytest.raises(TypeError):
+            PlotStyle(width=300)
 
 
 class TestExportCsv:
@@ -321,15 +312,6 @@ class TestExportCsv:
         assert len(lines[0].split(",")) == 33
         row3 = np.array([float(c) for c in lines[3].split(",")[1:]])
         assert np.array_equal(row3, kern.rows[2])
-
-    def test_surface_matrix_round_trip(self):
-        g = Grid.uniform(0.0, 2.0, 32)
-        v = np.outer(gaussian(g.points, 1.0, 0.3), gaussian(g.points, 1.1, 0.4))
-        surf = DensitySurface.from_values(g, g, v)
-        raw = export_csv(surf).decode()
-        lines = raw.strip().split("\n")
-        got = np.array([[float(c) for c in ln.split(",")[1:]] for ln in lines[1:]])
-        assert np.array_equal(got, surf.values)
 
     def test_pairs_export(self):
         pairs = TransitionPairs(
@@ -399,12 +381,12 @@ class TestCsvChunks:
     def test_wide_table_is_chunked_by_values(self):
         gx = Grid.uniform(0.0, 2.0, 40)
         gy = Grid.uniform(0.0, 2.0, 300)
-        v = np.outer(gaussian(gx.points, 1.0, 0.3), gaussian(gy.points, 1.1, 0.4))
-        surf = DensitySurface.from_values(gx, gy, v)
-        chunks = list(_csv_chunks(surf))
+        rows = np.outer(gaussian(gx.points, 1.0, 0.3), gaussian(gy.points, 1.1, 0.4))
+        kern = StochasticKernel.from_rows(gx, gy, rows)
+        chunks = list(_csv_chunks(kern))
         assert len(chunks) == 1 + 2  # header, then 8192 // 301 = 27 rows a chunk
         assert b"".join(chunks) == csv_by_value(
-            "x\\y," + ",".join("%.17g" % v for v in gy.points), (gx.points, *surf.values.T)
+            "x\\y," + ",".join("%.17g" % v for v in gy.points), (gx.points, *kern.rows.T)
         )
 
     def test_bad_input_fails_before_the_first_chunk(self):
