@@ -13,9 +13,13 @@ matter.
 Sample sums are accumulated in sorted order, by x and then y, in blocks of
 a fixed size, so results are bitwise reproducible, independent of caller
 threading and of the order of the samples: an estimate is a function of the
-multiset of samples (or pairs). The 2-D accumulation uses ``np.einsum``
-with its default non-optimized (fixed-order, BLAS-free) contraction for the
-same reason.
+multiset of samples (or pairs). In the 2-D accumulation each grid entry of
+a block is one BLAS dot product (``np.vecdot``, ddot) over the block's
+samples, a function of its two weight rows alone. OpenBLAS runs a dot
+product of this length on one thread, so the bits do not depend on the BLAS
+thread count either. A matrix product (``@``, ``np.dot``, ``np.matmul``)
+is not used: gemm blocks its sums by thread count. Another CPU family or
+BLAS build may sum a dot product in another order, changing the last bits.
 
 Two rules keep the weight loops off numpy's slow floating-point paths:
 
@@ -65,6 +69,7 @@ from .errors import (
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 2048  # samples per accumulation block; fixed so sums are reproducible
+_CHUNK = 32  # y rows per joint contraction step: 32 x 2048 weights stay in L2
 MIN_GRID_POINTS = 16  # fewest points a Grid may have
 _EXP_UNDERFLOW = -746.0  # exp of any smaller argument rounds to 0.0
 _JOINT_FLOOR = -354.0  # joint weights with a smaller argument are dropped
@@ -370,10 +375,13 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
             np.subtract(grid_y.points[ry, None], ys[None, :], out=ky)
             ky /= h_y
             _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
-            # default einsum: fixed-order C contraction, no BLAS. Skipping rows
-            # without weight leaves each kept entry the same dot product.
+            # Each entry is one ddot over the block's samples: a function of
+            # its two weight rows alone, whatever the rows skipped or the
+            # chunking. No gemm, which may block by BLAS thread count.
             ax, ay = _reached(kx), _reached(ky)
-            sxy[rx, ry][ax, ay] += np.einsum("xi,yi->xy", kx[ax], ky[ay])
+            kxa, kya, out = kx[ax, None, :], ky[ay], sxy[rx, ry][ax, ay]
+            for c in range(0, kya.shape[0], _CHUNK):
+                out[:, c:c + _CHUNK] += np.vecdot(kxa, kya[None, c:c + _CHUNK])
     fx = sx * scale_x
     if y is None:
         return fx, None

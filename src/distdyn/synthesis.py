@@ -84,11 +84,6 @@ class ProcessSpec:
             raise InvalidSpec("seed must fit in an unsigned 64-bit integer")
 
 
-def _unit_rng(seed: int, unit: int) -> np.random.Generator:
-    key = np.array([seed, unit], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def stationary_log_sd(spec: ProcessSpec) -> float:
     """Standard deviation of log income under the stationary law."""
     if spec.kind == "two_club":
@@ -152,8 +147,14 @@ def simulate(spec: ProcessSpec) -> Panel:
         init_sd = stationary_log_sd(spec)
 
     z = np.empty((spec.units, spec.years))  # each unit's normals, then its log income
+    # one Philox re-keyed to (seed, u) per unit: the fresh stream, without
+    # building a generator per unit
+    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bits), bits.state
     for u in range(spec.units):
-        _unit_rng(spec.seed, u).standard_normal(out=z[u])
+        fresh["state"]["key"][1] = u
+        bits.state = fresh
+        rng.standard_normal(out=z[u])
     with np.errstate(over="ignore", invalid="ignore"):  # such incomes are refused below
         z[:, 0] = mu + init_sd * z[:, 0]  # a stationary start, then one year at a time
         for t in range(1, spec.years):

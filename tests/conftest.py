@@ -17,7 +17,6 @@ from distdyn.panel import _HEADER, REGIONS, SECTORS, Panel
 from distdyn.synthesis import (
     START_YEAR,
     ProcessSpec,
-    _unit_rng,
     club_assignments,
     club_log_sd,
     stationary_log_sd,
@@ -238,7 +237,7 @@ def simulate_unit_loop(spec: ProcessSpec) -> Panel:
     ids = np.empty(spec.units * spec.years, dtype=object)
     for u in range(spec.units):
         mean = float(means[clubs[u]])
-        rng = _unit_rng(spec.seed, u)
+        rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, u], dtype=np.uint64)))
         z = np.empty(spec.years)
         z[0] = mean + init_sd * rng.standard_normal()
         if spec.years > 1:

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -531,6 +532,27 @@ def test_console_entry_point_runs():
     assert "analyze" in proc.stdout
     assert "simulate" in proc.stdout
     assert "compare-years" in proc.stdout
+
+
+def test_manifest_same_at_any_blas_thread_count(tmp_path, demo_config_path, demo_panel_path):
+    """The demo analysis writes the same bytes with 1 and 2 OpenBLAS threads.
+
+    The joint KDE contracts through BLAS ddot; a gemm would block its sums
+    by thread count. OpenBLAS uses at most as many threads as there are
+    cores, so on one core both runs are the same configuration.
+    """
+    manifests = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas-{blas_threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "distdyn", "analyze", "--config", str(demo_config_path),
+             "--input", str(demo_panel_path), "--out-dir", str(out), "--threads", "1"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": blas_threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_help_lists_documented_flags():

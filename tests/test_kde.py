@@ -342,10 +342,22 @@ def plain_density_1d_raw(x, h, grid, block):
     return out * (_INV_SQRT_2PI / (x.size * h))
 
 
-def plain_density_2d_raw(x, y, bw, gx, gy, block, floor=False):
+def vecdot_rows(kx, ky):
+    """Every (x row, y row) dot product of one block's weights, each one
+    BLAS ddot over the block, as the estimator contracts them."""
+    return np.vecdot(kx[:, None, :], ky[None, :, :])
+
+
+def einsum_rows(kx, ky):
+    """The same products by the fixed-order einsum the estimator used to
+    contract with; it sums each entry's terms in another order."""
+    return np.einsum("xi,yi->xy", kx, ky)
+
+
+def plain_density_2d_raw(x, y, bw, gx, gy, block, floor=False, contract=vecdot_rows):
     """The 2-D loop before the joint floor: every product enters the sum,
-    ``block`` pairs at a time in the given order. With ``floor``, weights
-    whose argument is below the floor are zeroed."""
+    ``block`` pairs at a time in the given order, over every grid row. With
+    ``floor``, weights whose argument is below the floor are zeroed."""
 
     def weights(z):
         arg = -0.5 * z * z
@@ -355,7 +367,7 @@ def plain_density_2d_raw(x, y, bw, gx, gy, block, floor=False):
     for start in range(0, x.size, block):
         zx = (gx.points[:, None] - x[None, start:start + block]) / bw.h_x
         zy = (gy.points[:, None] - y[None, start:start + block]) / bw.h_y
-        out += np.einsum("xi,yi->xy", weights(zx), weights(zy))
+        out += contract(weights(zx), weights(zy))
     return out * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * bw.h_x * bw.h_y))
 
 
@@ -430,6 +442,23 @@ class TestWeightLoops:
             assert np.max(np.abs(new - old)) <= bound, label
             changed += int(not np.array_equal(new, old))
         assert changed  # the floor drops some weight in at least one group
+
+    def test_joint_within_rounding_of_einsum_loop(self, demo_panel_path):
+        # Each entry sums nonnegative terms, so any summation order lands
+        # within about n*2^-53 of the exact sum, relative to it: the ddot and
+        # einsum loops are within twice that of each other, plus the floor.
+        panel = prepare_panel(load_panel(demo_panel_path))
+        grid = default_grid(panel, count=128)
+        for label, gpanel in expand_groups(panel, "pooled,per-sector"):
+            pairs = build_transition_pairs(gpanel, tau=1)
+            x, y = np.asarray(pairs.x), np.asarray(pairs.y)
+            bw = silverman_2d(x, y)
+            new = density_2d_raw(pairs, bw, grid, grid)
+            old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
+                                       contract=einsum_rows)
+            floor = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
+            bound = floor + 2 * (x.size + 1) * 2.0**-53 * old
+            assert np.all(np.abs(new - old) <= bound), label
 
     def test_joint_is_bitwise_plain_loop_above_the_floor(self):
         # every |z| stays below sqrt(708) = 26.6, so no weight is dropped
