@@ -344,7 +344,10 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
         what = f"KDE at bandwidth {h_x}" if y is None else f"joint KDE at bandwidths ({h_x}, {h_y})"
         raise InsufficientData(f"{what} puts no mass on the grid: its scale, 1 over n = {x.size} "
                                "times the bandwidths, is out of floating-point range")
-    order = np.argsort(x, kind="stable") if y is None else np.lexsort((y, x))
+    # Samples with tied x have equal x weights, so only y can tell their orders apart.
+    order = np.argsort(x)
+    if y is not None and np.any(x[order[1:]] == x[order[:-1]]):
+        order = np.lexsort((y, x))
     sx = np.zeros(grid_x.count)
     sxy = None if y is None else np.zeros((grid_x.count, grid_y.count))
     width = min(_BLOCK, x.size)

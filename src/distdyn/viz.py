@@ -9,7 +9,9 @@ SVG 1.1 text with no external references, and identical inputs produce
 byte-identical documents, so figures can be golden-tested.
 
 Coordinates are formatted with two decimals; that is far below visual
-resolution and keeps files small and diffs stable.
+resolution and keeps files small and diffs stable. Each contour level and
+each mesh is computed over whole arrays, in a per-cell loop's operation
+order, and written by one ``%``: the bytes are that loop's.
 """
 
 from __future__ import annotations
@@ -35,13 +37,16 @@ _DASHES = (None, "8 5", "2 3", "9 3 2 3", "14 4", "5 2 1 2")
 # corner at or above the level; _SEGMENTS[case] lists the crossed edges each
 # segment joins. _EDGES gives an edge's two corners as (di, dj) offsets.
 _B, _R, _T, _L = range(4)
-_EDGES = ((0, 0, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1))
+_EDGES = np.array(((0, 0, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1)))
 _SEGMENTS = (
     (), ((_L, _B),), ((_B, _R),), ((_L, _R),),
     ((_R, _T),), ((_L, _T), (_B, _R)), ((_B, _T),), ((_L, _T),),
     ((_L, _T),), ((_B, _T),), ((_L, _B), (_R, _T)), ((_R, _T),),
     ((_L, _R),), ((_B, _R),), ((_L, _B),), (),
 )
+# _SEGMENTS as an array: _CASE_EDGES[case, k] holds the two edges of the
+# case's k-th segment, or -1s past its last.
+_CASE_EDGES = np.array([list(s) + [(-1, -1)] * (2 - len(s)) for s in _SEGMENTS])
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ def _ramp_colors(t) -> list[str]:
     lo, hi = (np.array(c) for c in PlotStyle.ramp)
     t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
     rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
-    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+    packed = np.sum(rgb << [16, 8, 0], axis=1)  # 0xRRGGBB, each channel in 0..255
+    return ("#%06x " * len(packed) % tuple(packed.tolist())).split()
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -224,7 +230,12 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), y_label: str = "") -> 
 
 
 def _surface_arrays(obj):
-    """Accept a StochasticKernel or an (x, y, values) triple."""
+    """Accept a StochasticKernel or an (x, y, values) triple.
+
+    A triple needs finite, strictly increasing axes of at least 2 points,
+    and finite values shaped (len(x), len(y)); anything else is a
+    ValueError.
+    """
     if isinstance(obj, StochasticKernel):
         return obj.grid_x.points, obj.grid_y.points, obj.rows
     x, y, v = obj
@@ -235,17 +246,12 @@ def _surface_arrays(obj):
         raise ValueError("surface axes need at least 2 points each")
     if v.shape != (x.size, y.size):
         raise ValueError("surface values must be shaped (len(x), len(y))")
+    for axis in (x, y):
+        if not (np.all(np.isfinite(axis)) and np.all(axis[1:] > axis[:-1])):
+            raise ValueError("surface axes must be finite and strictly increasing")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("surface values must be finite")
     return x, y, v
-
-
-def _crossing(x, y, v, level: float, i: int, j: int, edge: int):
-    """Where ``level`` crosses ``edge`` of cell (i, j), by linear interpolation."""
-    ai, aj, bi, bj = _EDGES[edge]
-    a, b = v[i + ai, j + aj], v[i + bi, j + bj]
-    t = (level - a) / (b - a)
-    if ai == bi:
-        return x[i + ai], y[j] + t * (y[j + 1] - y[j])
-    return x[i] + t * (x[i + 1] - x[i]), y[j + aj]
 
 
 def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
@@ -254,9 +260,11 @@ def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
     Level curves are traced by marching squares over the cells a level
     crosses: a cell's 4-bit corner case indexes the ``_SEGMENTS`` table, and
     a saddle (case 5 or 10) whose cell-centre average is below the level is
-    drawn as the opposite saddle. The y = x diagonal is drawn dashed
-    wherever the two axis ranges overlap, making deviation from pure
-    persistence visible at a glance.
+    drawn as the opposite saddle. A level is traced over all its crossing
+    cells at once (row-major, then table order) and its path written by
+    one ``%``, with the bytes of a cell-by-cell loop. The y = x diagonal is
+    drawn dashed wherever the two axis ranges overlap, making deviation
+    from pure persistence visible at a glance.
     """
     x, y, v = _surface_arrays(obj)
     vmax = float(np.max(v))
@@ -281,19 +289,28 @@ def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
     for level, color in zip(levels, colors):
         up = (v >= level).astype(np.uint8)
         case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
-        # A saddle whose centre is not at or above the level (NaN included) flips.
+        # A saddle whose centre is not at or above the level flips.
         case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
-        segs: list[str] = []
-        for i, j in zip(*np.nonzero((case != 0) & (case != 15))):
-            for edges in _SEGMENTS[case[i, j]]:
-                (x1, y1), (x2, y2) = (_crossing(x, y, v, level, i, j, e) for e in edges)
-                segs.append("M%s %s L%s %s"
-                            % (_px(sx(x1)), _px(sy(y1)), _px(sx(x2)), _px(sy(y2))))
-        if segs:
-            out.append(
-                '<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
-                % (color, " ".join(segs))
-            )
+        ci, cj = np.nonzero((case != 0) & (case != 15))
+        if ci.size == 0:
+            continue
+        # One row per segment: the crossing cells row-major, then table order.
+        edges = _CASE_EDGES[case[ci, cj]]
+        drawn = edges[:, :, 0] >= 0
+        per_cell = np.count_nonzero(drawn, axis=1)
+        i, j = np.repeat(ci, per_cell)[:, None], np.repeat(cj, per_cell)[:, None]
+        ai, aj, bi, bj = np.moveaxis(_EDGES[edges[drawn]], -1, 0)
+        # Each end where the level crosses its edge, by linear interpolation.
+        a, b = v[i + ai, j + aj], v[i + bi, j + bj]
+        t = (level - a) / (b - a)
+        along_y = ai == bi
+        ex = np.where(along_y, x[i + ai], x[i] + t * (x[i + 1] - x[i]))
+        ey = np.where(along_y, y[j] + t * (y[j + 1] - y[j]), y[j + aj])
+        ends = np.stack((sx(ex), sy(ey)), axis=-1).ravel().tolist()
+        out.append(
+            '<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
+            % (color, " ".join(["M%.2f %.2f L%.2f %.2f"] * len(i)) % tuple(ends))
+        )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -307,9 +324,11 @@ def _mesh_indices(n: int, limit: int) -> np.ndarray:
 def render_surface(obj, style: PlotStyle = PlotStyle()) -> str:
     """Isometric 3-D mesh of a kernel, or of an (x, y, values) triple.
 
-    Each mesh vertex is projected and formatted once. Cells are painted
-    back to front (painter's algorithm: far diagonals i + j first, each in
-    ascending i), filled by the style ramp according to their mean height.
+    Each mesh vertex is projected once; one ``%`` formats the vertices and
+    one writes the cell polygons, with the bytes of a cell-by-cell loop.
+    Cells are painted back to front (painter's algorithm: far diagonals
+    i + j first, each in ascending i), filled by the style ramp according
+    to their mean height.
     Dense grids are thinned to ``style.mesh_limit`` cells per axis; a 2x2
     input renders as a single cell.
     """
@@ -339,11 +358,12 @@ def render_surface(obj, style: PlotStyle = PlotStyle()) -> str:
         return (x_center + u * scale, m + top_pad + (1.0 + zh - elev) * scale)
 
     px, py = project(xn[:, None], yn[None, :], zn)
-    vertex = [["%s,%s" % (_px(a), _px(b)) for a, b in zip(rx, ry)]
-              for rx, ry in zip(px.tolist(), py.tolist())]
+    vertex = np.array(("%.2f,%.2f " * px.size % tuple(np.stack((px, py), -1).ravel().tolist()))
+                      .split(), dtype=object)
     mean_z = 0.25 * (zn[:-1, :-1] + zn[1:, :-1] + zn[1:, 1:] + zn[:-1, 1:])
-    colors = _ramp_colors(mean_z.ravel())
     ci, cj = np.indices(mean_z.shape).reshape(2, -1)
+    order = np.lexsort((ci, -(ci + cj)))
+    k = ci[order] * yi.size + cj[order]  # each cell's (i, j) vertex, in painter's order
 
     out = _svg_open(style)
     base = [project(0, 0, 0), project(1, 0, 0), project(1, 1, 0), project(0, 1, 0)]
@@ -351,13 +371,12 @@ def render_surface(obj, style: PlotStyle = PlotStyle()) -> str:
         '<polygon class="base" points="%s" fill="#f4f4f4" stroke="#bbbbbb"/>'
         % " ".join("%s,%s" % (_px(X), _px(Y)) for X, Y in base)
     )
-    for c in np.lexsort((ci, -(ci + cj))):
-        i, j = ci[c], cj[c]
-        out.append(
-            '<polygon class="cell" points="%s %s %s %s" fill="%s" stroke="#333333" '
-            'stroke-width="0.25"/>'
-            % (vertex[i][j], vertex[i + 1][j], vertex[i + 1][j + 1], vertex[i][j + 1], colors[c])
-        )
+    cells = np.stack((vertex[k], vertex[k + yi.size], vertex[k + yi.size + 1], vertex[k + 1],
+                      np.array(_ramp_colors(mean_z.ravel()[order]), dtype=object)), axis=-1)
+    out.append(
+        "\n".join(['<polygon class="cell" points="%s %s %s %s" fill="%s" stroke="#333333" '
+                   'stroke-width="0.25"/>'] * len(order)) % tuple(cells.ravel().tolist())
+    )
     fs = style.font_size
     xL = project(0.55, -0.08, 0)
     yL = project(-0.08, 0.55, 0)

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distdyn import Grid, _quad
+from distdyn import Grid, _quad, viz
 from distdyn.dynamics import NTPCurve
 from distdyn.kde import DensityCurve, StochasticKernel
-from distdyn.errors import DuplicateKey, MalformedRow, NonPositiveIncome
+from distdyn.errors import DegenerateSurface, DuplicateKey, MalformedRow, NonPositiveIncome
 from distdyn.panel import _HEADER, REGIONS, SECTORS, Panel
 from distdyn.synthesis import (
     START_YEAR,
@@ -256,3 +256,131 @@ def simulate_unit_loop(spec: ProcessSpec) -> Panel:
         cpi=None,
         is_relative=False,
     )
+
+
+def ramp_colors_each(t) -> list[str]:
+    """Ramp colours at the heights ``t``, one ``%`` per colour.
+
+    The list form of ``viz._ramp_colors``, kept as its oracle.
+    """
+    lo, hi = (np.array(c) for c in viz.PlotStyle.ramp)
+    t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
+    rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+
+
+def _crossing(x, y, v, level, i, j, edge):
+    """Where ``level`` crosses ``edge`` of cell (i, j), by linear interpolation."""
+    ai, aj, bi, bj = viz._EDGES[edge]
+    a, b = v[i + ai, j + aj], v[i + bi, j + bj]
+    t = (level - a) / (b - a)
+    if ai == bi:
+        return x[i + ai], y[j] + t * (y[j + 1] - y[j])
+    return x[i] + t * (x[i + 1] - x[i]), y[j + aj]
+
+
+def render_contour_cells(obj) -> str:
+    """A contour map traced one cell and one crossing at a time.
+
+    The per-cell loop ``viz.render_contour`` ran before it traced each
+    level over whole arrays, kept as its oracle: the crossing cells
+    row-major, each cell's segments in ``_SEGMENTS`` order, each end point
+    interpolated in Python scalars.
+    """
+    style, px = viz.PlotStyle, viz._px
+    x, y, v = viz._surface_arrays(obj)
+    vmax = float(np.max(v))
+    vmin = float(np.min(v))
+    if vmax == vmin:
+        raise DegenerateSurface("surface is constant; contours are undefined")
+    levels = [(0.05 + 0.90 * i / (style.levels - 1)) * vmax for i in range(style.levels)]
+
+    xlo, xhi = float(x[0]), float(x[-1])
+    ylo, yhi = float(y[0]), float(y[-1])
+    sx, sy = viz._scales(style, xlo, xhi, ylo, yhi)
+    out = viz._svg_open(style)
+    out += viz._axes(style, xlo, xhi, ylo, yhi, viz._KERNEL_X_LABEL, viz._KERNEL_Y_LABEL)
+
+    dlo, dhi = max(xlo, ylo), min(xhi, yhi)
+    if dlo < dhi:
+        out.append(viz._line(sx(dlo), sy(dlo), sx(dhi), sy(dhi),
+                             'stroke="#666666" stroke-dasharray="6 4"', "diagonal"))
+
+    centre = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
+    colors = ramp_colors_each(0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
+    for level, color in zip(levels, colors):
+        up = (v >= level).astype(np.uint8)
+        case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
+        case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
+        segs = []
+        for i, j in zip(*np.nonzero((case != 0) & (case != 15))):
+            for edges in viz._SEGMENTS[case[i, j]]:
+                (x1, y1), (x2, y2) = (_crossing(x, y, v, level, i, j, e) for e in edges)
+                segs.append("M%s %s L%s %s" % (px(sx(x1)), px(sy(y1)), px(sx(x2)), px(sy(y2))))
+        if segs:
+            out.append(
+                '<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
+                % (color, " ".join(segs))
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def render_surface_cells(obj) -> str:
+    """An isometric mesh written one vertex and one cell polygon at a time.
+
+    The per-cell loop ``viz.render_surface`` ran before it formatted whole
+    arrays, kept as its oracle.
+    """
+    style, px = viz.PlotStyle, viz._px
+    x, y, v = viz._surface_arrays(obj)
+    vmax = float(np.max(v))
+    vmin = float(np.min(v))
+    if vmax == vmin:
+        raise DegenerateSurface("surface is constant; a mesh says nothing")
+    xi = viz._mesh_indices(x.size, style.mesh_limit)
+    yi = viz._mesh_indices(y.size, style.mesh_limit)
+    xn = (x[xi] - x[0]) / (x[-1] - x[0])
+    yn = (y[yi] - y[0]) / (y[-1] - y[0])
+    zn = (v[np.ix_(xi, yi)] - vmin) / (vmax - vmin)
+
+    c30, s30, zh = math.cos(math.pi / 6), 0.5, 0.55
+    m = style.margin
+    area_w = style.width - 2 * m
+    area_h = style.height - 2 * m
+    scale = min(area_w / (2 * c30), area_h / (1.0 + zh))
+    x_center = style.width / 2.0
+    top_pad = (area_h - (1.0 + zh) * scale) / 2.0
+
+    def project(xv, yv, zv):
+        u = (xv - yv) * c30
+        elev = (xv + yv) * s30 + zv * zh
+        return (x_center + u * scale, m + top_pad + (1.0 + zh - elev) * scale)
+
+    pxs, pys = project(xn[:, None], yn[None, :], zn)
+    vertex = [["%s,%s" % (px(a), px(b)) for a, b in zip(rx, ry)]
+              for rx, ry in zip(pxs.tolist(), pys.tolist())]
+    mean_z = 0.25 * (zn[:-1, :-1] + zn[1:, :-1] + zn[1:, 1:] + zn[:-1, 1:])
+    colors = ramp_colors_each(mean_z.ravel())
+    ci, cj = np.indices(mean_z.shape).reshape(2, -1)
+
+    out = viz._svg_open(style)
+    base = [project(0, 0, 0), project(1, 0, 0), project(1, 1, 0), project(0, 1, 0)]
+    out.append(
+        '<polygon class="base" points="%s" fill="#f4f4f4" stroke="#bbbbbb"/>'
+        % " ".join("%s,%s" % (px(X), px(Y)) for X, Y in base)
+    )
+    for c in np.lexsort((ci, -(ci + cj))):
+        i, j = ci[c], cj[c]
+        out.append(
+            '<polygon class="cell" points="%s %s %s %s" fill="%s" stroke="#333333" '
+            'stroke-width="0.25"/>'
+            % (vertex[i][j], vertex[i + 1][j], vertex[i + 1][j + 1], vertex[i][j + 1], colors[c])
+        )
+    fs = style.font_size
+    xL = project(0.55, -0.08, 0)
+    yL = project(-0.08, 0.55, 0)
+    out.append(viz._text(xL[0], xL[1] + fs, viz._KERNEL_X_LABEL))
+    out.append(viz._text(yL[0], yL[1] + fs, viz._KERNEL_Y_LABEL))
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -512,6 +512,15 @@ class TestSortedBlocks:
         assert x.min() < grid.lower and x.max() > grid.upper
         self.assert_plain(x, y, Bandwidths(2 * grid.spacing, 2 * grid.spacing), grid)
 
+    def test_many_tied_x_values(self):
+        # x rounded to 2 decimals: about 200 distinct values over 3 blocks, so
+        # runs of equal x straddle block edges and y alone orders each run
+        x, y = ar1_sample(3 * _BLOCK + 7)
+        x = np.round(x, 2)
+        assert np.unique(x).size < x.size // 20
+        grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 48)
+        self.assert_plain(x, y, silverman_2d(x, y), grid)
+
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_block_edges(self, n):
         x, y = ar1_sample(n, seed=n)

@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distdyn import Grid
 from distdyn.dynamics import NTPCurve
@@ -23,7 +25,7 @@ from distdyn.viz import (
     render_surface,
 )
 
-from conftest import gaussian
+from conftest import gaussian, render_contour_cells, render_surface_cells
 
 
 def density(grid, mu=1.0, sd=0.3):
@@ -269,6 +271,73 @@ class TestRenderSurface:
         g = Grid.uniform(0.0, 2.0, 24)
         with pytest.raises(DegenerateSurface):
             render_surface((g.points, g.points, np.full((24, 24), 2.0)))
+
+
+BAD_TRIPLES = {
+    "nan-value": ([0.0, 1.0, 2.0], [0.0, 1.0], [[0.0, 1.0], [np.nan, 1.0], [2.0, 0.5]]),
+    "inf-value": ([0.0, 1.0, 2.0], [0.0, 1.0], [[0.0, 1.0], [np.inf, 1.0], [2.0, 0.5]]),
+    "nan-x": ([0.0, np.nan, 2.0], [0.0, 1.0], [[0.0, 1.0], [0.3, 1.0], [2.0, 0.5]]),
+    "inf-y": ([0.0, 1.0, 2.0], [0.0, np.inf], [[0.0, 1.0], [0.3, 1.0], [2.0, 0.5]]),
+    "descending-x": ([2.0, 1.0, 0.0], [0.0, 1.0], [[0.0, 1.0], [0.3, 1.0], [2.0, 0.5]]),
+    "repeated-y": ([0.0, 1.0, 2.0], [1.0, 1.0], [[0.0, 1.0], [0.3, 1.0], [2.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("render", [render_contour, render_surface])
+@pytest.mark.parametrize("triple", BAD_TRIPLES.values(), ids=BAD_TRIPLES.keys())
+def test_bad_triple_rejected(render, triple):
+    with pytest.raises(ValueError, match="finite"):
+        render(triple)
+
+
+def outcome(render, triple):
+    """The figure's text, or the name and message of what it raised."""
+    try:
+        return render(triple)
+    except DegenerateSurface as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(
+    nx=st.integers(2, 90),
+    ny=st.integers(2, 90),
+    values=st.sampled_from(["noise", "bumps", "integers"]),
+    at_levels=st.booleans(),
+    shift=st.sampled_from([0.0, -0.4]),
+    offset=st.sampled_from([0.0, 1e13]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=65, ny=66, values="noise", at_levels=True, shift=0.0, offset=1e13, seed=1)
+@example(nx=129, ny=3, values="integers", at_levels=False, shift=0.0, offset=0.0, seed=2)
+@example(nx=2, ny=129, values="bumps", at_levels=True, shift=-0.4, offset=0.0, seed=3)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_renderers_match_cell_loops(nx, ny, values, at_levels, shift, offset, seed):
+    # The whole-array renderers write the bytes of the per-cell loops: noise
+    # has saddle cells at every level, integers 0..4 put corners and saddle
+    # centres exactly on level 4 (half of vmax), and at_levels sets a fifth
+    # of the values exactly to a level. 65 points a side is the largest
+    # unthinned mesh; 66 and 129 are thinned to 64 cells. Axes offset by
+    # 1e13 keep a spacing of 25 to 500 ulps, so an end point summed in
+    # another order moves by a hundredth of a pixel and shows in the text.
+    rng = np.random.default_rng(seed)
+    x = offset + rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.05, 1.0, nx))
+    y = offset + np.linspace(rng.uniform(0.0, 1.0), rng.uniform(1.5, 4.0), ny)
+    if values == "noise":
+        v = rng.random((nx, ny))
+    elif values == "bumps":
+        u, w = np.linspace(0.0, 1.0, nx)[:, None], np.linspace(0.0, 1.0, ny)[None, :]
+        v = sum(rng.uniform(0.2, 1.0) * np.exp(-((u - rng.random()) ** 2 + (w - rng.random()) ** 2)
+                                               / rng.uniform(0.01, 0.1)) for _ in range(3))
+    else:
+        v = rng.integers(0, 5, (nx, ny)).astype(float)
+    vmax = float(np.max(v))
+    if at_levels:
+        levels = [(0.05 + 0.90 * i / (PlotStyle.levels - 1)) * vmax for i in range(PlotStyle.levels)]
+        on = (rng.random(v.shape) < 0.2) & (v < vmax)
+        v[on] = np.array(levels)[rng.integers(0, len(levels), int(on.sum()))]
+    triple = (x, y, v + shift)
+    assert outcome(render_contour, triple) == outcome(render_contour_cells, triple)
+    assert outcome(render_surface, triple) == outcome(render_surface_cells, triple)
 
 
 class TestPlotStyle:
