@@ -170,9 +170,6 @@ class DensityCurve:
             raise ValueError("cannot normalize a curve with nonpositive mass")
         return cls(grid=grid, values=_frozen(v / mass))
 
-    def integral(self) -> float:
-        return _quad.integrate(self.grid, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class DensitySurface:
@@ -199,9 +196,6 @@ class DensitySurface:
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("cannot normalize a surface with nonpositive mass")
         return cls(grid_x=grid_x, grid_y=grid_y, values=_frozen(v / mass))
-
-    def integral(self) -> float:
-        return _quad.integrate_2d(self.grid_x, self.grid_y, self.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,30 +52,20 @@ def _prominence(values: np.ndarray, peak: int) -> float:
     return float(v[peak] - max(left_min, right_min))
 
 
-def find_modes(density, min_prominence: float = 0.05) -> list[Mode]:
-    """Strict local maxima of the grid values, prominence-filtered.
+def find_modes(density: DensityCurve, min_prominence: float = 0.05) -> list[Mode]:
+    """Strict local maxima of a density curve's grid values, prominence-filtered.
 
-    ``density`` is a DensityCurve or a (points, values) pair. Maxima whose
-    prominence falls below ``min_prominence`` times the global maximum are
-    suppressed. Locations (and heights) are refined by a parabola through
-    the peak and its two neighbors, which keeps reported positions stable
-    under grid refinement. A flat curve has no strict maxima, hence no
-    modes.
+    Maxima whose prominence falls below ``min_prominence`` times the global
+    maximum are suppressed. Locations (and heights) are refined by a
+    parabola through the peak and its two neighbors, which keeps reported
+    positions stable under grid refinement. A flat curve has no strict
+    maxima, hence no modes.
     """
     if min_prominence < 0:
         raise ValueError(f"min_prominence must be nonnegative, got {min_prominence}")
-    if isinstance(density, DensityCurve):
-        pts, v = density.grid.points, density.values
-    else:
-        pts, v = density
-        pts = np.asarray(pts, dtype=float)
-        v = np.asarray(v, dtype=float)
+    pts, v = density.grid.points, density.values
     n = v.size
-    if n < 3:
-        return []
     vmax = float(np.max(v))
-    if not vmax > 0:
-        return []
     out: list[Mode] = []
     for i in range(1, n - 1):
         if not (v[i - 1] < v[i] and v[i] > v[i + 1]):

@@ -1,8 +1,8 @@
 """Deterministic SVG figures and CSV exports of plotted arrays.
 
-Three figure forms: overlaid curves (densities, NTP), contour map of a
-stochastic kernel with the 45-degree diagonal for reference, and an
-isometric 3-D mesh of the same kernel. Every figure is drawn in one fixed
+Three figure forms: overlaid curves (densities, NTP), and, of a
+StochasticKernel only, a contour map with the 45-degree diagonal for
+reference and an isometric 3-D mesh. Every figure is drawn in one fixed
 style, :class:`PlotStyle`: a 640x480 canvas, a blue ramp, nine contour
 levels and at most 64 mesh cells a side. Everything is emitted as plain
 SVG 1.1 text with no external references, and identical inputs produce
@@ -229,33 +229,8 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), y_label: str = "") -> 
     return "\n".join(out) + "\n"
 
 
-def _surface_arrays(obj):
-    """Accept a StochasticKernel or an (x, y, values) triple.
-
-    A triple needs finite, strictly increasing axes of at least 2 points,
-    and finite values shaped (len(x), len(y)); anything else is a
-    ValueError.
-    """
-    if isinstance(obj, StochasticKernel):
-        return obj.grid_x.points, obj.grid_y.points, obj.rows
-    x, y, v = obj
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size < 2 or y.size < 2:
-        raise ValueError("surface axes need at least 2 points each")
-    if v.shape != (x.size, y.size):
-        raise ValueError("surface values must be shaped (len(x), len(y))")
-    for axis in (x, y):
-        if not (np.all(np.isfinite(axis)) and np.all(axis[1:] > axis[:-1])):
-            raise ValueError("surface axes must be finite and strictly increasing")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("surface values must be finite")
-    return x, y, v
-
-
-def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
-    """Contour map of a kernel, or an (x, y, values) triple, diagonal included.
+def render_contour(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> str:
+    """Contour map of a stochastic kernel, its 45-degree diagonal included.
 
     Level curves are traced by marching squares over the cells a level
     crosses: a cell's 4-bit corner case indexes the ``_SEGMENTS`` table, and
@@ -266,7 +241,11 @@ def render_contour(obj, style: PlotStyle = PlotStyle()) -> str:
     drawn dashed wherever the two axis ranges overlap, making deviation
     from pure persistence visible at a glance.
     """
-    x, y, v = _surface_arrays(obj)
+    return _contour(kernel.grid_x.points, kernel.grid_y.points, kernel.rows, style)
+
+
+def _contour(x, y, v, style: PlotStyle) -> str:
+    """The contour map of values ``v[i, j]`` at increasing axis points ``x[i]``, ``y[j]``."""
     vmax = float(np.max(v))
     vmin = float(np.min(v))
     if vmax == vmin:
@@ -321,18 +300,22 @@ def _mesh_indices(n: int, limit: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n - 1, limit + 1)).astype(int))
 
 
-def render_surface(obj, style: PlotStyle = PlotStyle()) -> str:
-    """Isometric 3-D mesh of a kernel, or of an (x, y, values) triple.
+def render_surface(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> str:
+    """Isometric 3-D mesh of a stochastic kernel.
 
     Each mesh vertex is projected once; one ``%`` formats the vertices and
     one writes the cell polygons, with the bytes of a cell-by-cell loop.
     Cells are painted back to front (painter's algorithm: far diagonals
     i + j first, each in ascending i), filled by the style ramp according
     to their mean height.
-    Dense grids are thinned to ``style.mesh_limit`` cells per axis; a 2x2
-    input renders as a single cell.
+    Dense grids are thinned to ``style.mesh_limit`` cells per axis.
     """
-    x, y, v = _surface_arrays(obj)
+    return _surface(kernel.grid_x.points, kernel.grid_y.points, kernel.rows, style)
+
+
+def _surface(x, y, v, style: PlotStyle) -> str:
+    """The mesh of values ``v[i, j]`` at increasing axis points ``x[i]``, ``y[j]``;
+    a 2x2 input is a single cell."""
     vmax = float(np.max(v))
     vmin = float(np.min(v))
     if vmax == vmin:
@@ -406,9 +389,8 @@ def _csv_chunks(obj) -> Iterator[bytes]:
         header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
         table = np.column_stack((obj.grid.points, obj.values))
     elif isinstance(obj, StochasticKernel):
-        x, y, v = _surface_arrays(obj)
-        header = "x\\y," + ",".join(_g(yv) for yv in y)
-        table = np.column_stack((x, v))
+        header = "x\\y," + ",".join(_g(yv) for yv in obj.grid_y.points)
+        table = np.column_stack((obj.grid_x.points, obj.rows))
     elif hasattr(obj, "x") and hasattr(obj, "y"):  # TransitionPairs
         header = "x,y"
         table = np.column_stack((obj.x, obj.y))

@@ -279,7 +279,7 @@ def _crossing(x, y, v, level, i, j, edge):
     return x[i] + t * (x[i + 1] - x[i]), y[j + aj]
 
 
-def render_contour_cells(obj) -> str:
+def render_contour_cells(x, y, v) -> str:
     """A contour map traced one cell and one crossing at a time.
 
     The per-cell loop ``viz.render_contour`` ran before it traced each
@@ -288,7 +288,6 @@ def render_contour_cells(obj) -> str:
     interpolated in Python scalars.
     """
     style, px = viz.PlotStyle, viz._px
-    x, y, v = viz._surface_arrays(obj)
     vmax = float(np.max(v))
     vmin = float(np.min(v))
     if vmax == vmin:
@@ -326,14 +325,13 @@ def render_contour_cells(obj) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_surface_cells(obj) -> str:
+def render_surface_cells(x, y, v) -> str:
     """An isometric mesh written one vertex and one cell polygon at a time.
 
     The per-cell loop ``viz.render_surface`` ran before it formatted whole
     arrays, kept as its oracle.
     """
     style, px = viz.PlotStyle, viz._px
-    x, y, v = viz._surface_arrays(obj)
     vmax = float(np.max(v))
     vmin = float(np.min(v))
     if vmax == vmin:

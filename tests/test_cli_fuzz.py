@@ -119,7 +119,7 @@ def run(command: str, flags: dict, inputs: dict, config: dict | None = None):
        config=st.none() | drawn_settings("analyze", always=()))
 @example(flags={"input": "sim", "grid-count": 16, "threads": 1, "max-iter": 50,
                 "grid-upper-factor": 1e300}, config=None)  # the KDE's mass overflows
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_analyze(inputs, flags, config):
     run("analyze", flags, inputs, config)
 
@@ -127,12 +127,12 @@ def test_analyze(inputs, flags, config):
 @given(flags=drawn_settings("simulate"))
 @example(flags={"units": 5, "years": 6, "kind": "two_club", "club-pull": 5e-324})
 @example(flags={"units": 5, "years": 6, "sigma": 1e170})  # exp overflows
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_simulate(inputs, flags):
     run("simulate", flags, inputs)
 
 
 @given(flags=drawn_settings("compare-years"))
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_compare_years(inputs, flags):
     run("compare-years", flags, inputs)

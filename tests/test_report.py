@@ -10,7 +10,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdyn import Grid, ProcessSpec, load_panel, simulate
+from distdyn import Grid, ProcessSpec, _quad, load_panel, simulate
 from distdyn.dynamics import ErgodicSolution, NTPCurve
 from distdyn.errors import EmptySelection, GridMismatch, MissingYear
 from distdyn.kde import DensityCurve, density_1d, silverman_bandwidth
@@ -58,19 +58,12 @@ class TestFindModes:
         assert modes[1].location == pytest.approx(1.4, abs=0.01)
         assert modes[0].location < modes[1].location
 
-    def test_accepts_raw_point_value_input(self):
-        g = Grid.uniform(0.0, 3.0, 256)
-        vals = curve_of(g.points, [(1.0, 1.0, 0.2)])
-        from_arrays = find_modes((g.points, vals))
-        from_curve = find_modes(DensityCurve.from_values(g, vals))
-        assert len(from_arrays) == len(from_curve) == 1
-        assert from_arrays[0].location == from_curve[0].location
-
     def test_small_bump_filtered_by_prominence(self):
         g = Grid.uniform(0.0, 3.0, 512)
         vals = curve_of(g.points, [(0.97, 1.0, 0.15), (0.02, 2.2, 0.1)])
-        assert len(find_modes((g.points, vals), min_prominence=0.05)) == 1
-        assert len(find_modes((g.points, vals), min_prominence=0.005)) == 2
+        curve = DensityCurve.from_values(g, vals)
+        assert len(find_modes(curve, min_prominence=0.05)) == 1
+        assert len(find_modes(curve, min_prominence=0.005)) == 2
 
     def test_prominence_matches_reference_implementation(self):
         rng = np.random.default_rng(61)
@@ -81,9 +74,10 @@ class TestFindModes:
                 vals += rng.uniform(0.2, 1.0) * gaussian(
                     g.points, rng.uniform(0.4, 3.6), rng.uniform(0.05, 0.4)
                 )
-            modes = find_modes((g.points, vals), min_prominence=0.0)
-            peaks, _ = scipy.signal.find_peaks(vals)
-            ref_proms = scipy.signal.peak_prominences(vals, peaks)[0]
+            curve = DensityCurve.from_values(g, vals)
+            modes = find_modes(curve, min_prominence=0.0)
+            peaks, _ = scipy.signal.find_peaks(curve.values)
+            ref_proms = scipy.signal.peak_prominences(curve.values, peaks)[0]
             assert len(modes) == len(peaks)
             got = sorted(m.prominence for m in modes)
             want = sorted(ref_proms)
@@ -96,27 +90,28 @@ class TestFindModes:
         vertex = 5.03
         vals = 2.0 - (g.points - vertex) ** 2
         vals[vals < 0] = 0.0
-        modes = find_modes((g.points, vals), min_prominence=0.0)
+        curve = DensityCurve.from_values(g, vals)
+        modes = find_modes(curve, min_prominence=0.0)
         assert len(modes) == 1
         assert modes[0].location == pytest.approx(vertex, abs=1e-12)
-        assert modes[0].value == pytest.approx(2.0, abs=1e-12)
+        assert modes[0].value == pytest.approx(2.0 / _quad.integrate(g, vals), abs=1e-12)
 
     def test_uniform_density_has_no_modes(self):
         g = Grid.uniform(0.0, 1.0, 64)
-        assert find_modes((g.points, np.ones(64))) == []
+        assert find_modes(DensityCurve.from_values(g, np.ones(64))) == []
 
     def test_boundary_maxima_are_not_modes(self):
         # strictly decreasing values: the peak sits on the boundary, which
         # is not a strict interior local maximum
         g = Grid.uniform(0.0, 1.0, 64)
-        assert find_modes((g.points, np.linspace(2.0, 1.0, 64))) == []
+        assert find_modes(DensityCurve.from_values(g, np.linspace(2.0, 1.0, 64))) == []
 
     def test_modes_sorted_by_location(self):
         g = Grid.uniform(0.0, 5.0, 512)
         vals = curve_of(
             g.points, [(0.4, 4.0, 0.15), (0.3, 1.0, 0.15), (0.3, 2.5, 0.15)]
         )
-        modes = find_modes((g.points, vals))
+        modes = find_modes(DensityCurve.from_values(g, vals))
         locs = [m.location for m in modes]
         assert locs == sorted(locs)
         assert len(modes) == 3
@@ -124,7 +119,7 @@ class TestFindModes:
     def test_bad_prominence(self):
         g = Grid.uniform(0.0, 1.0, 64)
         with pytest.raises(ValueError):
-            find_modes((g.points, np.ones(64)), min_prominence=-0.1)
+            find_modes(DensityCurve.from_values(g, np.ones(64)), min_prominence=-0.1)
 
 
 class TestCompareYears:
@@ -328,5 +323,5 @@ def test_mode_count_never_exceeds_component_count(mus, seed):
     vals = np.zeros_like(g.points)
     for mu in mus:
         vals += rng.uniform(0.3, 1.0) * gaussian(g.points, mu, rng.uniform(0.08, 0.5))
-    modes = find_modes((g.points, vals), min_prominence=0.0)
+    modes = find_modes(DensityCurve.from_values(g, vals), min_prominence=0.0)
     assert len(modes) <= len(mus)
