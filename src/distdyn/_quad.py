@@ -23,10 +23,11 @@ def integrate(grid, values) -> float:
     return float(np.sum(weights(grid) * np.asarray(values)))
 
 
-def integrate_2d(grid_x, grid_y, values) -> float:
-    """Trapezoid integral of a surface sampled on a grid pair."""
-    inner = np.sum(np.asarray(values) * weights(grid_y)[None, :], axis=1)
-    return float(np.sum(inner * weights(grid_x)))
+def integrate_2d(grid, values) -> float:
+    """Trapezoid integral of a surface sampled on grid x grid."""
+    w = weights(grid)
+    inner = np.sum(np.asarray(values) * w[None, :], axis=1)
+    return float(np.sum(inner * w))
 
 
 def l1_distance(grid, a, b) -> float:

@@ -8,8 +8,10 @@ each row to its net transition probability
 
 where C(.|x) is the row's CDF. Positive p means net upward mobility at x.
 
-Everything shares one trapezoid discretization with the estimators, so the
-evolution, fixed point, and NTP integrals are mutually consistent.
+A kernel maps one grid to itself, so a density evolves on its own grid and
+row i's CDF is read at grid point i. Everything shares one trapezoid
+discretization with the estimators, so the evolution, fixed point, and NTP
+integrals are mutually consistent.
 """
 
 from __future__ import annotations
@@ -27,26 +29,20 @@ from .kde import DensityCurve, Grid, StochasticKernel, _frozen, _readonly
 class NTPCurve:
     """Net transition probability per grid point.
 
-    ``values`` holds NaN wherever ``supported`` is False (grid points whose
-    kernel row was below the conditioning floor).
+    ``values`` holds NaN at the grid points off the kernel's support (whose
+    row was below the conditioning floor) and a value in [-1, 1] elsewhere.
     """
 
     grid: Grid
     values: np.ndarray
-    supported: np.ndarray
 
     def __post_init__(self):
         v = _readonly(self.values)
-        sup = _readonly(self.supported, bool)
-        if v.shape != (self.grid.count,) or sup.shape != (self.grid.count,):
-            raise ValueError("values/support flags do not match the grid")
-        ok = v[sup]
-        if np.any(~np.isfinite(ok)) or np.any(ok < -1.0) or np.any(ok > 1.0):
-            raise ValueError("supported NTP values must lie in [-1, 1]")
-        if not np.all(np.isnan(v[~sup])):
-            raise ValueError("unsupported points must hold NaN")
+        if v.shape != (self.grid.count,):
+            raise ValueError("values do not match the grid")
+        if np.any(np.abs(v) > 1.0):  # NaN compares false, an infinity true
+            raise ValueError("NTP values must be NaN or lie in [-1, 1]")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "supported", sup)
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,8 @@ class _Step:
     """The forward step of one kernel, set up once and applied many times.
 
     Holds the trapezoid weights, the supported rows as one contiguous block
-    with their x weights, and scratch, so :meth:`apply` allocates nothing.
+    with their weights, and one grid-length scratch buffer, so
+    :meth:`apply` and :meth:`l1` allocate nothing.
     Unsupported rows are never read: they would add 0*row, and a kernel's
     entries are finite, so skipping them changes no bit.
 
@@ -78,12 +75,10 @@ class _Step:
             raise NoSupportedRows("kernel has no supported rows")
         self._sup = np.flatnonzero(kernel.supported)
         self._rows = np.ascontiguousarray(kernel.rows[self._sup])
-        self._w_x = _quad.weights(kernel.grid_x)
-        self._w_sup = self._w_x[self._sup]
-        self._w_y = _quad.weights(kernel.grid_y)
+        self._w = _quad.weights(kernel.grid)
+        self._w_sup = self._w[self._sup]
         self._c = np.empty(self._sup.size)
-        self._x = np.empty(kernel.grid_x.count)
-        self._y = np.empty(kernel.grid_y.count)
+        self._buf = np.empty(kernel.grid.count)
 
     def apply(self, f: np.ndarray, out: np.ndarray) -> None:
         """Write the unit-mass image of finite, nonnegative point values
@@ -99,12 +94,12 @@ class _Step:
             raise NoSupportedRows("density carries no mass on the kernel's supported rows")
         # default einsum: fixed-order C contraction, no BLAS
         np.einsum("i,iy->y", c, self._rows, out=out)
-        np.divide(out, np.add.reduce(np.multiply(self._w_y, out, out=self._y)), out=out)
+        np.divide(out, np.add.reduce(np.multiply(self._w, out, out=self._buf)), out=out)
 
     def l1(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Trapezoid L1 distance on the x grid, bitwise ``_quad.l1_distance``."""
-        d = np.abs(np.subtract(a, b, out=self._x), out=self._x)
-        return float(np.add.reduce(np.multiply(self._w_x, d, out=d)))
+        """Trapezoid L1 distance on the grid, bitwise ``_quad.l1_distance``."""
+        d = np.abs(np.subtract(a, b, out=self._buf), out=self._buf)
+        return float(np.add.reduce(np.multiply(self._w, d, out=d)))
 
 
 def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
@@ -115,11 +110,11 @@ def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
     renormalized, which is what happens here). Output has unit trapezoid
     mass.
     """
-    if f.grid != kernel.grid_x:
-        raise GridMismatch("density grid differs from the kernel's x grid")
-    out = np.empty(kernel.grid_y.count)
+    if f.grid != kernel.grid:
+        raise GridMismatch("density grid differs from the kernel grid")
+    out = np.empty(kernel.grid.count)
     _Step(kernel).apply(f.values, out)
-    return DensityCurve(grid=kernel.grid_y, values=_frozen(out))
+    return DensityCurve(grid=kernel.grid, values=_frozen(out))
 
 
 def ergodic_distribution(
@@ -141,18 +136,16 @@ def ergodic_distribution(
     Raises :class:`NotConverged` after ``max_iter`` steps, carrying the last
     two deltas so a stall is distinguishable from oscillation.
     """
-    if kernel.grid_x != kernel.grid_y:
-        raise GridMismatch("ergodic solve needs a square kernel (grid_x == grid_y)")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if init is None:
-        init = DensityCurve.from_values(kernel.grid_x, np.ones(kernel.grid_x.count))
-    elif init.grid != kernel.grid_x:
+        init = DensityCurve.from_values(kernel.grid, np.ones(kernel.grid.count))
+    elif init.grid != kernel.grid:
         raise GridMismatch("init grid differs from the kernel grid")
     step = _Step(kernel)
-    f, nxt = np.array(init.values), np.empty(kernel.grid_x.count)
+    f, nxt = np.array(init.values), np.empty(kernel.grid.count)
     deltas = (np.inf, np.inf)
     for iteration in range(1, max_iter + 1):
         step.apply(f, nxt)
@@ -162,7 +155,7 @@ def ergodic_distribution(
         if delta <= tol:
             step.apply(f, nxt)
             residual = step.l1(f, nxt)
-            density = DensityCurve(grid=kernel.grid_y, values=_frozen(f))
+            density = DensityCurve(grid=kernel.grid, values=_frozen(f))
             return ErgodicSolution(density=density, residual=residual, iterations=iteration)
     raise NotConverged(
         f"no fixed point after {max_iter} iterations; "
@@ -177,15 +170,13 @@ def net_transition_probability(kernel: StochasticKernel) -> NTPCurve:
     Equivalent to the difference of the two one-sided integrals (mass above
     x minus mass at or below x) because each row has unit mass. One
     cumulative trapezoid integral runs along every row at once; row i's CDF
-    at its own x is then the diagonal entry, as the kernel is square. Values
-    are clipped to [-1, 1] against rounding; unsupported rows yield NaN.
+    at its own x is the diagonal entry, as the kernel maps its grid to itself.
+    Values are clipped to [-1, 1] against rounding; unsupported rows yield NaN.
     """
-    if kernel.grid_x != kernel.grid_y:
-        raise GridMismatch("NTP reads each row's CDF at its own x, so it needs a square kernel")
-    cdf_at_x = np.diagonal(_quad.cumulative(kernel.grid_y, kernel.rows))
+    cdf_at_x = np.diagonal(_quad.cumulative(kernel.grid, kernel.rows))
     values = np.clip(1.0 - 2.0 * cdf_at_x, -1.0, 1.0)
     values[~kernel.supported] = np.nan
-    return NTPCurve(grid=kernel.grid_x, values=_frozen(values), supported=kernel.supported)
+    return NTPCurve(grid=kernel.grid, values=_frozen(values))
 
 
 def ntp_crossings(ntp: NTPCurve) -> list[float]:
@@ -193,20 +184,15 @@ def ntp_crossings(ntp: NTPCurve) -> list[float]:
 
     Consecutive supported grid points bracketing a sign change contribute a
     linearly interpolated crossing; exact zeros are reported at their grid
-    point. Gaps (unsupported points) break the sequence.
+    point. Gaps (NaN, unsupported points) break the sequence.
     """
-    pts = ntp.grid.points
-    v = ntp.values
-    sup = ntp.supported
+    pts, v = ntp.grid.points, ntp.values
     out: list[float] = []
-    for i in range(ntp.grid.count):
-        if not sup[i]:
-            continue
+    for i in np.flatnonzero(~np.isnan(v)):
+        j = i + 1
         if v[i] == 0.0:
             out.append(float(pts[i]))
-            continue
-        j = i + 1
-        if j < ntp.grid.count and sup[j] and v[j] != 0.0 and (v[i] < 0) != (v[j] < 0):
+        elif j < v.size and (v[i] < 0.0 < v[j] or v[j] < 0.0 < v[i]):  # false at NaN
             t = v[i] / (v[i] - v[j])
             out.append(float(pts[i] + t * (pts[j] - pts[i])))
     return out
@@ -222,8 +208,6 @@ def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
     solver's result should be read per component. Blocks come in ascending
     order of their first point.
     """
-    if kernel.grid_x != kernel.grid_y:
-        raise GridMismatch("support connectivity needs a square kernel")
     sup = np.flatnonzero(kernel.supported)
     if sup.size == 0:
         return []
@@ -241,5 +225,5 @@ def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
         label = nxt
     first, from_end = np.unique(label[::-1], return_index=True)
     last = sup.size - 1 - from_end
-    pts = kernel.grid_x.points
+    pts = kernel.grid.points
     return list(zip(pts[sup[first]].tolist(), pts[sup[last]].tolist()))

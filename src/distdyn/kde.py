@@ -3,7 +3,8 @@
 One- and two-dimensional product-kernel estimators with Silverman
 rule-of-thumb bandwidths, plus the conditional-density construction that
 turns a joint estimate and its x-marginal into a row-normalized stochastic
-kernel.
+kernel. A joint estimate and a kernel put income at t and at t + tau on
+one grid, which the ergodic solve and the NTP need.
 
 Incomes are positive, so grids are clipped at zero and every density is
 renormalized on its grid after evaluation (truncation correction). Raw,
@@ -173,77 +174,79 @@ class DensityCurve:
 
 @dataclass(frozen=True, eq=False)
 class DensitySurface:
-    """A joint density on a grid pair, unit 2-D trapezoid mass."""
+    """A joint density on grid x grid, unit 2-D trapezoid mass: ``values[i, j]``
+    is the density at ``(grid.points[i], grid.points[j])``."""
 
-    grid_x: Grid
-    grid_y: Grid
+    grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         v = _readonly(self.values)
-        if v.shape != (self.grid_x.count, self.grid_y.count):
-            raise ValueError("values do not match the grid pair")
+        if v.shape != (self.grid.count, self.grid.count):
+            raise ValueError("values do not match the grid")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("surface values must be finite and nonnegative")
-        if abs(_quad.integrate_2d(self.grid_x, self.grid_y, v) - 1.0) > 1e-6:
+        if abs(_quad.integrate_2d(self.grid, v) - 1.0) > 1e-6:
             raise ValueError("surface does not integrate to 1; use from_values")
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid_x: Grid, grid_y: Grid, values) -> "DensitySurface":
+    def from_values(cls, grid: Grid, values) -> "DensitySurface":
         v = np.asarray(values, dtype=float)
-        mass = _quad.integrate_2d(grid_x, grid_y, v)
+        mass = _quad.integrate_2d(grid, v)
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("cannot normalize a surface with nonpositive mass")
-        return cls(grid_x=grid_x, grid_y=grid_y, values=_frozen(v / mass))
+        return cls(grid=grid, values=_frozen(v / mass))
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticKernel:
-    """Discretized conditional density: one row (a density over grid_y) per
-    x grid point. Rows where the conditioning marginal was too thin are
-    flagged unsupported and hold zeros. Every entry is finite and
-    nonnegative."""
+    """Discretized conditional density of a chain on one grid: row i is the
+    density over ``grid`` of income at t + tau given income ``grid.points[i]``
+    at t. Rows where the conditioning marginal was too thin are flagged
+    unsupported and hold zeros. Every entry is finite and nonnegative."""
 
-    grid_x: Grid
-    grid_y: Grid
+    grid: Grid
     rows: np.ndarray
     supported: np.ndarray = field(default=None)
 
     def __post_init__(self):
         rows = _readonly(self.rows)
-        if rows.shape != (self.grid_x.count, self.grid_y.count):
-            raise ValueError("rows do not match the grid pair")
+        if rows.shape != (self.grid.count, self.grid.count):
+            raise ValueError("rows do not match the grid")
         supported = self.supported
         if supported is None:
-            supported = np.ones(self.grid_x.count, dtype=bool)
+            supported = np.ones(self.grid.count, dtype=bool)
         supported = _readonly(supported, bool)
-        if supported.shape != (self.grid_x.count,):
-            raise ValueError("support flags do not match grid_x")
+        if supported.shape != (self.grid.count,):
+            raise ValueError("support flags do not match the grid")
         if np.any(rows < 0) or not np.all(np.isfinite(rows)):
             raise ValueError("kernel entries must be finite and nonnegative")
-        masses = np.sum(rows[supported] * _quad.weights(self.grid_y), axis=1)
+        if np.any(rows[~supported]):
+            raise ValueError("unsupported rows must hold zeros")
+        masses = np.sum(rows[supported] * _quad.weights(self.grid), axis=1)
         if np.any(np.abs(masses - 1.0) > 1e-9):
             raise ValueError("supported rows must integrate to 1; use from_rows")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "supported", supported)
 
     @classmethod
-    def from_rows(cls, grid_x: Grid, grid_y: Grid, rows, supported=None) -> "StochasticKernel":
-        """Row-normalize raw conditional values; zero-mass rows become unsupported."""
+    def from_rows(cls, grid: Grid, rows, supported=None) -> "StochasticKernel":
+        """Row-normalize raw conditional values; zero-mass rows become
+        unsupported, and every unsupported row is set to zeros."""
         rows = np.asarray(rows, dtype=float)
-        if rows.shape != (grid_x.count, grid_y.count):
-            raise ValueError("rows do not match the grid pair")
+        if rows.shape != (grid.count, grid.count):
+            raise ValueError("rows do not match the grid")
         if supported is None:
-            supported = np.ones(grid_x.count, dtype=bool)
+            supported = np.ones(grid.count, dtype=bool)
         supported = np.array(supported, dtype=bool)
         # one trapezoid reduction per row, the same sum as _quad.integrate
-        mass = np.zeros(grid_x.count)
-        mass[supported] = np.sum(rows[supported] * _quad.weights(grid_y), axis=1)
+        mass = np.zeros(grid.count)
+        mass[supported] = np.sum(rows[supported] * _quad.weights(grid), axis=1)
         supported &= (mass > 0) & np.isfinite(mass)
         out = np.zeros_like(rows)
         out[supported] = rows[supported] / mass[supported, None]
-        return cls(grid_x=grid_x, grid_y=grid_y, rows=_frozen(out), supported=_frozen(supported))
+        return cls(grid=grid, rows=_frozen(out), supported=_frozen(supported))
 
     @property
     def n_supported(self) -> int:
@@ -320,12 +323,12 @@ def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
     return buf[:n * width].reshape(n, width)
 
 
-def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | None = None):
+def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
     """Raw KDE values from sums of Gaussian weights, block by block in sorted order.
 
-    Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on grid_x from the
+    Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on the grid from the
     exact weights. With ``y`` given, ``fxy`` is the product-kernel joint
-    KDE on the grid pair from the floored weights; otherwise it is None.
+    KDE on grid x grid from the floored weights; otherwise it is None.
 
     A z = (g - x)/h, or z*z, that overflows at a tiny bandwidth weighs 0.0,
     as any z beyond the reach does. Raises InsufficientData, before any
@@ -342,23 +345,22 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
     order = np.argsort(x)
     if y is not None and np.any(x[order[1:]] == x[order[:-1]]):
         order = np.lexsort((y, x))
-    sx = np.zeros(grid_x.count)
-    sxy = None if y is None else np.zeros((grid_x.count, grid_y.count))
+    sx = np.zeros(grid.count)
+    sxy = None if y is None else np.zeros((grid.count, grid.count))
     width = min(_BLOCK, x.size)
-    rows = grid_x.count if y is None else max(grid_x.count, grid_y.count)
-    xb, kx_buf = np.empty(width), np.empty(grid_x.count * width)
-    mask_buf = np.empty(rows * width, dtype=bool)
+    xb, kx_buf = np.empty(width), np.empty(grid.count * width)
+    mask_buf = np.empty(grid.count * width, dtype=bool)
     if y is not None:
-        yb, ky_buf = np.empty(width), np.empty(grid_y.count * width)
+        yb, ky_buf = np.empty(width), np.empty(grid.count * width)
     with np.errstate(over="ignore"):  # an overflowing z, or z*z, weighs 0.0
         for start in range(0, x.size, _BLOCK):
             idx = order[start:start + _BLOCK]
             width = idx.size
             xs = np.take(x, idx, out=xb[:width])
             # xs is sorted; every x weight outside rx is exactly 0.0
-            rx = _rows_near(grid_x, xs[0], xs[-1], _REACH * h_x)
+            rx = _rows_near(grid, xs[0], xs[-1], _REACH * h_x)
             kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
-            np.subtract(grid_x.points[rx, None], xs[None, :], out=kx)
+            np.subtract(grid.points[rx, None], xs[None, :], out=kx)
             kx /= h_x
             sx[rx] += np.sum(_gauss(kx, mask=mx), axis=1)
             if y is None:
@@ -367,9 +369,9 @@ def _raw_values(x, h_x: float, grid_x: Grid, y=None, h_y=None, grid_y: Grid | No
             np.putmask(kx, mx, 0.0)
             ys = np.take(y, idx, out=yb[:width])
             # every y weight outside ry is below the joint floor
-            ry = _rows_near(grid_y, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
+            ry = _rows_near(grid, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
             ky = _scratch(ky_buf, ry, width)
-            np.subtract(grid_y.points[ry, None], ys[None, :], out=ky)
+            np.subtract(grid.points[ry, None], ys[None, :], out=ky)
             ky /= h_y
             _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
             # Each entry is one ddot over the block's samples: a function of
@@ -403,23 +405,21 @@ def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an overflowing sum is refused below
-def _normalized(cls, raw: np.ndarray, what: str, *grids: Grid):
-    """``cls.from_values(*grids, raw)`` for a raw estimate on one grid or a
-    grid pair. Every mass the value class refuses raises InsufficientData
-    naming ``what`` and the grid spacings: a zero mass, an overflowing mass,
-    and a mass that divides the values out of float range, so that they no
-    longer integrate to 1."""
-    one = len(grids) == 1
-    spacing = (f"spacing {grids[0].spacing}" if one
-               else f"spacings ({grids[0].spacing}, {grids[1].spacing})")
-    mass = (_quad.integrate if one else _quad.integrate_2d)(*grids, raw)
+def _normalized(cls, raw: np.ndarray, what: str, grid: Grid):
+    """``cls.from_values(grid, raw)`` for a raw estimate on the grid (1-D
+    ``raw``) or on grid x grid (2-D). Every mass the value class refuses
+    raises InsufficientData naming ``what`` and the grid spacing: a zero
+    mass, an overflowing mass, and a mass that divides the values out of
+    float range, so that they no longer integrate to 1."""
+    spacing = f"spacing {grid.spacing}"
+    mass = (_quad.integrate if raw.ndim == 1 else _quad.integrate_2d)(grid, raw)
     if mass == np.inf:
         raise InsufficientData(f"{what} has a mass beyond the floating-point range "
                                f"on the grid of {spacing}")
     if not mass > 0:
         raise InsufficientData(f"{what} puts no mass on the grid of {spacing}")
     try:
-        return cls.from_values(*grids, raw)
+        return cls.from_values(grid, raw)
     except ValueError:
         raise InsufficientData(f"{what} cannot be normalized on the grid of {spacing}: "
                                f"divided by its mass {mass}, its values leave the "
@@ -441,7 +441,7 @@ def density_1d(samples, h: float, grid: Grid) -> DensityCurve:
     return _curve(density_1d_raw(samples, h, grid), h, grid)
 
 
-def _joint_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid):
+def _joint_raw(pairs, bandwidths: Bandwidths, grid: Grid):
     """Raw x-marginal and raw joint values from one pass over the pairs."""
     x = np.ascontiguousarray(pairs.x, dtype=float)
     y = np.ascontiguousarray(pairs.y, dtype=float)
@@ -450,44 +450,46 @@ def _joint_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid):
     if x.shape != y.shape:
         raise ValueError(f"pairs need as many y as x values, got {x.size} and {y.size}")
     _check_finite("pair", x=x, y=y)
-    return _raw_values(x, bandwidths.h_x, grid_x, y, bandwidths.h_y, grid_y)
+    return _raw_values(x, bandwidths.h_x, grid, y, bandwidths.h_y)
 
 
-def density_2d_raw(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> np.ndarray:
-    """Product-kernel joint KDE point values, before renormalization.
+def density_2d_raw(pairs, bandwidths: Bandwidths, grid: Grid) -> np.ndarray:
+    """Product-kernel joint KDE point values on grid x grid, before renormalization.
 
     Value at (gx, gy) is (1/(n*h_x*h_y)) * sum_i K((gx-x_i)/h_x)*K((gy-y_i)/h_y),
     with the joint floor of the module docstring applied to the weights.
     """
-    return _joint_raw(pairs, bandwidths, grid_x, grid_y)[1]
+    return _joint_raw(pairs, bandwidths, grid)[1]
 
 
 def joint_and_marginal(
-    pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid
+    pairs, bandwidths: Bandwidths, grid: Grid
 ) -> tuple[DensitySurface, DensityCurve]:
-    """Joint KDE renormalized to unit 2-D mass, and its x-marginal.
+    """Joint KDE on grid x grid renormalized to unit 2-D mass, and its x-marginal.
 
     The marginal is the KDE of the x samples at ``h_x``, bitwise equal to
-    ``density_1d(pairs.x, bandwidths.h_x, grid_x)``, taken from the joint
+    ``density_1d(pairs.x, bandwidths.h_x, grid)``, taken from the joint
     pass. Raises InsufficientData for fewer than 2 pairs, or when either
-    estimate cannot be normalized on its grid (as in :func:`density_1d`),
+    estimate cannot be normalized on the grid (as in :func:`density_1d`),
     and NonFiniteSample for a pair with a NaN or infinite value.
     """
     if np.asarray(pairs.x).size < 2:
         raise InsufficientData("joint estimate needs at least 2 pairs")
-    raw_x, raw = _joint_raw(pairs, bandwidths, grid_x, grid_y)
+    raw_x, raw = _joint_raw(pairs, bandwidths, grid)
     what = f"joint KDE at bandwidths ({bandwidths.h_x}, {bandwidths.h_y})"
-    joint = _normalized(DensitySurface, raw, what, grid_x, grid_y)
-    return joint, _curve(raw_x, bandwidths.h_x, grid_x)
+    return _normalized(DensitySurface, raw, what, grid), _curve(raw_x, bandwidths.h_x, grid)
 
 
 def density_2d(pairs, bandwidths: Bandwidths, grid_x: Grid, grid_y: Grid) -> DensitySurface:
     """Product-kernel joint KDE renormalized to unit 2-D mass.
 
-    Raises InsufficientData for fewer than 2 pairs, or when the estimate
-    cannot be normalized on the grid pair.
+    The grid is passed once per axis, the form the benchmark's replay
+    calls; the two must be equal, or GridMismatch is raised. Raises
+    InsufficientData as :func:`joint_and_marginal` does.
     """
-    return joint_and_marginal(pairs, bandwidths, grid_x, grid_y)[0]
+    if grid_x != grid_y:
+        raise GridMismatch("joint KDE needs one grid for both axes (grid_x == grid_y)")
+    return joint_and_marginal(pairs, bandwidths, grid_x)[0]
 
 
 def conditional_density(
@@ -500,12 +502,12 @@ def conditional_density(
     unsupported and excluded from downstream summaries. Retained rows are
     renormalized to unit mass.
     """
-    if joint.grid_x != marginal.grid:
-        raise GridMismatch("joint x-grid differs from the marginal's grid")
+    if joint.grid != marginal.grid:
+        raise GridMismatch("joint grid differs from the marginal's grid")
     if not (0 < floor < 1):
         raise ValueError(f"floor must be a small fraction in (0, 1), got {floor}")
     threshold = floor * float(np.max(marginal.values))
     supported = marginal.values >= threshold
     rows = np.zeros_like(joint.values)
     rows[supported] = joint.values[supported] / marginal.values[supported, None]
-    return StochasticKernel.from_rows(joint.grid_x, joint.grid_y, rows, supported)
+    return StochasticKernel.from_rows(joint.grid, rows, supported)

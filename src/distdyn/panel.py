@@ -128,13 +128,10 @@ class TransitionPairs:
 
     x: np.ndarray
     y: np.ndarray
-    tau: int
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
-        if self.tau < 1:
-            raise ValueError(f"tau must be a positive integer, got {self.tau}")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -581,7 +578,7 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
         del order, at, hit
     if not len(start):
         raise NoPairs(f"no unit is observed {tau} years apart (panel spans {span} year(s))")
-    return TransitionPairs(x=panel.income[start], y=panel.income[end], tau=tau)
+    return TransitionPairs(x=panel.income[start], y=panel.income[end])
 
 
 def group_shares(panel: Panel) -> dict[str, float]:

@@ -60,7 +60,7 @@ def prepare_panel(panel: Panel, scope: str = "pooled") -> Panel:
 
 
 def default_grid(panel: Panel, count: int = 256, upper_factor: float = 1.1) -> Grid:
-    """Shared square grid from 0 to ``upper_factor`` times the largest income."""
+    """The grid of both kernel axes, from 0 to ``upper_factor`` times the largest income."""
     if upper_factor <= 0:
         raise ValueError(f"grid upper factor must be positive, got {upper_factor}")
     top = float(np.max(panel.income))
@@ -143,7 +143,7 @@ def estimate_kernel(
     bandwidth_y: float | None = None,
     floor: float = 1e-4,
 ) -> KernelEstimate:
-    """Transition pairs to conditional kernel on a shared square grid.
+    """Transition pairs to conditional kernel, both axes on one grid.
 
     The joint surface uses the bivariate Silverman rule per axis; the
     conditioning marginal is the x-sample KDE at the joint's x bandwidth,
@@ -154,7 +154,7 @@ def estimate_kernel(
     h_x = bandwidth_x if bandwidth_x is not None else silverman_bandwidth(pairs.x, 2)
     h_y = bandwidth_y if bandwidth_y is not None else silverman_bandwidth(pairs.y, 2)
     bw = Bandwidths(h_x=h_x, h_y=h_y)
-    joint, marginal = joint_and_marginal(pairs, bw, grid, grid)
+    joint, marginal = joint_and_marginal(pairs, bw, grid)
     kernel = conditional_density(joint, marginal, floor=floor)
     return KernelEstimate(
         pairs=pairs, bandwidths=bw, marginal=marginal, joint=joint, kernel=kernel

@@ -241,7 +241,7 @@ def render_contour(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> 
     drawn dashed wherever the two axis ranges overlap, making deviation
     from pure persistence visible at a glance.
     """
-    return _contour(kernel.grid_x.points, kernel.grid_y.points, kernel.rows, style)
+    return _contour(kernel.grid.points, kernel.grid.points, kernel.rows, style)
 
 
 def _contour(x, y, v, style: PlotStyle) -> str:
@@ -310,7 +310,7 @@ def render_surface(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> 
     to their mean height.
     Dense grids are thinned to ``style.mesh_limit`` cells per axis.
     """
-    return _surface(kernel.grid_x.points, kernel.grid_y.points, kernel.rows, style)
+    return _surface(kernel.grid.points, kernel.grid.points, kernel.rows, style)
 
 
 def _surface(x, y, v, style: PlotStyle) -> str:
@@ -389,8 +389,8 @@ def _csv_chunks(obj) -> Iterator[bytes]:
         header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
         table = np.column_stack((obj.grid.points, obj.values))
     elif isinstance(obj, StochasticKernel):
-        header = "x\\y," + ",".join(_g(yv) for yv in obj.grid_y.points)
-        table = np.column_stack((obj.grid_x.points, obj.rows))
+        header = "x\\y," + ",".join(_g(yv) for yv in obj.grid.points)
+        table = np.column_stack((obj.grid.points, obj.rows))
     elif hasattr(obj, "x") and hasattr(obj, "y"):  # TransitionPairs
         header = "x,y"
         table = np.column_stack((obj.x, obj.y))

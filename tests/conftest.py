@@ -84,9 +84,9 @@ def mixture_row(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_kernel(grid: Grid, rng: np.random.Generator) -> StochasticKernel:
-    """A fully supported random smooth kernel on a square grid."""
+    """A fully supported random smooth kernel on one grid."""
     rows = np.stack([mixture_row(grid.points, rng) for _ in range(len(grid.points))])
-    return StochasticKernel.from_rows(grid, grid, rows)
+    return StochasticKernel.from_rows(grid, rows)
 
 
 def curve_from(grid: Grid, values: np.ndarray) -> DensityCurve:
@@ -108,21 +108,21 @@ def net_transition_probability_two_sided(kernel: StochasticKernel) -> NTPCurve:
     mass from the bottom up to x; their difference is the NTP. An oracle
     for ``net_transition_probability``, which reads one CDF on the diagonal.
     """
-    grid_y = kernel.grid_y
-    values = np.full(kernel.grid_x.count, np.nan)
-    for i in range(kernel.grid_x.count):
+    grid = kernel.grid
+    values = np.full(grid.count, np.nan)
+    for i in range(grid.count):
         if not kernel.supported[i]:
             continue
         row = kernel.rows[i]
-        x = float(kernel.grid_x.points[i])
-        down = float(np.interp(x, grid_y.points, _quad.cumulative(grid_y, row)))
+        x = float(grid.points[i])
+        down = float(np.interp(x, grid.points, _quad.cumulative(grid, row)))
         # accumulate the upper tail from the top down so it is an
         # independent sum, not 1 - down
-        rev = _quad.cumulative(grid_y, row[::-1])
+        rev = _quad.cumulative(grid, row[::-1])
         up_from_top = rev[::-1]
-        up = float(np.interp(x, grid_y.points, up_from_top))
+        up = float(np.interp(x, grid.points, up_from_top))
         values[i] = min(1.0, max(-1.0, up - down))
-    return NTPCurve(grid=kernel.grid_x, values=values, supported=kernel.supported.copy())
+    return NTPCurve(grid=grid, values=values)
 
 
 def load_panel_rows(stream) -> Panel:

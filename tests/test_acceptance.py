@@ -136,7 +136,7 @@ def test_02_ergodic_fixed_point():
 
     row = gaussian(grid.points, 1.2, 0.3) + 0.4 * gaussian(grid.points, 2.1, 0.2)
     row /= mass(grid.points, row)
-    ker = StochasticKernel.from_rows(grid, grid, np.tile(row, (grid.count, 1)))
+    ker = StochasticKernel.from_rows(grid, np.tile(row, (grid.count, 1)))
     sol = ergodic_distribution(ker, tol=tol, max_iter=100)
     row_err = l1(grid.points, sol.density.values, row)
     print(f"ergodic: worst residual = {worst_residual:.3e}, "
@@ -256,7 +256,7 @@ def test_06_ntp_forms_agree():
             # knock out a row so the NaN-propagation path is exercised too
             rows = ker.rows.copy()
             rows[int(rng.integers(0, grid.count))] = 0.0
-            ker = StochasticKernel.from_rows(grid, grid, rows)
+            ker = StochasticKernel.from_rows(grid, rows)
         a = net_transition_probability(ker)
         b = net_transition_probability_two_sided(ker)
         assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
@@ -279,7 +279,7 @@ def test_07_kde_point_values():
     err1 = abs(raw1[8] - 1.0 / np.sqrt(2.0 * np.pi))
 
     pair = SimpleNamespace(x=np.array([0.0]), y=np.array([0.0]))
-    raw2 = density_2d_raw(pair, Bandwidths(h_x=1.0, h_y=1.0), grid, grid)
+    raw2 = density_2d_raw(pair, Bandwidths(h_x=1.0, h_y=1.0), grid)
     err2 = abs(raw2[8, 8] - 1.0 / (2.0 * np.pi))
 
     h = silverman_bandwidth(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 1)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -14,8 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import strict_json
-from distdyn import cli, load_panel
+from distdyn import cli, load_panel, pipeline
 from distdyn.cli import ENV_OUT_DIR, main
+from distdyn.dynamics import ergodic_distribution
+from distdyn.panel import build_transition_pairs, to_relative
+from distdyn.report import build_report, find_modes
+from distdyn.synthesis import ProcessSpec
 
 HEADER = "unit_id,sector,region,year,income\n"
 
@@ -308,7 +313,7 @@ class TestAnalyze:
         for entry in entries:
             assert entry["status"] == "failed"
             assert re.match(r"joint KDE at bandwidths \(.*\) (has a mass beyond the floating-point "
-                            r"range|cannot be normalized) on the grid of spacings", entry["error"])
+                            r"range|cannot be normalized) on the grid of spacing ", entry["error"])
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         panel = write_panel(tmp_path / "panel.csv")
@@ -640,3 +645,52 @@ def test_rejections(tmp_path, capsys, argv, config, message):
     assert err.startswith(f"error: {message}")
     assert err.endswith("\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _param_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (RunConfig field, library callable, its parameter): the CLI and a library
+# caller that leaves the parameter out must run the same analysis.
+_SHARED_DEFAULTS = [
+    ("tau", pipeline.analyze_group, "tau"),
+    ("bandwidth_x", pipeline.analyze_group, "bandwidth_x"),
+    ("bandwidth_y", pipeline.analyze_group, "bandwidth_y"),
+    ("tol", pipeline.analyze_group, "tol"),
+    ("max_iter", pipeline.analyze_group, "max_iter"),
+    ("prominence", pipeline.analyze_group, "min_prominence"),
+    ("tau", pipeline.estimate_kernel, "tau"),
+    ("bandwidth_x", pipeline.estimate_kernel, "bandwidth_x"),
+    ("bandwidth_y", pipeline.estimate_kernel, "bandwidth_y"),
+    ("tol", ergodic_distribution, "tol"),
+    ("max_iter", ergodic_distribution, "max_iter"),
+    ("prominence", find_modes, "min_prominence"),
+    ("prominence", build_report, "min_prominence"),
+    ("grid_count", pipeline.default_grid, "count"),
+    ("grid_upper_factor", pipeline.default_grid, "upper_factor"),
+    ("scope", pipeline.prepare_panel, "scope"),
+    ("scope", to_relative, "scope"),
+    ("fraction", pipeline.expand_groups, "fraction"),
+    ("base_year", pipeline.expand_groups, "base_year"),
+    ("tau", build_transition_pairs, "tau"),
+    ("rho", ProcessSpec, "rho"),
+    ("sigma", ProcessSpec, "sigma"),
+    ("club_pull", ProcessSpec, "club_pull"),
+    ("units", ProcessSpec, "units"),
+    ("years", ProcessSpec, "years"),
+    ("seed", ProcessSpec, "seed"),
+]
+
+
+@pytest.mark.parametrize("setting, fn, param", _SHARED_DEFAULTS,
+                         ids=[f"{s}-{fn.__name__}" for s, fn, _ in _SHARED_DEFAULTS])
+def test_cli_default_is_the_library_default(setting, fn, param):
+    want = _param_default(fn, param)
+    assert want is not inspect.Parameter.empty
+    assert cli.RunConfig.__dataclass_fields__[setting].default == want
+
+
+def test_club_centers_default_is_the_process_default():
+    text = cli.RunConfig.__dataclass_fields__["club_centers"].default
+    assert cli._club_centers(text) == _param_default(ProcessSpec, "club_centers")

@@ -43,12 +43,12 @@ from conftest import (
 def identical_rows_kernel(grid, mu=1.0, sd=0.25):
     row = gaussian(grid.points, mu, sd)
     rows = np.tile(row, (len(grid.points), 1))
-    return StochasticKernel.from_rows(grid, grid, rows)
+    return StochasticKernel.from_rows(grid, rows)
 
 
 def diagonal_kernel(grid, sd=0.08):
     rows = np.stack([gaussian(grid.points, x, sd) for x in grid.points])
-    return StochasticKernel.from_rows(grid, grid, rows)
+    return StochasticKernel.from_rows(grid, rows)
 
 
 def ar1_log_kernel(grid, rho, sigma):
@@ -59,7 +59,7 @@ def ar1_log_kernel(grid, rho, sigma):
             continue
         mu = rho * math.log(x)
         rows[i] = lognormal_pdf(grid.points, mu, sigma)
-    return StochasticKernel.from_rows(grid, grid, rows)
+    return StochasticKernel.from_rows(grid, rows)
 
 
 class TestEvolve:
@@ -112,7 +112,7 @@ class TestEvolve:
         # zero-mass rows become unsupported at construction; a kernel with
         # no supported rows at all cannot evolve anything
         g = Grid.uniform(0.0, 2.0, 64)
-        kern = StochasticKernel.from_rows(g, g, np.zeros((64, 64)))
+        kern = StochasticKernel.from_rows(g, np.zeros((64, 64)))
         assert kern.n_supported == 0
         f = DensityCurve.from_values(g, np.ones(64))
         with pytest.raises(NoSupportedRows):
@@ -124,7 +124,7 @@ class TestEvolve:
         supported = np.zeros(64, dtype=bool)
         supported[40:] = True
         rows = np.tile(gaussian(g.points, 1.0, 0.2), (64, 1))
-        kern = StochasticKernel.from_rows(g, g, rows, supported=supported)
+        kern = StochasticKernel.from_rows(g, rows, supported=supported)
         low = np.zeros(64)
         low[:10] = 1.0
         f = DensityCurve.from_values(g, low)
@@ -171,14 +171,6 @@ class TestErgodic:
         assert len(err.value.last_deltas) == 2
         assert all(d >= 0 for d in err.value.last_deltas)
 
-    def test_non_square_kernel_rejected(self):
-        gx = Grid.uniform(0.0, 2.0, 64)
-        gy = Grid.uniform(0.0, 2.0, 65)
-        rows = np.tile(gaussian(gy.points, 1.0, 0.2), (64, 1))
-        kern = StochasticKernel.from_rows(gx, gy, rows)
-        with pytest.raises(GridMismatch):
-            ergodic_distribution(kern)
-
     def test_init_grid_mismatch(self):
         g = Grid.uniform(0.0, 2.0, 64)
         other = Grid.uniform(0.0, 2.0, 65)
@@ -196,11 +188,11 @@ class TestErgodic:
 
 def evolve_before(kernel, f):
     """One step as `evolve` took it before the shared step: all rows, fresh arrays."""
-    contrib = _quad.weights(kernel.grid_x) * f.values * kernel.supported
+    contrib = _quad.weights(kernel.grid) * f.values * kernel.supported
     if float(np.sum(contrib)) <= 0.0:
         raise NoSupportedRows("density carries no mass on the kernel's supported rows")
     out = np.einsum("i,iy->y", contrib, kernel.rows)
-    return DensityCurve.from_values(kernel.grid_y, out)
+    return DensityCurve.from_values(kernel.grid, out)
 
 
 def ergodic_before(kernel, f, tol=1e-10, max_iter=10000):
@@ -208,11 +200,11 @@ def ergodic_before(kernel, f, tol=1e-10, max_iter=10000):
     deltas = (np.inf, np.inf)
     for iteration in range(1, max_iter + 1):
         nxt = evolve_before(kernel, f)
-        delta = _quad.l1_distance(kernel.grid_x, f.values, nxt.values)
+        delta = _quad.l1_distance(kernel.grid, f.values, nxt.values)
         deltas = (deltas[1], delta)
         f = nxt
         if delta <= tol:
-            residual = _quad.l1_distance(kernel.grid_x, f.values, evolve_before(kernel, f).values)
+            residual = _quad.l1_distance(kernel.grid, f.values, evolve_before(kernel, f).values)
             return ErgodicSolution(density=f, residual=residual, iterations=iteration)
     raise NotConverged("", last_deltas=deltas)
 
@@ -238,7 +230,7 @@ def ar1_sample_kernel():
     pairs = SimpleNamespace(x=np.exp(logs[:-1]), y=np.exp(logs[1:]))
     g = Grid.uniform(0.0, 8.0, 96)
     bw = Bandwidths(silverman_bandwidth(pairs.x, 2), silverman_bandwidth(pairs.y, 2))
-    joint, marginal = joint_and_marginal(pairs, bw, g, g)
+    joint, marginal = joint_and_marginal(pairs, bw, g)
     kern = conditional_density(joint, marginal)
     assert 0 < kern.n_supported < g.count
     return kern, marginal
@@ -248,7 +240,7 @@ def interleaved_kernel():
     rng = np.random.default_rng(47)
     g = Grid.uniform(0.0, 2.0, 80)
     supported = rng.random(g.count) > 0.35
-    kern = StochasticKernel.from_rows(g, g, random_kernel(g, rng).rows, supported=supported)
+    kern = StochasticKernel.from_rows(g, random_kernel(g, rng).rows, supported=supported)
     f = DensityCurve.from_values(g, mixture_row(g.points, rng))
     return kern, f
 
@@ -298,7 +290,7 @@ class TestSharedStep:
     def test_start_on_unsupported_rows_only(self, solve_cases):
         kern, _ = solve_cases["interleaved"]
         values = np.where(kern.supported, 0.0, 1.0)
-        f = DensityCurve.from_values(kern.grid_x, values)
+        f = DensityCurve.from_values(kern.grid, values)
         with pytest.raises(NoSupportedRows, match="no mass on the kernel's supported rows"):
             ergodic_before(kern, f)
         with pytest.raises(NoSupportedRows, match="no mass on the kernel's supported rows"):
@@ -308,13 +300,12 @@ class TestSharedStep:
 
     def test_rectangular_evolve_is_bitwise(self):
         rng = np.random.default_rng(53)
-        gx = Grid.uniform(0.0, 2.0, 48)
-        gy = Grid.uniform(0.0, 2.5, 71)
-        rows = np.stack([mixture_row(gy.points, rng) for _ in range(gx.count)])
-        kern = StochasticKernel.from_rows(gx, gy, rows, supported=rng.random(gx.count) > 0.3)
-        f = DensityCurve.from_values(gx, mixture_row(gx.points, rng))
+        g = Grid.uniform(0.0, 2.0, 48)
+        rows = np.stack([mixture_row(g.points, rng) for _ in range(g.count)])
+        kern = StochasticKernel.from_rows(g, rows, supported=rng.random(g.count) > 0.3)
+        f = DensityCurve.from_values(g, mixture_row(g.points, rng))
         got = evolve(kern, f)
-        assert got.grid == gy
+        assert got.grid == g
         assert np.array_equal(got.values, evolve_before(kern, f).values)
 
 
@@ -324,14 +315,14 @@ class TestNTP:
         center = g.points[32]
         row = gaussian(g.points, center, 0.2)  # symmetric about the midpoint
         rows = np.tile(row, (65, 1))
-        kern = StochasticKernel.from_rows(g, g, rows)
+        kern = StochasticKernel.from_rows(g, rows)
         ntp = net_transition_probability(kern)
         assert abs(ntp.values[32]) < 1e-9
 
     def test_mass_above_gives_plus_one(self):
         g = Grid.uniform(0.0, 3.0, 96)
         rows = np.tile(gaussian(g.points, 2.5, 0.05), (96, 1))
-        kern = StochasticKernel.from_rows(g, g, rows)
+        kern = StochasticKernel.from_rows(g, rows)
         ntp = net_transition_probability(kern)
         low = np.searchsorted(g.points, 0.5)
         assert ntp.values[low] == pytest.approx(1.0, abs=1e-6)
@@ -339,7 +330,7 @@ class TestNTP:
     def test_mass_below_gives_minus_one(self):
         g = Grid.uniform(0.0, 3.0, 96)
         rows = np.tile(gaussian(g.points, 0.5, 0.05), (96, 1))
-        kern = StochasticKernel.from_rows(g, g, rows)
+        kern = StochasticKernel.from_rows(g, rows)
         ntp = net_transition_probability(kern)
         high = np.searchsorted(g.points, 2.5)
         assert ntp.values[high] == pytest.approx(-1.0, abs=1e-6)
@@ -348,8 +339,9 @@ class TestNTP:
         rng = np.random.default_rng(43)
         g = Grid.uniform(0.0, 2.0, 64)
         for _ in range(10):
-            ntp = net_transition_probability(random_kernel(g, rng))
-            sup = ntp.supported
+            kern = random_kernel(g, rng)
+            ntp = net_transition_probability(kern)
+            sup = kern.supported
             assert np.all(ntp.values[sup] <= 1.0)
             assert np.all(ntp.values[sup] >= -1.0)
             assert np.all(np.isnan(ntp.values[~sup]))
@@ -367,8 +359,8 @@ class TestNTP:
         g = Grid.uniform(0.0, 4.0, 128)
         base = gaussian(g.points, 1.2, 0.2)
         shifted = gaussian(g.points, 1.5, 0.2)
-        kern_a = StochasticKernel.from_rows(g, g, np.tile(base, (128, 1)))
-        kern_b = StochasticKernel.from_rows(g, g, np.tile(shifted, (128, 1)))
+        kern_a = StochasticKernel.from_rows(g, np.tile(base, (128, 1)))
+        kern_b = StochasticKernel.from_rows(g, np.tile(shifted, (128, 1)))
         a = net_transition_probability(kern_a)
         b = net_transition_probability(kern_b)
         inner = slice(8, 120)  # both rows have all their mass well inside
@@ -395,7 +387,7 @@ class TestNTP:
         supported = np.ones(64, dtype=bool)
         supported[:5] = False
         rows = np.tile(gaussian(g.points, 1.0, 0.2), (64, 1))
-        kern = StochasticKernel.from_rows(g, g, rows, supported=supported)
+        kern = StochasticKernel.from_rows(g, rows, supported=supported)
         ntp = net_transition_probability(kern)
         assert np.all(np.isnan(ntp.values[:5]))
         assert np.all(np.isfinite(ntp.values[5:]))
@@ -403,14 +395,14 @@ class TestNTP:
 
 def looped_ntp(kernel):
     """NTP row by row, each row's own cumulative read at x by np.interp."""
-    grid = kernel.grid_y
-    values = np.full(kernel.grid_x.count, np.nan)
+    grid = kernel.grid
+    values = np.full(grid.count, np.nan)
     for i in np.flatnonzero(kernel.supported):
         row = kernel.rows[i]
         cum = np.empty(grid.count)
         cum[0] = 0.0
         np.cumsum(0.5 * grid.spacing * (row[:-1] + row[1:]), out=cum[1:])
-        c = float(np.interp(float(kernel.grid_x.points[i]), grid.points, cum))
+        c = float(np.interp(float(grid.points[i]), grid.points, cum))
         values[i] = min(1.0, max(-1.0, 1.0 - 2.0 * c))
     return values
 
@@ -422,24 +414,15 @@ class TestNTPDiagonal:
         g = Grid.uniform(0.0, 2.0, count)
         kern = random_kernel(g, rng)
         supported = rng.random(count) > 0.2
-        kern = StochasticKernel.from_rows(g, g, kern.rows, supported=supported)
+        kern = StochasticKernel.from_rows(g, kern.rows, supported=supported)
         ntp = net_transition_probability(kern)
         assert np.array_equal(ntp.values, looped_ntp(kern), equal_nan=True)
         assert np.array_equal(np.isnan(ntp.values), ~supported)
 
-    def test_needs_square_kernel(self):
-        gx = Grid.uniform(0.0, 2.0, 32)
-        gy = Grid.uniform(0.0, 2.0, 33)
-        kern = StochasticKernel.from_rows(gx, gy, np.ones((32, 33)))
-        with pytest.raises(GridMismatch):
-            net_transition_probability(kern)
-
 
 class TestCrossings:
-    def _curve(self, grid, values, supported=None):
-        if supported is None:
-            supported = np.isfinite(values)
-        return NTPCurve(grid=grid, values=np.asarray(values, dtype=float), supported=supported)
+    def _curve(self, grid, values):
+        return NTPCurve(grid=grid, values=np.asarray(values, dtype=float))
 
     def test_no_crossing(self):
         g = Grid.uniform(0.0, 15.0, 16)
@@ -476,8 +459,7 @@ class TestCrossings:
         v[8:] = -0.5
         v[7] = np.nan
         v[8 - 1] = np.nan  # make the sign change span an unsupported gap
-        sup = np.isfinite(v)
-        assert ntp_crossings(self._curve(g, v, sup)) == []
+        assert ntp_crossings(self._curve(g, v)) == []
 
     def test_multiple_crossings_ordered(self):
         g = Grid.uniform(0.0, 15.0, 16)
@@ -505,7 +487,7 @@ class TestSupportComponents:
         # lower block: rows 0..31 put mass only on points 0..31
         rows[:32, :32] = 1.0
         rows[32:, 32:] = 1.0
-        kern = StochasticKernel.from_rows(g, g, rows)
+        kern = StochasticKernel.from_rows(g, rows)
         comps = support_components(kern)
         assert len(comps) == 2
         assert comps[0][1] < comps[1][0]
@@ -518,18 +500,10 @@ class TestSupportComponents:
         supported = np.zeros(64, dtype=bool)
         supported[:20] = True
         supported[30:] = True
-        kern = StochasticKernel.from_rows(g, g, rows, supported=supported)
+        kern = StochasticKernel.from_rows(g, rows, supported=supported)
         comps = support_components(kern)
         assert len(comps) == 2
         assert comps[0] == (pytest.approx(g.points[0]), pytest.approx(g.points[19]))
-
-    def test_non_square_rejected(self):
-        gx = Grid.uniform(0.0, 2.0, 64)
-        gy = Grid.uniform(0.0, 2.0, 65)
-        rows = np.tile(gaussian(gy.points, 1.0, 0.2), (64, 1))
-        kern = StochasticKernel.from_rows(gx, gy, rows)
-        with pytest.raises(GridMismatch):
-            support_components(kern)
 
     @pytest.mark.parametrize("count", [16, 40, 128])
     def test_matches_csgraph_on_sparse_kernels(self, count):
@@ -540,7 +514,7 @@ class TestSupportComponents:
             rows = (rng.random((count, count)) < density) * rng.random((count, count))
             rows[np.diag_indices(count)] += rng.random(count) < 0.5
             kern = StochasticKernel.from_rows(
-                g, g, rows, supported=rng.random(count) < rng.uniform(0.3, 1.0)
+                g, rows, supported=rng.random(count) < rng.uniform(0.3, 1.0)
             )
             sup = np.flatnonzero(kern.supported)
             n, label = csgraph.connected_components(
@@ -559,23 +533,25 @@ class TestNTPCurveType:
         v = np.zeros(16)
         v[3] = 1.5
         with pytest.raises(ValueError):
-            NTPCurve(grid=g, values=v, supported=np.ones(16, dtype=bool))
+            NTPCurve(grid=g, values=v)
 
     def test_requires_nan_at_unsupported(self):
+        # NaN alone marks a point off the support; an infinity is rejected
         g = Grid.uniform(0.0, 1.0, 16)
         v = np.zeros(16)
-        sup = np.ones(16, dtype=bool)
-        sup[0] = False
-        with pytest.raises(ValueError):
-            NTPCurve(grid=g, values=v, supported=sup)
+        v[0] = np.nan
+        assert np.isnan(NTPCurve(grid=g, values=v).values[0])
+        for mark in (np.inf, -np.inf):
+            v[0] = mark
+            with pytest.raises(ValueError, match=r"NTP values must be NaN or lie in \[-1, 1\]"):
+                NTPCurve(grid=g, values=v)
 
     def test_callers_arrays_stay_theirs(self):
         g = Grid.uniform(0.0, 1.0, 16)
         v = np.zeros(16)
-        sup = np.ones(16, dtype=bool)
-        curve = NTPCurve(grid=g, values=v, supported=sup)
-        assert v.flags.writeable and sup.flags.writeable
-        assert curve.values is not v and curve.supported is not sup
+        curve = NTPCurve(grid=g, values=v)
+        assert v.flags.writeable
+        assert curve.values is not v
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -590,18 +566,16 @@ def test_ergodic_is_stationary_property(seed):
 
 
 _G = Grid.uniform(0.0, 1.0, 16)
-_KERNEL = StochasticKernel(_G, _G, np.ones((16, 16)))
+_KERNEL = StochasticKernel(_G, np.ones((16, 16)))
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: NTPCurve(_G, np.zeros(15), np.ones(16, dtype=bool)),
-     "values/support flags do not match the grid"),
-    (lambda: NTPCurve(_G, np.zeros(16), np.ones(15, dtype=bool)),
-     "values/support flags do not match the grid"),
+    (lambda: NTPCurve(_G, np.zeros(15)), "values do not match the grid"),
+    (lambda: NTPCurve(_G, np.full(16, 2.0)), "NTP values must be NaN or lie in [-1, 1]"),
     (lambda: ergodic_distribution(_KERNEL, tol=0.0), "tol must be positive, got 0.0"),
     (lambda: ergodic_distribution(_KERNEL, tol=math.nan), "tol must be positive, got nan"),
     (lambda: ergodic_distribution(_KERNEL, max_iter=0), "max_iter must be at least 1, got 0"),
-], ids=["ntp-values-shape", "ntp-support-shape", "tol-zero", "tol-nan", "max-iter"])
+], ids=["ntp-values-shape", "ntp-range", "tol-zero", "tol-nan", "max-iter"])
 def test_rejections(make, message):
     with pytest.raises(ValueError) as info:
         make()

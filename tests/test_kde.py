@@ -238,21 +238,19 @@ class TestDensity1D:
 
 class TestDensity2D:
     def test_single_pair_peak(self):
-        gx = Grid.uniform(0.0, 2.0, 17)
-        gy = Grid.uniform(0.0, 2.0, 17)
+        g = Grid.uniform(0.0, 2.0, 17)
         pair = SimpleNamespace(x=np.array([1.0]), y=np.array([1.0]))
-        raw = density_2d_raw(pair, Bandwidths(1.0, 1.0), gx, gy)
+        raw = density_2d_raw(pair, Bandwidths(1.0, 1.0), g)
         assert raw[8, 8] == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
 
     def test_product_structure(self):
         # a single pair factorizes into the product of two 1-d kernels
-        gx = Grid.uniform(-2.0, 2.0, 41)
-        gy = Grid.uniform(-1.0, 3.0, 33)
+        g = Grid.uniform(-2.0, 3.0, 51)
         x0, y0 = 0.3, 1.2
         pair = SimpleNamespace(x=np.array([x0]), y=np.array([y0]))
-        raw = density_2d_raw(pair, Bandwidths(0.5, 0.7), gx, gy)
+        raw = density_2d_raw(pair, Bandwidths(0.5, 0.7), g)
         expected = np.outer(
-            gaussian(gx.points, x0, 0.5), gaussian(gy.points, y0, 0.7)
+            gaussian(g.points, x0, 0.5), gaussian(g.points, y0, 0.7)
         )
         assert np.max(np.abs(raw - expected)) < 1e-12
 
@@ -262,8 +260,8 @@ class TestDensity2D:
         y = rng.normal(1.0, 0.3, size=120)
         g = Grid.uniform(0.0, 2.0, 48)
         bw = Bandwidths(0.2, 0.2)
-        fwd = density_2d_raw(SimpleNamespace(x=x, y=y), bw, g, g)
-        rev = density_2d_raw(SimpleNamespace(x=y, y=x), bw, g, g)
+        fwd = density_2d_raw(SimpleNamespace(x=x, y=y), bw, g)
+        rev = density_2d_raw(SimpleNamespace(x=y, y=x), bw, g)
         assert np.max(np.abs(fwd - rev.T)) < 1e-12
 
     def test_surface_integrates_to_one(self):
@@ -275,7 +273,7 @@ class TestDensity2D:
         hy = silverman_bandwidth(y, 2)
         surf = density_2d(SimpleNamespace(x=x, y=y), Bandwidths(hx, hy), g, g)
         assert isinstance(surf, DensitySurface)
-        assert abs(_quad.integrate_2d(g, g, surf.values) - 1.0) < 1e-6
+        assert abs(_quad.integrate_2d(g, surf.values) - 1.0) < 1e-6
 
     def test_insufficient_pairs(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -288,12 +286,12 @@ class TestDensity2D:
         # samples between grid points at a bandwidth far below the spacing
         g = Grid.uniform(0.0, 1.0, 16)
         pairs = SimpleNamespace(x=np.array([0.03, 0.51]), y=np.array([0.37, 0.97]))
-        with pytest.raises(InsufficientData, match=r"bandwidths .* spacings"):
+        with pytest.raises(InsufficientData, match=r"bandwidths .* spacing "):
             density_2d(pairs, bw, g, g)
 
     @pytest.mark.parametrize("bw, message", [
-        (Bandwidths(1e-300, 0.1), "bandwidths (1e-300, 0.1) puts no mass on the grid of spacings"),
-        (Bandwidths(0.1, 1e-300), "bandwidths (0.1, 1e-300) puts no mass on the grid of spacings"),
+        (Bandwidths(1e-300, 0.1), "bandwidths (1e-300, 0.1) puts no mass on the grid of spacing "),
+        (Bandwidths(0.1, 1e-300), "bandwidths (0.1, 1e-300) puts no mass on the grid of spacing "),
         (Bandwidths(1e-300, 1e-300), "joint KDE at bandwidths (1e-300, 1e-300) puts no mass on "
          "the grid: its scale, 1 over n = 2 times the bandwidths, is out of floating-point range"),
     ])
@@ -303,14 +301,14 @@ class TestDensity2D:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InsufficientData, match=re.escape(message)):
-                joint_and_marginal(pairs, bw, g, g)
+                joint_and_marginal(pairs, bw, g)
 
     @pytest.mark.parametrize("upper, at, message", [
         # the origin's value 15.9 times its cell of 3.3e+198 by 3.3e+198 overflows
-        (1e200, 0.0, "has a mass beyond the floating-point range on the grid of spacings"),
+        (1e200, 0.0, "has a mass beyond the floating-point range on the grid of spacing "),
         # a mass of 6.5e+294, by which the origin's value 5.9e-43 divides to a subnormal
-        (1e170, 1.0, "cannot be normalized on the grid of spacings (6.666666666666667e+168, "
-                     "6.666666666666667e+168): divided by its mass"),
+        (1e170, 1.0, "cannot be normalized on the grid of spacing 6.666666666666667e+168: "
+                     "divided by its mass"),
     ], ids=["overflow", "underflow"])
     def test_huge_grid_fails_without_warnings(self, upper, at, message):
         g = Grid.uniform(0.0, upper, 16)
@@ -318,13 +316,19 @@ class TestDensity2D:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InsufficientData, match=re.escape(message)):
-                joint_and_marginal(pairs, Bandwidths(0.1, 0.1), g, g)
+                joint_and_marginal(pairs, Bandwidths(0.1, 0.1), g)
+
+    def test_density_2d_needs_one_grid(self):
+        g = Grid.uniform(0.0, 1.0, 16)
+        pairs = SimpleNamespace(x=np.array([0.3, 0.6]), y=np.array([0.4, 0.5]))
+        with pytest.raises(GridMismatch, match="one grid for both axes"):
+            density_2d(pairs, Bandwidths(0.1, 0.1), g, Grid.uniform(0.0, 1.0, 17))
 
     def test_mismatched_xy_lengths(self):
         g = Grid.uniform(0.0, 1.0, 16)
         bad = SimpleNamespace(x=np.array([0.2, 0.4]), y=np.array([0.2, 0.4, 0.6]))
         with pytest.raises(ValueError):
-            density_2d_raw(bad, Bandwidths(0.1, 0.1), g, g)
+            density_2d_raw(bad, Bandwidths(0.1, 0.1), g)
 
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -425,7 +429,7 @@ class TestWeightLoops:
         for pairs in (demo_pairs, SimpleNamespace(x=x_ar, y=y_ar)):
             grid = Grid.uniform(0.0, 1.1 * float(max(pairs.x.max(), pairs.y.max())), 96)
             bw = silverman_2d(pairs.x, pairs.y)
-            _, marginal = joint_and_marginal(pairs, bw, grid, grid)
+            _, marginal = joint_and_marginal(pairs, bw, grid)
             assert np.array_equal(marginal.values, density_1d(pairs.x, bw.h_x, grid).values)
 
     def test_floored_joint_within_bound(self, demo_panel_path):
@@ -436,7 +440,7 @@ class TestWeightLoops:
             pairs = build_transition_pairs(gpanel, tau=1)
             x, y = np.asarray(pairs.x), np.asarray(pairs.y)
             bw = silverman_2d(x, y)
-            new = density_2d_raw(pairs, bw, grid, grid)
+            new = density_2d_raw(pairs, bw, grid)
             old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK)
             bound = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
             assert np.max(np.abs(new - old)) <= bound, label
@@ -453,7 +457,7 @@ class TestWeightLoops:
             pairs = build_transition_pairs(gpanel, tau=1)
             x, y = np.asarray(pairs.x), np.asarray(pairs.y)
             bw = silverman_2d(x, y)
-            new = density_2d_raw(pairs, bw, grid, grid)
+            new = density_2d_raw(pairs, bw, grid)
             old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
                                        contract=einsum_rows)
             floor = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
@@ -466,7 +470,7 @@ class TestWeightLoops:
         grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 64)
         bw = Bandwidths(grid.upper / 20.0, grid.upper / 25.0)
         pairs = SimpleNamespace(x=x, y=y)
-        assert np.array_equal(density_2d_raw(pairs, bw, grid, grid),
+        assert np.array_equal(density_2d_raw(pairs, bw, grid),
                               plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK))
 
     def test_joint_is_bitwise_floored_plain_loop(self):
@@ -475,7 +479,7 @@ class TestWeightLoops:
         x, y = ar1_sample(9000)
         grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 128)
         bw = silverman_2d(x, y)
-        assert np.array_equal(density_2d_raw(SimpleNamespace(x=x, y=y), bw, grid, grid),
+        assert np.array_equal(density_2d_raw(SimpleNamespace(x=x, y=y), bw, grid),
                               plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
                                                    floor=True))
 
@@ -488,7 +492,7 @@ class TestSortedBlocks:
     def assert_plain(x, y, bw, grid):
         xs, ys = by_pair(x, y)
         pairs = SimpleNamespace(x=x, y=y)
-        marginal, joint = _joint_raw(pairs, bw, grid, grid)
+        marginal, joint = _joint_raw(pairs, bw, grid)
         one_d = plain_density_1d_raw(xs, bw.h_x, grid, _BLOCK)
         assert np.array_equal(density_1d_raw(x, bw.h_x, grid), one_d)
         assert np.array_equal(marginal, one_d)
@@ -544,9 +548,9 @@ class TestSortedBlocks:
         grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 32)
         bw = Bandwidths(0.1, 0.12)
         perm = rng.permutation(n)
-        joint, marginal = joint_and_marginal(SimpleNamespace(x=x, y=y), bw, grid, grid)
+        joint, marginal = joint_and_marginal(SimpleNamespace(x=x, y=y), bw, grid)
         joint_p, marginal_p = joint_and_marginal(SimpleNamespace(x=x[perm], y=y[perm]),
-                                                 bw, grid, grid)
+                                                 bw, grid)
         assert np.array_equal(joint.values, joint_p.values)
         assert np.array_equal(marginal.values, marginal_p.values)
         assert np.array_equal(density_1d_raw(x, 0.1, grid), density_1d_raw(x[perm], 0.1, grid))
@@ -572,7 +576,7 @@ class TestNonFiniteSamples:
         pairs[axis][3] = bad
         for estimate in (joint_and_marginal, density_2d_raw):
             with pytest.raises(NonFiniteSample, match=rf"pair 1 is not finite .*{axis}=-?(nan|inf)"):
-                estimate(SimpleNamespace(**pairs), Bandwidths(0.3, 0.3), g, g)
+                estimate(SimpleNamespace(**pairs), Bandwidths(0.3, 0.3), g)
 
 
 class TestConditionalDensity:
@@ -682,7 +686,7 @@ class TestCurveAndKernelTypes:
         rows = np.zeros((16, 16))
         rows[2] = 3.0
         rows[5] = np.linspace(0.0, 1.0, 16)
-        kern = StochasticKernel.from_rows(g, g, rows)
+        kern = StochasticKernel.from_rows(g, rows)
         assert kern.supported[2] and kern.supported[5]
         assert kern.n_supported == 2
         w = trapezoid_weights(g.points)
@@ -695,7 +699,7 @@ class TestCurveAndKernelTypes:
         rows = np.ones((16, 16))
         rows[4, 7] = np.nan
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            StochasticKernel(g, g, rows)
+            StochasticKernel(g, rows)
 
     def test_kernel_rejects_negative_entry(self):
         # the row still integrates to 1: -5 and +5 on two interior points
@@ -704,7 +708,7 @@ class TestCurveAndKernelTypes:
         rows[3, 5], rows[3, 6] = -4.0, 6.0
         assert abs(np.sum(trapezoid_weights(g.points) * rows[3]) - 1.0) < 1e-12
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            StochasticKernel(g, g, rows)
+            StochasticKernel(g, rows)
 
     def test_kernel_rejects_non_finite_unsupported_row(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -713,7 +717,7 @@ class TestCurveAndKernelTypes:
         supported = np.ones(16, dtype=bool)
         supported[0] = False
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            StochasticKernel(g, g, rows, supported=supported)
+            StochasticKernel(g, rows, supported=supported)
 
     def test_callers_arrays_stay_theirs(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -722,9 +726,9 @@ class TestCurveAndKernelTypes:
         sup = np.ones(16, dtype=bool)
         built = [
             (DensityCurve(g, v).values, v),
-            (DensitySurface(g, g, surface).values, surface),
-            (StochasticKernel(g, g, surface, supported=sup).rows, surface),
-            (StochasticKernel(g, g, surface, supported=sup).supported, sup),
+            (DensitySurface(g, surface).values, surface),
+            (StochasticKernel(g, surface, supported=sup).rows, surface),
+            (StochasticKernel(g, surface, supported=sup).supported, sup),
         ]
         for held, mine in built:
             assert mine.flags.writeable
@@ -735,10 +739,10 @@ class TestCurveAndKernelTypes:
     def test_constructors_hand_over_fresh_buffers(self):
         g = Grid.uniform(0.0, 1.0, 16)
         curve = DensityCurve.from_values(g, np.full(16, 3.0))
-        kern = StochasticKernel.from_rows(g, g, np.ones((16, 16)))
+        kern = StochasticKernel.from_rows(g, np.ones((16, 16)))
         # a frozen buffer that owns its memory is taken without a copy
         assert DensityCurve(g, curve.values).values is curve.values
-        assert StochasticKernel(g, g, kern.rows, kern.supported).rows is kern.rows
+        assert StochasticKernel(g, kern.rows, kern.supported).rows is kern.rows
 
     def test_bandwidths_positive(self):
         with pytest.raises(ValueError):
@@ -761,29 +765,34 @@ _ROWS = np.tile(np.ones(16), (16, 1))  # unit-mass rows on [0, 1]
      "density does not integrate to 1; use from_values"),
     (lambda: DensityCurve.from_values(_G, np.zeros(16)), ValueError,
      "cannot normalize a curve with nonpositive mass"),
-    (lambda: DensitySurface(_G, _G, _ROWS[:-1]), ValueError, "values do not match the grid pair"),
-    (lambda: DensitySurface(_G, _G, np.full((16, 16), np.inf)), ValueError,
+    (lambda: DensitySurface(_G, _ROWS[:-1]), ValueError, "values do not match the grid"),
+    (lambda: DensitySurface(_G, np.full((16, 16), np.inf)), ValueError,
      "surface values must be finite and nonnegative"),
-    (lambda: DensitySurface(_G, _G, 2 * _ROWS), ValueError,
+    (lambda: DensitySurface(_G, 2 * _ROWS), ValueError,
      "surface does not integrate to 1; use from_values"),
-    (lambda: DensitySurface.from_values(_G, _G, np.zeros((16, 16))), ValueError,
+    (lambda: DensitySurface.from_values(_G, np.zeros((16, 16))), ValueError,
      "cannot normalize a surface with nonpositive mass"),
-    (lambda: StochasticKernel(_G, _G, _ROWS[:, :-1]), ValueError, "rows do not match the grid pair"),
-    (lambda: StochasticKernel(_G, _G, _ROWS, np.ones(15, dtype=bool)), ValueError,
-     "support flags do not match grid_x"),
-    (lambda: StochasticKernel(_G, _G, -_ROWS), ValueError,
+    (lambda: StochasticKernel(_G, _ROWS[:, :-1]), ValueError, "rows do not match the grid"),
+    (lambda: StochasticKernel(_G, _ROWS, np.ones(15, dtype=bool)), ValueError,
+     "support flags do not match the grid"),
+    (lambda: StochasticKernel(_G, -_ROWS), ValueError,
      "kernel entries must be finite and nonnegative"),
-    (lambda: StochasticKernel(_G, _G, 2 * _ROWS), ValueError,
+    (lambda: StochasticKernel(_G, 2 * _ROWS), ValueError,
      "supported rows must integrate to 1; use from_rows"),
-    (lambda: StochasticKernel.from_rows(_G, _G, _ROWS[:-1]), ValueError,
-     "rows do not match the grid pair"),
-    (lambda: _joint_raw(SimpleNamespace(x=np.empty(0), y=np.empty(0)), Bandwidths(0.1, 0.1), _G, _G),
+    # an unsupported row is never solved on and reads NaN in the NTP, so
+    # mass there would show only in kernel.csv
+    (lambda: StochasticKernel(_G, _ROWS, np.arange(16) != 3), ValueError,
+     "unsupported rows must hold zeros"),
+    (lambda: StochasticKernel.from_rows(_G, _ROWS[:-1]), ValueError,
+     "rows do not match the grid"),
+    (lambda: _joint_raw(SimpleNamespace(x=np.empty(0), y=np.empty(0)), Bandwidths(0.1, 0.1), _G),
      EmptySamples, "cannot estimate a joint density from zero pairs"),
-    (lambda: conditional_density(DensitySurface(_G, _G, _ROWS), DensityCurve(_G, np.ones(16)), 1.0),
+    (lambda: conditional_density(DensitySurface(_G, _ROWS), DensityCurve(_G, np.ones(16)), 1.0),
      ValueError, "floor must be a small fraction in (0, 1), got 1.0"),
 ], ids=["curve-shape", "curve-negative", "curve-nan", "curve-mass", "curve-no-mass",
         "surface-shape", "surface-inf", "surface-mass", "surface-no-mass", "kernel-shape",
-        "kernel-support-shape", "kernel-negative", "kernel-row-mass", "from-rows-shape",
+        "kernel-support-shape", "kernel-negative", "kernel-row-mass", "kernel-unsupported-mass",
+        "from-rows-shape",
         "zero-pairs", "floor"])
 def test_rejections(make, error, message):
     with pytest.raises(error) as info:

@@ -555,7 +555,6 @@ class TestTransitionPairs:
         )
         pairs = build_transition_pairs(rel, tau=1)
         assert len(pairs) == 4
-        assert pairs.tau == 1
         # both units have identical relative income 1.0 everywhere
         assert np.allclose(pairs.x, 1.0) and np.allclose(pairs.y, 1.0)
 
@@ -1197,9 +1196,9 @@ _RELATIVE = Panel(**_columns(), is_relative=True)
     (lambda: Panel(**_columns(year=np.array([1999]))), ValueError, "column year has wrong length"),
     (lambda: Panel(**_columns(income=np.ones(1))), ValueError, "column income has wrong length"),
     (lambda: Panel(**_columns(), cpi=np.ones(3)), ValueError, "column cpi has wrong length"),
-    (lambda: TransitionPairs(np.ones(2), np.ones(3), 1), ValueError,
+    (lambda: TransitionPairs(np.ones(2), np.ones(3)), ValueError,
      "x and y must have equal length"),
-    (lambda: TransitionPairs(np.ones(2), np.ones(2), 0), ValueError,
+    (lambda: build_transition_pairs(_RELATIVE, tau=0), ValueError,
      "tau must be a positive integer, got 0"),
     (lambda: load_panel(42), TypeError, "cannot read a panel from int"),
     (lambda: deflate(_RELATIVE), ValueError, "panel is already in relative terms"),

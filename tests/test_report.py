@@ -280,7 +280,7 @@ class TestBuildReport:
         ergodic = ErgodicSolution(density=density, residual=1e-12, iterations=3)
         values = np.full(64, np.nan)
         values[10:50] = 0.1
-        ntp = NTPCurve(grid=g, values=values, supported=np.isfinite(values))
+        ntp = NTPCurve(grid=g, values=values)
         report = build_report("pooled", panel, pairs, ergodic, ntp)
         assert report.group_label == "pooled"
         assert report.sample_counts["observations"] == 36
@@ -294,11 +294,7 @@ class TestBuildReport:
         other = Grid.uniform(0.0, 3.0, 65)
         density = DensityCurve.from_values(g, gaussian(g.points, 1.0, 0.3))
         ergodic = ErgodicSolution(density=density, residual=1e-12, iterations=1)
-        ntp = NTPCurve(
-            grid=other,
-            values=np.zeros(65),
-            supported=np.ones(65, dtype=bool),
-        )
+        ntp = NTPCurve(grid=other, values=np.zeros(65))
         panel = to_relative(
             load_panel(
                 b"unit_id,sector,region,year,income\n"

@@ -36,7 +36,7 @@ def density(grid, mu=1.0, sd=0.3):
 
 def small_kernel(grid, sd=0.15):
     rows = np.stack([gaussian(grid.points, 0.3 + 0.7 * x, sd) for x in grid.points])
-    return StochasticKernel.from_rows(grid, grid, rows)
+    return StochasticKernel.from_rows(grid, rows)
 
 
 def parse_svg(text: str) -> ET.Element:
@@ -74,14 +74,14 @@ class TestRenderCurves:
     def test_ntp_curve_draws_zero_line(self):
         g = Grid.uniform(0.0, 2.0, 64)
         values = np.clip(1.0 - g.points, -1.0, 1.0)
-        ntp = NTPCurve(grid=g, values=values, supported=np.ones(64, dtype=bool))
+        ntp = NTPCurve(grid=g, values=values)
         text = render_curves([("ntp", ntp)])
         assert 'class="zero-line"' in text or "zero" in text
 
     def test_density_only_plot_has_no_zero_line(self):
         g = Grid.uniform(0.0, 2.0, 64)
         with_zero = render_curves(
-            [("n", NTPCurve(grid=g, values=np.zeros(64), supported=np.ones(64, dtype=bool)))]
+            [("n", NTPCurve(grid=g, values=np.zeros(64)))]
         )
         without = render_curves([("d", density(g))])
         def zero_lines(t):
@@ -92,7 +92,7 @@ class TestRenderCurves:
         g = Grid.uniform(0.0, 2.0, 64)
         values = np.full(64, 0.25)
         values[30:34] = np.nan
-        ntp = NTPCurve(grid=g, values=values, supported=np.isfinite(values))
+        ntp = NTPCurve(grid=g, values=values)
         text = render_curves([("gap", ntp)])
         data = [
             ln for ln in text.splitlines()
@@ -353,7 +353,7 @@ class TestExportCsv:
         g = Grid.uniform(0.0, 2.0, 64)
         values = np.full(64, 0.5)
         values[:5] = np.nan
-        ntp = NTPCurve(grid=g, values=values, supported=np.isfinite(values))
+        ntp = NTPCurve(grid=g, values=values)
         raw = export_csv(ntp).decode()
         lines = raw.strip().split("\n")
         assert lines[0] == "x,ntp"
@@ -374,7 +374,7 @@ class TestExportCsv:
 
     def test_pairs_export(self):
         pairs = TransitionPairs(
-            x=np.array([0.5, 1.5, 2.5]), y=np.array([0.6, 1.4, 2.7]), tau=1
+            x=np.array([0.5, 1.5, 2.5]), y=np.array([0.6, 1.4, 2.7])
         )
         raw = export_csv(pairs).decode()
         lines = raw.strip().split("\n")
@@ -417,7 +417,7 @@ class TestCsvChunks:
         x = rng.lognormal(0.0, 1.0, 10000)
         y = rng.lognormal(0.0, 1.0, 10000)
         x[:6] = [0.0, -0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0**53 + 2]
-        pairs = TransitionPairs(x=x, y=y, tau=1)
+        pairs = TransitionPairs(x=x, y=y)
         chunks = list(_csv_chunks(pairs))
         assert len(chunks) == 1 + 3  # header, then 4096-row chunks of two columns
         assert b"".join(chunks) == export_csv(pairs) == csv_by_value("x,y", (x, y))
@@ -430,7 +430,7 @@ class TestCsvChunks:
         )
         values = np.full(32, 0.25)
         values[:5] = np.nan
-        ntp = NTPCurve(grid=g, values=values, supported=np.isfinite(values))
+        ntp = NTPCurve(grid=g, values=values)
         assert export_csv(ntp) == csv_by_value("x,ntp", (g.points, values))
         a, b = density(g, 0.8), density(g, 1.2)
         assert export_csv([("α 1999", a), ("b", b)]) == csv_by_value(
@@ -438,14 +438,13 @@ class TestCsvChunks:
         )
 
     def test_wide_table_is_chunked_by_values(self):
-        gx = Grid.uniform(0.0, 2.0, 40)
-        gy = Grid.uniform(0.0, 2.0, 300)
-        rows = np.outer(gaussian(gx.points, 1.0, 0.3), gaussian(gy.points, 1.1, 0.4))
-        kern = StochasticKernel.from_rows(gx, gy, rows)
+        g = Grid.uniform(0.0, 2.0, 300)
+        rows = np.outer(gaussian(g.points, 1.0, 0.3), gaussian(g.points, 1.1, 0.4))
+        kern = StochasticKernel.from_rows(g, rows)
         chunks = list(_csv_chunks(kern))
-        assert len(chunks) == 1 + 2  # header, then 8192 // 301 = 27 rows a chunk
+        assert len(chunks) == 1 + 12  # header, then 8192 // 301 = 27 rows a chunk
         assert b"".join(chunks) == csv_by_value(
-            "x\\y," + ",".join("%.17g" % v for v in gy.points), (gx.points, *kern.rows.T)
+            "x\\y," + ",".join("%.17g" % v for v in g.points), (g.points, *kern.rows.T)
         )
 
     def test_bad_input_fails_before_the_first_chunk(self):
