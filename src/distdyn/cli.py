@@ -104,7 +104,8 @@ class RunConfig:
     bandwidth_y: float | None = _setting(None, "override the y bandwidth", (ANALYZE,),
                                          lambda v: v is None or v > 0, "be positive")
     tol: float = _setting(1e-10, "ergodic L1 tolerance", (ANALYZE,), _positive, "be positive")
-    max_iter: int = _setting(10000, "ergodic iteration cap", (ANALYZE,), _positive, "be positive")
+    max_iter: int = _setting(10000, "ergodic solves per support component, at most", (ANALYZE,),
+                             _positive, "be positive")
     prominence: float = _setting(0.05, "mode prominence threshold as a fraction of the peak",
                                  (ANALYZE,), lambda v: v >= 0, "be nonnegative")
     threads: int = _setting(1, "concurrent groups", (ANALYZE,), _positive, "be positive")
@@ -257,6 +258,7 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path) -> tuple[dic
             status="ok",
             ergodic_iterations=res.ergodic.iterations,
             ergodic_residual=res.ergodic.residual,
+            ergodic_error_bound=res.ergodic.error_bound,
             support_components=res.components,
         )
     except NotConverged as e:

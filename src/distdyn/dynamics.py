@@ -1,8 +1,8 @@
 """Distribution dynamics on a stochastic kernel.
 
 Three operations on a row-normalized kernel g(y|x): push a density one step
-forward, iterate that push to the ergodic (long-run) density, and reduce
-each row to its net transition probability
+forward, solve for the ergodic (long-run) density that repeated pushes reach,
+and reduce each row to its net transition probability
 
     p(x) = P(move above x) - P(stay at or below x) = 1 - 2*C(x|x),
 
@@ -47,10 +47,13 @@ class NTPCurve:
 
 @dataclass(frozen=True)
 class ErgodicSolution:
-    """Converged long-run density with its fixed-point residual."""
+    """Converged long-run density with its fixed-point residual, the error
+    bound its solve stopped on (an estimate of the L1 distance to the exact
+    fixed point) and the number of solves it took."""
 
     density: DensityCurve
     residual: float
+    error_bound: float
     iterations: int
 
 
@@ -75,8 +78,8 @@ class _Step:
             raise NoSupportedRows("kernel has no supported rows")
         self._sup = np.flatnonzero(kernel.supported)
         self._rows = np.ascontiguousarray(kernel.rows[self._sup])
-        self._w = _quad.weights(kernel.grid)
-        self._w_sup = self._w[self._sup]
+        self.weights = _quad.weights(kernel.grid)
+        self._w_sup = self.weights[self._sup]
         self._c = np.empty(self._sup.size)
         self._buf = np.empty(kernel.grid.count)
 
@@ -94,12 +97,12 @@ class _Step:
             raise NoSupportedRows("density carries no mass on the kernel's supported rows")
         # default einsum: fixed-order C contraction, no BLAS
         np.einsum("i,iy->y", c, self._rows, out=out)
-        np.divide(out, np.add.reduce(np.multiply(self._w, out, out=self._buf)), out=out)
+        np.divide(out, np.add.reduce(np.multiply(self.weights, out, out=self._buf)), out=out)
 
     def l1(self, a: np.ndarray, b: np.ndarray) -> float:
         """Trapezoid L1 distance on the grid, bitwise ``_quad.l1_distance``."""
         d = np.abs(np.subtract(a, b, out=self._buf), out=self._buf)
-        return float(np.add.reduce(np.multiply(self._w, d, out=d)))
+        return float(np.add.reduce(np.multiply(self.weights, d, out=d)))
 
 
 def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
@@ -117,24 +120,151 @@ def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
     return DensityCurve(grid=kernel.grid, values=_frozen(out))
 
 
+# sigma of the shifted inverse iteration: above every Perron root (a kernel
+# row has unit mass, so no root exceeds 1), close enough to the demo's
+# roots (1 - 5e-6) that each solve shrinks the other modes about 500-fold
+_SHIFT = 1.0 + 1e-5
+# the least error bound: the rounding of a unit-mass density's values, in L1
+_EPS = float(np.finfo(float).eps)
+# rows per block of the triangular substitutions
+_PANEL = 32
+
+
+def _lower_inverse(t: np.ndarray, unit: bool = False) -> np.ndarray:
+    """Inverse of a small lower-triangular M-matrix, a row at a time, so
+    every term of its sums is nonnegative. With ``unit`` the diagonal is
+    taken as ones and never read."""
+    zt = np.zeros(t.shape)  # the inverse, transposed: its rows are read whole
+    for k in range(t.shape[0]):
+        zt[:k, k] = -np.vecdot(zt[:k, :k], t[k, :k])
+        zt[k, k] = 1.0
+        if not unit:
+            zt[:k + 1, k] /= t[k, k]
+    return zt.T
+
+
+class _Factor:
+    """Doolittle LU of sigma*I - M^T for one support component, M = diag(w) K.
+
+    sigma*I - M^T is a nonsingular M-matrix (sigma exceeds the Perron root
+    of M), so elimination needs no pivoting. Every multiplier and every
+    off-diagonal of U is nonpositive, and the substitutions of a
+    nonnegative right-hand side add nonnegative terms only. The factor is
+    built row by row (Crout order); the substitutions run ``_PANEL`` rows at
+    a time through the inverse of their diagonal block. Every sum is an
+    ``np.vecdot`` row, a dot product that OpenBLAS runs on one thread at
+    these lengths: no LAPACK call or matrix product, whose sums could split
+    by the BLAS thread count.
+    """
+
+    def __init__(self, rows: np.ndarray, w: np.ndarray):
+        m = w.size
+        a = np.multiply(rows, -w[:, None]).T  # -M^T: a[y, i] = -w_i K(i, y)
+        a[np.diag_indices(m)] += _SHIFT
+        lo = np.ascontiguousarray(a)  # becomes L below the diagonal, in place
+        ut = np.zeros((m, m))  # U transposed, so U's columns are rows here
+        for k in range(m):
+            ut[k:, k] = lo[k, k:] - np.vecdot(ut[k:, :k], lo[k, :k])
+            lo[k + 1:, k] -= np.vecdot(lo[k + 1:, :k], ut[k, :k])
+            lo[k + 1:, k] /= ut[k, k]
+        up = np.ascontiguousarray(ut.T)
+        self._lo, self._up = lo, up
+        self._spans = [(k, min(k + _PANEL, m)) for k in range(0, m, _PANEL)]
+        # U^-1 = J (J U J)^-1 J, J the reversal, as J U J is lower triangular
+        self._inverses = [
+            (np.ascontiguousarray(_lower_inverse(lo[k0:k1, k0:k1], unit=True)),
+             np.ascontiguousarray(_lower_inverse(up[k0:k1, k0:k1][::-1, ::-1])[::-1, ::-1]))
+            for k0, k1 in self._spans
+        ]
+
+    def solve(self, x: np.ndarray) -> None:
+        """Overwrite ``x`` with (sigma*I - M^T)^-1 x."""
+        lo, up = self._lo, self._up
+        for (k0, k1), (l_inv, _) in zip(self._spans, self._inverses):
+            x[k0:k1] = np.vecdot(l_inv, x[k0:k1] - np.vecdot(lo[k0:k1, :k0], x[:k0]))
+        for (k0, k1), (_, u_inv) in zip(self._spans[::-1], self._inverses[::-1]):
+            x[k0:k1] = np.vecdot(u_inv, x[k0:k1] - np.vecdot(up[k0:k1, k1:], x[k1:]))
+
+
+def _solve_component(
+    kernel: StochasticKernel, step: _Step, block: np.ndarray, start: np.ndarray,
+    tol: float, max_iter: int,
+) -> tuple[np.ndarray, float, int]:
+    """Inverse iteration on one support component, from ``start``.
+
+    Returns the unit-mass full-grid density, its error bound and the number
+    of solves. Each iterate is mapped to the full grid by one forward step,
+    so it carries the leak onto unsupported points the way ``evolve`` does.
+    """
+    factor = _Factor(kernel.rows[np.ix_(block, block)], step.weights[block])
+    x = start[block].copy()
+    v = np.zeros(kernel.grid.count)
+    f, nxt = np.array(start), np.empty(kernel.grid.count)
+    deltas = (np.inf, np.inf)
+    for solves in range(1, max_iter + 1):
+        factor.solve(x)
+        np.divide(x, np.add.reduce(x), out=x)  # the scale only; keeps x finite
+        v[block] = x
+        step.apply(v, nxt)
+        delta = step.l1(f, nxt)
+        deltas = (deltas[1], delta)
+        f, nxt = nxt, f
+        if solves < 3:  # the first delta starts from `start`, not an iterate
+            continue
+        shrinking = delta < deltas[0]
+        if shrinking:  # steps shrinking by r from here on sum to delta/(1 - r)
+            bound = max(delta / (1.0 - delta / deltas[0]), _EPS)
+        else:  # the rounding floor: the iterates move by rounding alone, about delta
+            bound = max(delta, _EPS)
+        if bound <= tol:
+            return f, bound, solves
+        if not shrinking:
+            raise NotConverged(
+                f"L1 delta stopped shrinking after {solves} solves, at the rounding "
+                f"floor: last two {deltas[0]:.3e}, {deltas[1]:.3e}",
+                last_deltas=deltas,
+            )
+    raise NotConverged(
+        f"no fixed point after {max_iter} solves; "
+        f"last two L1 deltas {deltas[0]:.3e}, {deltas[1]:.3e}",
+        last_deltas=deltas,
+    )
+
+
 def ergodic_distribution(
     kernel: StochasticKernel,
     init: DensityCurve | None = None,
     tol: float = 1e-10,
     max_iter: int = 10000,
+    blocks: list[np.ndarray] | None = None,
 ) -> ErgodicSolution:
-    """Iterate `evolve` to its fixed point, the ergodic density.
+    """The long-run density: the fixed point that repeated `evolve` reaches.
 
-    Starts from ``init`` (uniform over the grid when omitted) and stops when
-    the L1 change between successive iterates is at most ``tol``. The
-    iterates are `evolve` applied repeatedly, bit for bit: one step, set up
-    once for the kernel, runs in place on two buffers and never reads an
-    unsupported row. The returned residual is a fresh ||f - evolve(f)||_1
-    at the solution. The Markov operator is L1 non-expansive, so on success
-    the residual cannot exceed the final delta.
+    That is the quasi-stationary law of the leaking chain on the supported
+    points (`evolve` drops the mass a row puts off them): the Perron vector
+    of M^T, M = diag(w) K on those points, carried one step onto the grid.
+    Each support component (``blocks``, from :func:`component_blocks`, found
+    when omitted) is solved by shifted inverse iteration from ``init``
+    (uniform when omitted): one LU of sigma*I - M^T, sigma = 1 + 1e-5, then
+    solves, each iterate carried onto the grid by one forward step.
 
-    Raises :class:`NotConverged` after ``max_iter`` steps, carrying the last
-    two deltas so a stall is distinguishable from oscillation.
+    With delta the last solve's L1 change and r the ratio of the last two
+    deltas (never the first, from ``init``), a component stops once
+    delta/(1 - r) <= ``tol``: the previous iterate's distance to the limit
+    if the steps keep shrinking by r, so a bound on the returned iterate's
+    with a margin of about 1/r. It is the solution's ``error_bound``, never
+    below machine epsilon. Once delta stops shrinking (the rounding floor),
+    the bound is delta.
+
+    With several components, the answer is the law of the one with the
+    largest Perron root among those ``init`` puts mass on, as power
+    iteration converges to it; a tie goes to the first in grid order. A
+    component's root is the share of its law that lies on it.
+
+    ``iterations`` counts the solves over all components; ``residual`` is a
+    fresh ||f - evolve(f)||_1 at the solution. Raises :class:`NotConverged`,
+    carrying the last two deltas, when a component reaches ``max_iter``
+    solves or its delta stops shrinking above ``tol``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -145,22 +275,26 @@ def ergodic_distribution(
     elif init.grid != kernel.grid:
         raise GridMismatch("init grid differs from the kernel grid")
     step = _Step(kernel)
-    f, nxt = np.array(init.values), np.empty(kernel.grid.count)
-    deltas = (np.inf, np.inf)
-    for iteration in range(1, max_iter + 1):
-        step.apply(f, nxt)
-        delta = step.l1(f, nxt)
-        deltas = (deltas[1], delta)
-        f, nxt = nxt, f
-        if delta <= tol:
-            step.apply(f, nxt)
-            residual = step.l1(f, nxt)
-            density = DensityCurve(grid=kernel.grid, values=_frozen(f))
-            return ErgodicSolution(density=density, residual=residual, iterations=iteration)
-    raise NotConverged(
-        f"no fixed point after {max_iter} iterations; "
-        f"last two L1 deltas {deltas[0]:.3e}, {deltas[1]:.3e}",
-        last_deltas=deltas,
+    w, start = step.weights, init.values
+    best, solves = None, 0
+    for block in component_blocks(kernel) if blocks is None else blocks:
+        if not np.add.reduce(w[block] * start[block]) > 0.0:
+            continue  # power iteration never reaches a component it starts off
+        f, bound, n = _solve_component(kernel, step, block, start, tol, max_iter)
+        solves += n
+        root = np.add.reduce(w[block] * f[block])
+        if best is None or root > best[0]:
+            best = (root, f, bound)
+    if best is None:
+        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
+    _, f, bound = best
+    nxt = np.empty(kernel.grid.count)
+    step.apply(f, nxt)
+    return ErgodicSolution(
+        density=DensityCurve(grid=kernel.grid, values=_frozen(f)),
+        residual=step.l1(f, nxt),
+        error_bound=bound,
+        iterations=solves,
     )
 
 
@@ -198,15 +332,14 @@ def ntp_crossings(ntp: NTPCurve) -> list[float]:
     return out
 
 
-def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
-    """Connected blocks of the supported region, as x intervals.
+def component_blocks(kernel: StochasticKernel) -> list[np.ndarray]:
+    """Connected blocks of the supported region, as ascending grid indices.
 
     Two supported grid points communicate when either row places positive
     mass at the other's location; the transitive closure partitions the
-    supported set. More than one component means the kernel is effectively
-    reducible and the ergodic density depends on the starting point, so the
-    solver's result should be read per component. Blocks come in ascending
-    order of their first point.
+    supported set. No mass ever moves between blocks, so each has its own
+    quasi-stationary law (see :func:`ergodic_distribution`). Blocks come in
+    ascending order of their first point.
     """
     sup = np.flatnonzero(kernel.supported)
     if sup.size == 0:
@@ -223,7 +356,18 @@ def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
         if np.array_equal(nxt, label):
             break
         label = nxt
-    first, from_end = np.unique(label[::-1], return_index=True)
-    last = sup.size - 1 - from_end
+    return [sup[label == first] for first in np.unique(label)]
+
+
+def support_components(
+    kernel: StochasticKernel, blocks: list[np.ndarray] | None = None
+) -> list[tuple[float, float]]:
+    """The x interval from the first to the last point of each block of
+    ``blocks`` (:func:`component_blocks` of the kernel, found when omitted).
+
+    More than one component means the kernel is reducible: the ergodic
+    solve then returns the law of one of them.
+    """
     pts = kernel.grid.points
-    return list(zip(pts[sup[first]].tolist(), pts[sup[last]].tolist()))
+    blocks = component_blocks(kernel) if blocks is None else blocks
+    return [(float(pts[b[0]]), float(pts[b[-1]])) for b in blocks]

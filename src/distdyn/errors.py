@@ -77,10 +77,11 @@ class NoSupportedRows(DistDynError):
 
 
 class NotConverged(DistDynError):
-    """Fixed-point iteration hit the iteration cap before reaching tolerance.
+    """The ergodic solve did not reach its tolerance: it hit its cap of
+    solves, or its L1 delta stopped shrinking (the rounding floor) above it.
 
-    Carries the last two L1 deltas so oscillation is distinguishable from
-    slow convergence.
+    Carries the last two L1 deltas so a stall is distinguishable from slow
+    convergence.
     """
 
     def __init__(self, message, last_deltas=()):

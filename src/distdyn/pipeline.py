@@ -8,7 +8,7 @@ The full chain for one group of a relative-income panel:
 with bandwidths from the Silverman rule unless overridden.
 :func:`analyze_group` is the one place this chain runs; its ``on_estimate``
 hook lets a caller (the CLI) persist the estimation-stage artifacts before
-the iterative solve, so they survive a solve that does not converge.
+the ergodic solve, so they survive a solve that does not converge.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import (
     ErgodicSolution,
     NTPCurve,
+    component_blocks,
     ergodic_distribution,
     net_transition_probability,
     support_components,
@@ -190,7 +191,7 @@ def analyze_group(
     ``on_estimate(est, ntp)``, when given, is called once the kernel and the
     NTP curve exist and before the ergodic solve, which starts from the
     univariate-rule KDE of the pooled x samples. Raises NotConverged when
-    the solve exhausts ``max_iter``; whatever ``on_estimate`` kept of the
+    the solve does not reach ``tol``; whatever ``on_estimate`` kept of the
     estimate stays with the caller.
     """
     est = estimate_kernel(
@@ -200,7 +201,8 @@ def analyze_group(
     if on_estimate is not None:
         on_estimate(est, ntp)
     init = density_1d(est.pairs.x, silverman_bandwidth(est.pairs.x, 1), grid)
-    ergodic = ergodic_distribution(est.kernel, init, tol=tol, max_iter=max_iter)
+    blocks = component_blocks(est.kernel)
+    ergodic = ergodic_distribution(est.kernel, init, tol=tol, max_iter=max_iter, blocks=blocks)
     rep = build_report(label, panel, est.pairs, ergodic, ntp, min_prominence)
     return GroupResult(
         label=label,
@@ -208,5 +210,5 @@ def analyze_group(
         ergodic=ergodic,
         ntp=ntp,
         report=rep,
-        components=support_components(est.kernel),
+        components=support_components(est.kernel, blocks),
     )

@@ -117,13 +117,15 @@ def compare_years(
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Per-group summary: modes, crossings, residual, composition."""
+    """Per-group summary: modes, crossings, the solve's residual and error
+    bound, composition."""
 
     group_label: str
     sample_counts: dict[str, int]
     modes: tuple[Mode, ...]
     ntp_crossings: tuple[float, ...]
     ergodic_residual: float
+    ergodic_error_bound: float
     region_shares: dict[str, float]
 
     def __post_init__(self):
@@ -158,6 +160,7 @@ def build_report(
         modes=tuple(modes),
         ntp_crossings=tuple(ntp_crossings(ntp)),
         ergodic_residual=float(ergodic.residual),
+        ergodic_error_bound=float(ergodic.error_bound),
         region_shares=group_shares(panel),
     )
 
@@ -176,5 +179,6 @@ def report_to_json(report: AnalysisReport) -> str:
         "modes": [m._asdict() for m in report.modes],
         "ntp_crossings": list(report.ntp_crossings),
         "ergodic_residual": report.ergodic_residual,
+        "ergodic_error_bound": report.ergodic_error_bound,
         "region_shares": {r: report.region_shares[r] for r in REGIONS if r in report.region_shares},
     })

@@ -177,21 +177,24 @@ def simulate(spec: ProcessSpec) -> Panel:
     )
 
 
-def stationary_density(spec: ProcessSpec, grid: Grid) -> DensityCurve:
+def stationary_density(spec: ProcessSpec, grid: Grid, relative: bool = False) -> DensityCurve:
     """Exact stationary density on a grid (iid_lognormal and ar1_log only).
 
     The stationary law of log income is Normal(0, s^2) with
-    s = sigma/sqrt(1 - rho^2), so income is lognormal. Values are
-    renormalized to unit trapezoid mass on the grid.
+    s = sigma/sqrt(1 - rho^2), so income is lognormal. With ``relative``,
+    the law of income relative to its mean exp(s^2/2), which the pipeline
+    sees after ``prepare_panel``: log-location -s^2/2 in place of 0. Values
+    are renormalized to unit trapezoid mass on the grid.
     """
     if spec.kind == "two_club":
         raise NoClosedForm("two_club has no closed-form stationary density")
     s = stationary_log_sd(spec)
+    loc = -0.5 * s * s if relative else 0.0
     x = grid.points
     vals = np.zeros(grid.count)
     pos = x > 0
     lx = np.log(x[pos])
-    vals[pos] = np.exp(-0.5 * (lx / s) ** 2) / (x[pos] * s * math.sqrt(2.0 * math.pi))
+    vals[pos] = np.exp(-0.5 * ((lx - loc) / s) ** 2) / (x[pos] * s * math.sqrt(2.0 * math.pi))
     return DensityCurve.from_values(grid, vals)
 
 

@@ -263,18 +263,33 @@ def _contour(x, y, v, style: PlotStyle) -> str:
         out.append(_line(sx(dlo), sy(dlo), sx(dhi), sy(dhi),
                          'stroke="#666666" stroke-dasharray="6 4"', "diagonal"))
 
-    centre = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
+    # A level crosses a cell when it lies above the cell's lowest corner and
+    # at or below its highest, so one pass bins each cell's two extremes
+    # against the sorted levels and each level visits its crossing cells only.
+    corners = (v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:])
+    low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
+    high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    order = np.argsort(levels, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    sorted_levels = np.asarray(levels)[order]
+    first = np.searchsorted(sorted_levels, low, side="right").ravel()
+    stop = np.searchsorted(sorted_levels, high, side="right").ravel()
+    cells = np.flatnonzero(first < stop)  # row-major
+    first, stop = first[cells], stop[cells]
     colors = _ramp_colors(0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
-    for level, color in zip(levels, colors):
-        up = (v >= level).astype(np.uint8)
-        case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
-        # A saddle whose centre is not at or above the level flips.
-        case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
-        ci, cj = np.nonzero((case != 0) & (case != 15))
+    for level, color, r in zip(levels, colors, rank):
+        ci, cj = np.divmod(cells[(first <= r) & (r < stop)], v.shape[1] - 1)
         if ci.size == 0:
             continue
+        c = [v[ci + di, cj + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        case = ((c[0] >= level) | (c[1] >= level) << 1 | (c[2] >= level) << 2
+                | (c[3] >= level) << 3).astype(np.uint8)
+        # A saddle whose centre is not at or above the level flips.
+        centre = 0.25 * (c[0] + c[1] + c[2] + c[3])
+        case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
         # One row per segment: the crossing cells row-major, then table order.
-        edges = _CASE_EDGES[case[ci, cj]]
+        edges = _CASE_EDGES[case]
         drawn = edges[:, :, 0] >= 0
         per_cell = np.count_nonzero(drawn, axis=1)
         i, j = np.repeat(ci, per_cell)[:, None], np.repeat(cj, per_cell)[:, None]

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from distdyn import Grid, _quad, viz
-from distdyn.dynamics import NTPCurve
+from distdyn.dynamics import ErgodicSolution, NTPCurve
 from distdyn.kde import DensityCurve, StochasticKernel
-from distdyn.errors import DegenerateSurface, DuplicateKey, MalformedRow, NonPositiveIncome
+from distdyn.errors import (
+    DegenerateSurface,
+    DuplicateKey,
+    MalformedRow,
+    NonPositiveIncome,
+    NoSupportedRows,
+    NotConverged,
+)
 from distdyn.panel import _HEADER, REGIONS, SECTORS, Panel
 from distdyn.synthesis import (
     START_YEAR,
@@ -123,6 +130,52 @@ def net_transition_probability_two_sided(kernel: StochasticKernel) -> NTPCurve:
         up = float(np.interp(x, grid.points, up_from_top))
         values[i] = min(1.0, max(-1.0, up - down))
     return NTPCurve(grid=grid, values=values)
+
+
+def evolve_before(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
+    """One forward step as `evolve` took it before its shared step: all
+    rows, fresh arrays."""
+    contrib = _quad.weights(kernel.grid) * f.values * kernel.supported
+    if float(np.sum(contrib)) <= 0.0:
+        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
+    out = np.einsum("i,iy->y", contrib, kernel.rows)
+    return DensityCurve.from_values(kernel.grid, out)
+
+
+def ergodic_before(kernel: StochasticKernel, f: DensityCurve, tol=1e-10, max_iter=10000):
+    """The power iteration the ergodic solve ran before its direct solve.
+
+    Steps `evolve_before` until one step moves the density by at most
+    ``tol``. Its ``error_bound`` is delta*r/(1 - r), with r the mean rate
+    of the deltas over the run's second half (infinite if they grew).
+    """
+    deltas = []
+    for iteration in range(1, max_iter + 1):
+        nxt = evolve_before(kernel, f)
+        deltas.append(_quad.l1_distance(kernel.grid, f.values, nxt.values))
+        f = nxt
+        if deltas[-1] <= tol:
+            span = len(deltas) - 1 - (len(deltas) - 1) // 2
+            r = (deltas[-1] / deltas[-1 - span]) ** (1.0 / span) if span else 0.0
+            residual = _quad.l1_distance(kernel.grid, f.values, evolve_before(kernel, f).values)
+            bound = deltas[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+            return ErgodicSolution(density=f, residual=residual, error_bound=bound,
+                                   iterations=iteration)
+    raise NotConverged("", last_deltas=([math.inf] + deltas)[-2:])
+
+
+def perron_density(kernel: StochasticKernel) -> np.ndarray:
+    """The dense fixed point of `evolve`: the Perron vector of (w K)^T by
+    ``numpy.linalg.eig``, scaled to unit trapezoid mass.
+
+    One step maps f to g(y) = sum_i w_i f_i K(i, y), renormalized, so its
+    fixed points are eigenvectors of that matrix; the Perron root is 1 less
+    the mass a step leaks onto unsupported points.
+    """
+    w = trapezoid_weights(kernel.grid.points)
+    values, vectors = np.linalg.eig((w[:, None] * kernel.rows).T)
+    fixed = vectors[:, int(np.argmax(values.real))].real
+    return fixed / np.sum(w * fixed)
 
 
 def load_panel_rows(stream) -> Panel:

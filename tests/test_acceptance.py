@@ -29,6 +29,7 @@ from distdyn import (
     evolve,
     prepare_panel,
     simulate,
+    stationary_density,
 )
 from distdyn.dynamics import ergodic_distribution, net_transition_probability, ntp_crossings
 from distdyn.kde import (
@@ -195,11 +196,7 @@ def test_04_ar1_recovery():
 
     s = 0.2 / np.sqrt(1.0 - 0.9**2)
     pts = grid.points
-    analytic = np.zeros_like(pts)
-    positive = pts > 0
-    z = (np.log(pts[positive]) + s * s / 2.0) / s
-    analytic[positive] = np.exp(-0.5 * z * z) / (pts[positive] * s * np.sqrt(2 * np.pi))
-    analytic /= mass(pts, analytic)
+    analytic = stationary_density(spec, grid, relative=True).values
 
     err = l1(pts, result.ergodic.density.values, analytic)
     crossings = ntp_crossings(result.ntp)

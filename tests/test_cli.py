@@ -351,6 +351,7 @@ class TestStrictJson:
         for g in manifest["groups"]:
             report = strict_json(demo_out / g["label"] / "report.json")
             assert is_number(report["ergodic_residual"])
+            assert is_number(report["ergodic_error_bound"])
             assert report["modes"]
             for mode in report["modes"]:
                 assert list(mode) == ["location", "value", "prominence"]
@@ -363,8 +364,10 @@ class TestStrictJson:
         for g in manifest["groups"]:
             assert g["status"] == "ok"
             assert is_number(g["ergodic_residual"])
-            assert g["ergodic_residual"] == strict_json(
-                demo_out / g["label"] / "report.json")["ergodic_residual"]
+            report = strict_json(demo_out / g["label"] / "report.json")
+            assert g["ergodic_residual"] == report["ergodic_residual"]
+            assert is_number(g["ergodic_error_bound"])
+            assert g["ergodic_error_bound"] == report["ergodic_error_bound"] <= 1e-10
             assert g["support_components"]
             for block in g["support_components"]:
                 assert len(block) == 2 and all(is_number(v) for v in block)

@@ -1,5 +1,6 @@
 """Distribution evolution, ergodic solutions and net transition probabilities."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdyn import Grid, _quad, evolve
+from distdyn.cli import main
 from distdyn.dynamics import (
     ErgodicSolution,
     NTPCurve,
+    component_blocks,
     ergodic_distribution,
     net_transition_probability,
     ntp_crossings,
@@ -31,10 +34,13 @@ from distdyn.panel import load_panel
 from distdyn.pipeline import default_grid, estimate_kernel, expand_groups, prepare_panel
 
 from conftest import (
+    ergodic_before,
+    evolve_before,
     gaussian,
     lognormal_pdf,
     mixture_row,
     net_transition_probability_two_sided,
+    perron_density,
     random_kernel,
     trapezoid_weights,
 )
@@ -186,29 +192,6 @@ class TestErgodic:
         assert isinstance(sol.density, DensityCurve)
 
 
-def evolve_before(kernel, f):
-    """One step as `evolve` took it before the shared step: all rows, fresh arrays."""
-    contrib = _quad.weights(kernel.grid) * f.values * kernel.supported
-    if float(np.sum(contrib)) <= 0.0:
-        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
-    out = np.einsum("i,iy->y", contrib, kernel.rows)
-    return DensityCurve.from_values(kernel.grid, out)
-
-
-def ergodic_before(kernel, f, tol=1e-10, max_iter=10000):
-    """The power iteration as it ran on `evolve_before`."""
-    deltas = (np.inf, np.inf)
-    for iteration in range(1, max_iter + 1):
-        nxt = evolve_before(kernel, f)
-        delta = _quad.l1_distance(kernel.grid, f.values, nxt.values)
-        deltas = (deltas[1], delta)
-        f = nxt
-        if delta <= tol:
-            residual = _quad.l1_distance(kernel.grid, f.values, evolve_before(kernel, f).values)
-            return ErgodicSolution(density=f, residual=residual, iterations=iteration)
-    raise NotConverged("", last_deltas=deltas)
-
-
 def demo_kernels(demo_panel_path, count, groups):
     """Each demo group's kernel on the shared grid, with the solve's start density."""
     panel = prepare_panel(load_panel(demo_panel_path))
@@ -265,27 +248,56 @@ SOLVE_IDS = (
 
 
 class TestSharedStep:
-    """The in-place solve against a copy of the loop it replaced."""
+    """The direct solve against the power iteration it replaced (the oracle
+    `ergodic_before` in conftest) and against a dense eigen-solve."""
 
     @pytest.mark.parametrize("case", SOLVE_IDS)
     def test_solve_is_bitwise_the_evolve_loop(self, solve_cases, case):
+        # the residual is one `evolve` step of the solution, bit for bit, and
+        # the density is the power iteration's within its two stated errors,
+        # each an estimate that may fall short a little
         kern, init = solve_cases[case]
         want = ergodic_before(kern, init)
         got = ergodic_distribution(kern, init)
-        assert np.array_equal(got.density.values, want.density.values)
-        assert got.iterations == want.iterations
-        assert got.residual == want.residual
+        step = evolve_before(kern, got.density)
+        assert got.residual == _quad.l1_distance(kern.grid, got.density.values, step.values)
         assert np.array_equal(evolve(kern, init).values, evolve_before(kern, init).values)
+        gap = _quad.l1_distance(kern.grid, got.density.values, want.density.values)
+        assert gap <= 2.0 * (got.error_bound + want.error_bound)
+        assert got.error_bound <= 1e-10
+
+    @pytest.mark.parametrize("case", SOLVE_IDS)
+    def test_meets_tol_against_a_dense_eigen_solve(self, solve_cases, case):
+        kern, init = solve_cases[case]
+        got = ergodic_distribution(kern, init, tol=1e-10)
+        err = _quad.l1_distance(kern.grid, got.density.values, perron_density(kern))
+        assert err <= 1e-10
 
     @pytest.mark.parametrize("case", ["pooled-128", "ar1-sample", "interleaved"])
     @pytest.mark.parametrize("max_iter", [1, 2, 7])
     def test_not_converged_carries_the_same_deltas(self, solve_cases, case, max_iter):
+        # the deltas a failed solve carries depend on the solve alone: one
+        # more allowed solve extends the sequence by one delta, unless the
+        # solve stopped at the rounding floor, where a larger cap changes nothing
         kern, init = solve_cases[case]
-        with pytest.raises(NotConverged) as want:
-            ergodic_before(kern, init, tol=1e-300, max_iter=max_iter)
-        with pytest.raises(NotConverged) as got:
+        with pytest.raises(NotConverged) as capped:
             ergodic_distribution(kern, init, tol=1e-300, max_iter=max_iter)
-        assert got.value.last_deltas == want.value.last_deltas
+        with pytest.raises(NotConverged) as longer:
+            ergodic_distribution(kern, init, tol=1e-300, max_iter=max_iter + 1)
+        if "stopped shrinking" in str(capped.value):
+            assert longer.value.last_deltas == capped.value.last_deltas
+        else:
+            assert longer.value.last_deltas[0] == capped.value.last_deltas[1]
+        assert (max_iter == 1) == math.isinf(capped.value.last_deltas[0])
+
+    def test_unreachable_tol_ends_at_the_rounding_floor(self, solve_cases):
+        kern, init = solve_cases["pooled-128"]
+        with pytest.raises(NotConverged, match="stopped shrinking") as within_ten:
+            ergodic_distribution(kern, init, tol=1e-300, max_iter=10)
+        with pytest.raises(NotConverged) as uncapped:
+            ergodic_distribution(kern, init, tol=1e-300, max_iter=10000)
+        assert uncapped.value.last_deltas == within_ten.value.last_deltas
+        assert max(within_ten.value.last_deltas) < 1e-12
 
     def test_start_on_unsupported_rows_only(self, solve_cases):
         kern, _ = solve_cases["interleaved"]
@@ -552,6 +564,118 @@ class TestNTPCurveType:
         curve = NTPCurve(grid=g, values=v)
         assert v.flags.writeable
         assert curve.values is not v
+
+
+@pytest.mark.parametrize("seed", range(300, 312))
+def test_no_leak_kernel_meets_tol_against_a_dense_eigen_solve(seed):
+    # acceptance test 02's kernels: every row supported, Perron root 1
+    g = Grid.uniform(0.0, 3.0, 64)
+    kern = random_kernel(g, np.random.default_rng(seed))
+    sol = ergodic_distribution(kern, tol=1e-10)
+    assert _quad.l1_distance(g, sol.density.values, perron_density(kern)) <= 1e-10
+
+
+def test_identical_rows_meet_tol_against_a_dense_eigen_solve():
+    g = Grid.uniform(0.0, 3.0, 64)
+    row = gaussian(g.points, 1.2, 0.3) + 0.4 * gaussian(g.points, 2.1, 0.2)
+    kern = StochasticKernel.from_rows(g, np.tile(row, (g.count, 1)))
+    sol = ergodic_distribution(kern, tol=1e-10)
+    assert _quad.l1_distance(g, sol.density.values, perron_density(kern)) <= 1e-10
+
+
+def two_block_kernel():
+    """Blocks on points 0-27 and 36-63; the lower one leaks onto 28-31."""
+    g = Grid.uniform(0.0, 2.0, 64)
+    rows = np.zeros((64, 64))
+    supported = np.zeros(64, dtype=bool)
+    for lo, hi, top in ((0, 28, 32), (36, 64, 64)):
+        supported[lo:hi] = True
+        for i in range(lo, hi):
+            rows[i, lo:top] = gaussian(g.points[lo:top], g.points[i], 0.1)
+    return StochasticKernel.from_rows(g, rows, supported=supported)
+
+
+class TestReducible:
+    def test_largest_perron_root_wins(self):
+        kern = two_block_kernel()
+        blocks = component_blocks(kern)
+        assert [(b[0], b[-1]) for b in blocks] == [(0, 27), (36, 63)]
+        sol = ergodic_distribution(kern)
+        assert not np.any(sol.density.values[:32])  # the leaking block loses
+        assert _quad.l1_distance(kern.grid, sol.density.values, perron_density(kern)) <= 1e-10
+
+    def test_a_block_the_start_misses_is_never_reached(self):
+        kern = two_block_kernel()
+        low = np.where(np.arange(64) < 32, 1.0, 0.0)
+        sol = ergodic_distribution(kern, DensityCurve.from_values(kern.grid, low))
+        assert not np.any(sol.density.values[32:])
+        only_low = StochasticKernel(kern.grid, np.where(low[:, None] > 0, kern.rows, 0.0),
+                                    supported=kern.supported & (low > 0))
+        assert _quad.l1_distance(kern.grid, sol.density.values, perron_density(only_low)) <= 1e-10
+        want = ergodic_before(kern, DensityCurve.from_values(kern.grid, low))
+        gap = _quad.l1_distance(kern.grid, sol.density.values, want.density.values)
+        assert gap <= 2.0 * (sol.error_bound + want.error_bound)
+
+    def test_blocks_given_or_found_give_the_same_bits(self):
+        kern = two_block_kernel()
+        found = ergodic_distribution(kern)
+        given_ = ergodic_distribution(kern, blocks=component_blocks(kern))
+        assert np.array_equal(found.density.values, given_.density.values)
+        assert support_components(kern) == support_components(kern, component_blocks(kern))
+
+
+def outlier_panel_text(demo_panel_path, k):
+    """The demo panel plus one urban east unit at k times each year's mean."""
+    text = demo_panel_path.read_text(encoding="utf-8")
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    years = sorted({int(r[3]) for r in rows})
+    mean = {y: np.mean([float(r[4]) for r in rows if int(r[3]) == y]) for y in years}
+    return text + "".join(f"outlier,urban,east,{y},{float(k * mean[y])!r}\n" for y in years)
+
+
+@pytest.fixture(scope="module")
+def outlier_runs(tmp_path_factory, demo_panel_path, demo_config_path):
+    """``analyze`` with the demo config on each outlier panel: k -> (code, out, panel)."""
+    runs = {}
+    for k in (3, 5, 10, 20):
+        base = tmp_path_factory.mktemp(f"outlier{k}")
+        panel = base / "panel.csv"
+        panel.write_text(outlier_panel_text(demo_panel_path, k), encoding="utf-8")
+        code = main(["analyze", "--config", str(demo_config_path), "--input", str(panel),
+                     "--out-dir", str(base / "out")])
+        runs[k] = code, base / "out", panel
+    return runs
+
+
+class TestOutlierUnit:
+    """One unit far above the mean forms a second support component, which
+    made power iteration crawl (k = 5 and 10 exited 4 at 10,000 steps)."""
+
+    @pytest.mark.parametrize("k", [3, 5, 10, 20])
+    def test_analyze_exits_zero(self, outlier_runs, k):
+        code, out, _ = outlier_runs[k]
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        for g in manifest["groups"]:
+            assert g["status"] == "ok"
+            assert g["ergodic_error_bound"] <= 1e-10
+        if k >= 5:
+            assert len(manifest["groups"][0]["support_components"]) == 2
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_agrees_with_power_iteration(self, outlier_runs, k):
+        _, out, panel = outlier_runs[k]
+        every_group = "pooled,per-sector,per-region,poorest-fraction"
+        for name, (kern, init) in demo_kernels(panel, 128, every_group).items():
+            if len(component_blocks(kern)) < 2:
+                continue
+            got = ergodic_distribution(kern, init)
+            label = name.rsplit("-", 1)[0]
+            written = np.loadtxt(out / label / "ergodic.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(written[:, 1], got.density.values)
+            want = ergodic_before(kern, init, max_iter=300_000)
+            gap = _quad.l1_distance(kern.grid, got.density.values, want.density.values)
+            assert gap <= 2.0 * (got.error_bound + want.error_bound), name
 
 
 @given(seed=st.integers(0, 2**32 - 1))

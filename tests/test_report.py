@@ -177,6 +177,7 @@ def make_report(grid=None, modes=(), crossings=(), shares=None):
         modes=tuple(modes),
         ntp_crossings=tuple(crossings),
         ergodic_residual=3.25e-11,
+        ergodic_error_bound=4.5e-12,
         region_shares=shares if shares is not None else {"east": 0.5, "west": 0.5},
     )
 
@@ -198,6 +199,7 @@ class TestReportJson:
         assert back["modes"][1]["value"] == 0.875
         assert back["ntp_crossings"] == [0.7512345678901234]
         assert back["ergodic_residual"] == 3.25e-11
+        assert back["ergodic_error_bound"] == 4.5e-12
         assert back["region_shares"] == {"east": 0.5, "west": 0.5}
 
     def test_field_order_is_stable(self):
@@ -208,6 +210,7 @@ class TestReportJson:
             text.find('"modes"'),
             text.find('"ntp_crossings"'),
             text.find('"ergodic_residual"'),
+            text.find('"ergodic_error_bound"'),
             text.find('"region_shares"'),
         ]
         assert all(i >= 0 for i in order)
@@ -233,6 +236,8 @@ class TestReportJson:
         report = make_report()
         with pytest.raises(ValueError):
             report_to_json(dataclasses.replace(report, ergodic_residual=bad))
+        with pytest.raises(ValueError):
+            report_to_json(dataclasses.replace(report, ergodic_error_bound=bad))
         with pytest.raises(ValueError):
             report_to_json(make_report(crossings=(bad,)))
 
@@ -277,7 +282,7 @@ class TestBuildReport:
         g = Grid.uniform(0.0, 3.0, 64)
         h = silverman_bandwidth(pairs.x, 1)
         density = density_1d(pairs.x, h, g)
-        ergodic = ErgodicSolution(density=density, residual=1e-12, iterations=3)
+        ergodic = ErgodicSolution(density=density, residual=1e-12, error_bound=2e-13, iterations=3)
         values = np.full(64, np.nan)
         values[10:50] = 0.1
         ntp = NTPCurve(grid=g, values=values)
@@ -287,13 +292,14 @@ class TestBuildReport:
         assert report.sample_counts["units"] == 12
         assert report.sample_counts["pairs"] == 24
         assert report.ntp_crossings == ()
+        assert report.ergodic_error_bound == 2e-13
         assert sum(report.region_shares.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_mismatch_rejected(self):
         g = Grid.uniform(0.0, 3.0, 64)
         other = Grid.uniform(0.0, 3.0, 65)
         density = DensityCurve.from_values(g, gaussian(g.points, 1.0, 0.3))
-        ergodic = ErgodicSolution(density=density, residual=1e-12, iterations=1)
+        ergodic = ErgodicSolution(density=density, residual=1e-12, error_bound=2e-13, iterations=1)
         ntp = NTPCurve(grid=other, values=np.zeros(65))
         panel = to_relative(
             load_panel(

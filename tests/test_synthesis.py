@@ -265,6 +265,17 @@ class TestStationaryDensity:
         with pytest.raises(NoClosedForm):
             stationary_density(ProcessSpec(kind="two_club"), g)
 
+    def test_relative_law_has_unit_mean(self):
+        # prepare_panel divides by the mean exp(s^2/2): log-location -s^2/2
+        spec = ProcessSpec(kind="ar1_log", rho=0.9, sigma=0.2)
+        g = Grid.uniform(0.0, 12.0, 4000)
+        rel = stationary_density(spec, g, relative=True)
+        absolute = stationary_density(spec, g)
+        assert _quad.integrate(g, g.points * rel.values) == pytest.approx(1.0, abs=1e-6)
+        mean = math.exp(0.5 * stationary_log_sd(spec) ** 2)
+        assert _quad.integrate(g, g.points * absolute.values) == pytest.approx(mean, abs=1e-6)
+        assert np.array_equal(stationary_density(spec, g, relative=False).values, absolute.values)
+
     def test_zero_below_origin_handling(self):
         spec = ProcessSpec(kind="iid_lognormal", sigma=0.4)
         g = Grid.uniform(0.0, 4.0, 64)
