@@ -104,7 +104,8 @@ class RunConfig:
     bandwidth_y: float | None = _setting(None, "override the y bandwidth", (ANALYZE,),
                                          lambda v: v is None or v > 0, "be positive")
     tol: float = _setting(1e-10, "ergodic L1 tolerance", (ANALYZE,), _positive, "be positive")
-    max_iter: int = _setting(10000, "ergodic solves per support component, at most", (ANALYZE,),
+    max_iter: int = _setting(10000, "ergodic solves per support component, at most (3 or more: "
+                             "the third is the first that can stop)", (ANALYZE,),
                              _positive, "be positive")
     prominence: float = _setting(0.05, "mode prominence threshold as a fraction of the peak",
                                  (ANALYZE,), lambda v: v >= 0, "be nonnegative")

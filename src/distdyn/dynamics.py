@@ -126,6 +126,11 @@ def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
 _SHIFT = 1.0 + 1e-5
 # the least error bound: the rounding of a unit-mass density's values, in L1
 _EPS = float(np.finfo(float).eps)
+# the rounding floor of a component of m points is m times this: an entry of
+# a length-m substitution adds at most m nonnegative terms, so iterates that
+# differ by rounding alone lie within a few m*eps of each other in L1 (the
+# demo groups at G=16 to 512 settle at 1.4*eps or less)
+_FLOOR = 8.0 * _EPS
 # rows per block of the triangular substitutions
 _PANEL = 32
 
@@ -150,40 +155,44 @@ class _Factor:
     of M), so elimination needs no pivoting. Every multiplier and every
     off-diagonal of U is nonpositive, and the substitutions of a
     nonnegative right-hand side add nonnegative terms only. The factor is
-    built row by row (Crout order); the substitutions run ``_PANEL`` rows at
-    a time through the inverse of their diagonal block. Every sum is an
+    built row by row (Crout order) into one m x m array, L below the
+    diagonal and U on and above it, with U's transpose as the one other
+    array while it runs; the substitutions run ``_PANEL`` rows at a time
+    through the inverse of their diagonal block. Every sum is an
     ``np.vecdot`` row, a dot product that OpenBLAS runs on one thread at
     these lengths: no LAPACK call or matrix product, whose sums could split
     by the BLAS thread count.
     """
 
-    def __init__(self, rows: np.ndarray, w: np.ndarray):
-        m = w.size
-        a = np.multiply(rows, -w[:, None]).T  # -M^T: a[y, i] = -w_i K(i, y)
-        a[np.diag_indices(m)] += _SHIFT
-        lo = np.ascontiguousarray(a)  # becomes L below the diagonal, in place
+    def __init__(self, rows: np.ndarray, block: np.ndarray, w: np.ndarray):
+        m = block.size
+        lu = np.empty((m, m))  # -M^T: lu[y, i] = -w_i K(i, y), factored in place
+        np.multiply(rows[np.ix_(block, block)].T, -w, out=lu)
+        lu[np.diag_indices(m)] += _SHIFT
         ut = np.zeros((m, m))  # U transposed, so U's columns are rows here
         for k in range(m):
-            ut[k:, k] = lo[k, k:] - np.vecdot(ut[k:, :k], lo[k, :k])
-            lo[k + 1:, k] -= np.vecdot(lo[k + 1:, :k], ut[k, :k])
-            lo[k + 1:, k] /= ut[k, k]
-        up = np.ascontiguousarray(ut.T)
-        self._lo, self._up = lo, up
+            ut[k:, k] = lu[k, k:] - np.vecdot(ut[k:, :k], lu[k, :k])
+            lu[k, k:] = ut[k:, k]  # row k of A above the diagonal is read no more
+            lu[k + 1:, k] -= np.vecdot(lu[k + 1:, :k], ut[k, :k])
+            lu[k + 1:, k] /= ut[k, k]
+        self._lu = lu
         self._spans = [(k, min(k + _PANEL, m)) for k in range(0, m, _PANEL)]
-        # U^-1 = J (J U J)^-1 J, J the reversal, as J U J is lower triangular
+        # U^-1 = J (J U J)^-1 J, J the reversal, as J U J is lower triangular;
+        # _lower_inverse reads on and below the diagonal only, so L's unit
+        # diagonal and U's lower zeros need not be stored
         self._inverses = [
-            (np.ascontiguousarray(_lower_inverse(lo[k0:k1, k0:k1], unit=True)),
-             np.ascontiguousarray(_lower_inverse(up[k0:k1, k0:k1][::-1, ::-1])[::-1, ::-1]))
+            (np.ascontiguousarray(_lower_inverse(lu[k0:k1, k0:k1], unit=True)),
+             np.ascontiguousarray(_lower_inverse(lu[k0:k1, k0:k1][::-1, ::-1])[::-1, ::-1]))
             for k0, k1 in self._spans
         ]
 
     def solve(self, x: np.ndarray) -> None:
         """Overwrite ``x`` with (sigma*I - M^T)^-1 x."""
-        lo, up = self._lo, self._up
+        lu = self._lu
         for (k0, k1), (l_inv, _) in zip(self._spans, self._inverses):
-            x[k0:k1] = np.vecdot(l_inv, x[k0:k1] - np.vecdot(lo[k0:k1, :k0], x[:k0]))
+            x[k0:k1] = np.vecdot(l_inv, x[k0:k1] - np.vecdot(lu[k0:k1, :k0], x[:k0]))
         for (k0, k1), (_, u_inv) in zip(self._spans[::-1], self._inverses[::-1]):
-            x[k0:k1] = np.vecdot(u_inv, x[k0:k1] - np.vecdot(up[k0:k1, k1:], x[k1:]))
+            x[k0:k1] = np.vecdot(u_inv, x[k0:k1] - np.vecdot(lu[k0:k1, k1:], x[k1:]))
 
 
 def _solve_component(
@@ -196,7 +205,8 @@ def _solve_component(
     of solves. Each iterate is mapped to the full grid by one forward step,
     so it carries the leak onto unsupported points the way ``evolve`` does.
     """
-    factor = _Factor(kernel.rows[np.ix_(block, block)], step.weights[block])
+    factor = _Factor(kernel.rows, block, step.weights[block])
+    floor = _FLOOR * block.size
     x = start[block].copy()
     v = np.zeros(kernel.grid.count)
     f, nxt = np.array(start), np.empty(kernel.grid.count)
@@ -211,19 +221,20 @@ def _solve_component(
         f, nxt = nxt, f
         if solves < 3:  # the first delta starts from `start`, not an iterate
             continue
-        shrinking = delta < deltas[0]
-        if shrinking:  # steps shrinking by r from here on sum to delta/(1 - r)
+        if delta < deltas[0]:  # steps shrinking by r from here on sum to delta/(1 - r)
             bound = max(delta / (1.0 - delta / deltas[0]), _EPS)
-        else:  # the rounding floor: the iterates move by rounding alone, about delta
+        elif delta <= floor:  # the iterates move by rounding alone, about delta
             bound = max(delta, _EPS)
+            if bound > tol:
+                raise NotConverged(
+                    f"L1 delta stopped shrinking after {solves} solves, at the rounding "
+                    f"floor: last two {deltas[0]:.3e}, {deltas[1]:.3e}",
+                    last_deltas=deltas,
+                )
+        else:  # a rise above rounding: mass still moving between regions
+            continue
         if bound <= tol:
             return f, bound, solves
-        if not shrinking:
-            raise NotConverged(
-                f"L1 delta stopped shrinking after {solves} solves, at the rounding "
-                f"floor: last two {deltas[0]:.3e}, {deltas[1]:.3e}",
-                last_deltas=deltas,
-            )
     raise NotConverged(
         f"no fixed point after {max_iter} solves; "
         f"last two L1 deltas {deltas[0]:.3e}, {deltas[1]:.3e}",
@@ -236,25 +247,25 @@ def ergodic_distribution(
     init: DensityCurve | None = None,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    blocks: list[np.ndarray] | None = None,
 ) -> ErgodicSolution:
     """The long-run density: the fixed point that repeated `evolve` reaches.
 
     That is the quasi-stationary law of the leaking chain on the supported
     points (`evolve` drops the mass a row puts off them): the Perron vector
     of M^T, M = diag(w) K on those points, carried one step onto the grid.
-    Each support component (``blocks``, from :func:`component_blocks`, found
-    when omitted) is solved by shifted inverse iteration from ``init``
-    (uniform when omitted): one LU of sigma*I - M^T, sigma = 1 + 1e-5, then
-    solves, each iterate carried onto the grid by one forward step.
+    Each support component (:func:`component_blocks`) is solved by shifted
+    inverse iteration from ``init`` (uniform when omitted): one LU of
+    sigma*I - M^T, sigma = 1 + 1e-5, then solves, each iterate carried onto
+    the grid by one forward step.
 
     With delta the last solve's L1 change and r the ratio of the last two
     deltas (never the first, from ``init``), a component stops once
     delta/(1 - r) <= ``tol``: the previous iterate's distance to the limit
     if the steps keep shrinking by r, so a bound on the returned iterate's
     with a margin of about 1/r. It is the solution's ``error_bound``, never
-    below machine epsilon. Once delta stops shrinking (the rounding floor),
-    the bound is delta.
+    below machine epsilon. A delta that does not shrink gives no bound: at
+    the rounding floor (within 8*m*eps, m the component's points) the bound
+    is delta itself; above it, mass is still moving, and solves go on.
 
     With several components, the answer is the law of the one with the
     largest Perron root among those ``init`` puts mass on, as power
@@ -264,7 +275,8 @@ def ergodic_distribution(
     ``iterations`` counts the solves over all components; ``residual`` is a
     fresh ||f - evolve(f)||_1 at the solution. Raises :class:`NotConverged`,
     carrying the last two deltas, when a component reaches ``max_iter``
-    solves or its delta stops shrinking above ``tol``.
+    solves (so a ``max_iter`` below 3 always fails) or its delta stops
+    shrinking at a rounding floor above ``tol``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -277,7 +289,7 @@ def ergodic_distribution(
     step = _Step(kernel)
     w, start = step.weights, init.values
     best, solves = None, 0
-    for block in component_blocks(kernel) if blocks is None else blocks:
+    for block in component_blocks(kernel):
         if not np.add.reduce(w[block] * start[block]) > 0.0:
             continue  # power iteration never reaches a component it starts off
         f, bound, n = _solve_component(kernel, step, block, start, tol, max_iter)
@@ -359,15 +371,12 @@ def component_blocks(kernel: StochasticKernel) -> list[np.ndarray]:
     return [sup[label == first] for first in np.unique(label)]
 
 
-def support_components(
-    kernel: StochasticKernel, blocks: list[np.ndarray] | None = None
-) -> list[tuple[float, float]]:
+def support_components(kernel: StochasticKernel) -> list[tuple[float, float]]:
     """The x interval from the first to the last point of each block of
-    ``blocks`` (:func:`component_blocks` of the kernel, found when omitted).
+    :func:`component_blocks`.
 
     More than one component means the kernel is reducible: the ergodic
     solve then returns the law of one of them.
     """
     pts = kernel.grid.points
-    blocks = component_blocks(kernel) if blocks is None else blocks
-    return [(float(pts[b[0]]), float(pts[b[-1]])) for b in blocks]
+    return [(float(pts[b[0]]), float(pts[b[-1]])) for b in component_blocks(kernel)]

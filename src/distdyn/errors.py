@@ -78,7 +78,7 @@ class NoSupportedRows(DistDynError):
 
 class NotConverged(DistDynError):
     """The ergodic solve did not reach its tolerance: it hit its cap of
-    solves, or its L1 delta stopped shrinking (the rounding floor) above it.
+    solves, or its L1 delta stopped shrinking at the rounding floor above it.
 
     Carries the last two L1 deltas so a stall is distinguishable from slow
     convergence.

@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import (
     ErgodicSolution,
     NTPCurve,
-    component_blocks,
     ergodic_distribution,
     net_transition_probability,
     support_components,
@@ -201,8 +200,7 @@ def analyze_group(
     if on_estimate is not None:
         on_estimate(est, ntp)
     init = density_1d(est.pairs.x, silverman_bandwidth(est.pairs.x, 1), grid)
-    blocks = component_blocks(est.kernel)
-    ergodic = ergodic_distribution(est.kernel, init, tol=tol, max_iter=max_iter, blocks=blocks)
+    ergodic = ergodic_distribution(est.kernel, init, tol=tol, max_iter=max_iter)
     rep = build_report(label, panel, est.pairs, ergodic, ntp, min_prominence)
     return GroupResult(
         label=label,
@@ -210,5 +208,5 @@ def analyze_group(
         ergodic=ergodic,
         ntp=ntp,
         report=rep,
-        components=support_components(est.kernel, blocks),
+        components=support_components(est.kernel),
     )
