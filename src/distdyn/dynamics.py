@@ -57,67 +57,36 @@ class ErgodicSolution:
     iterations: int
 
 
-class _Step:
-    """The forward step of one kernel, set up once and applied many times.
+def _push(kernel: StochasticKernel, f: np.ndarray) -> np.ndarray:
+    """The unit-mass forward step of finite, nonnegative point values ``f``.
 
-    Holds the trapezoid weights, the supported rows as one contiguous block
-    with their weights, and one grid-length scratch buffer, so
-    :meth:`apply` and :meth:`l1` allocate nothing.
-    Unsupported rows are never read: they would add 0*row, and a kernel's
-    entries are finite, so skipping them changes no bit.
-
-    :meth:`apply` checks only for mass on the supported rows, which an
-    input density can lack. The kernel's invariants (finite, nonnegative
-    entries; unit mass on each supported row) make the image of a valid
-    density finite, nonnegative and of unit integral, so callers validate
-    the result once, as a ``DensityCurve``.
+    Unsupported rows weigh 0.0, and a kernel's entries are finite, so they
+    add exact zeros. Only mass on the supported rows is checked: the
+    kernel's invariants (finite, nonnegative entries; unit mass on each
+    supported row) make the image of a valid density finite, nonnegative
+    and of unit integral, so callers validate the result once, as a
+    ``DensityCurve``.
     """
-
-    def __init__(self, kernel: StochasticKernel):
-        if kernel.n_supported == 0:
-            raise NoSupportedRows("kernel has no supported rows")
-        self._sup = np.flatnonzero(kernel.supported)
-        self._rows = np.ascontiguousarray(kernel.rows[self._sup])
-        self.weights = _quad.weights(kernel.grid)
-        self._w_sup = self.weights[self._sup]
-        self._c = np.empty(self._sup.size)
-        self._buf = np.empty(kernel.grid.count)
-
-    def apply(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Write the unit-mass image of finite, nonnegative point values
-        ``f`` into ``out``.
-
-        Each sum is ``np.add.reduce``, the pairwise sum that ``np.sum``
-        runs on a 1-D array, so it matches its ``_quad`` counterpart
-        bitwise.
-        """
-        c = np.take(f, self._sup, out=self._c)
-        np.multiply(self._w_sup, c, out=c)
-        if np.add.reduce(c) <= 0.0:
-            raise NoSupportedRows("density carries no mass on the kernel's supported rows")
-        # default einsum: fixed-order C contraction, no BLAS
-        np.einsum("i,iy->y", c, self._rows, out=out)
-        np.divide(out, np.add.reduce(np.multiply(self.weights, out, out=self._buf)), out=out)
-
-    def l1(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Trapezoid L1 distance on the grid, bitwise ``_quad.l1_distance``."""
-        d = np.abs(np.subtract(a, b, out=self._buf), out=self._buf)
-        return float(np.add.reduce(np.multiply(self.weights, d, out=d)))
+    if kernel.n_supported == 0:
+        raise NoSupportedRows("kernel has no supported rows")
+    c = _quad.weights(kernel.grid) * f * kernel.supported
+    if np.sum(c) <= 0.0:
+        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
+    out = np.einsum("i,iy->y", c, kernel.rows)  # default einsum: fixed-order C loop, no BLAS
+    return out / _quad.integrate(kernel.grid, out)
 
 
 def evolve(kernel: StochasticKernel, f: DensityCurve) -> DensityCurve:
     """One forward step: g(y) = integral of kernel(y|x) * f(x) dx.
 
-    Unsupported kernel rows are excluded, and never read; the input mass is
-    renormalized over the supported region (equivalently, the output is
-    renormalized, which is what happens here). Output has unit trapezoid
-    mass.
+    Unsupported kernel rows are excluded: they weigh 0.0 and add exact
+    zeros. The input mass is renormalized over the supported region
+    (equivalently, the output is renormalized, which is what happens here).
+    Output has unit trapezoid mass.
     """
     if f.grid != kernel.grid:
         raise GridMismatch("density grid differs from the kernel grid")
-    out = np.empty(kernel.grid.count)
-    _Step(kernel).apply(f.values, out)
-    return DensityCurve(grid=kernel.grid, values=_frozen(out))
+    return DensityCurve(grid=kernel.grid, values=_frozen(_push(kernel, f.values)))
 
 
 # sigma of the shifted inverse iteration: above every Perron root (a kernel
@@ -196,8 +165,7 @@ class _Factor:
 
 
 def _solve_component(
-    kernel: StochasticKernel, step: _Step, block: np.ndarray, start: np.ndarray,
-    tol: float, max_iter: int,
+    kernel: StochasticKernel, block: np.ndarray, start: np.ndarray, tol: float, max_iter: int,
 ) -> tuple[np.ndarray, float, int]:
     """Inverse iteration on one support component, from ``start``.
 
@@ -205,20 +173,20 @@ def _solve_component(
     of solves. Each iterate is mapped to the full grid by one forward step,
     so it carries the leak onto unsupported points the way ``evolve`` does.
     """
-    factor = _Factor(kernel.rows, block, step.weights[block])
+    factor = _Factor(kernel.rows, block, _quad.weights(kernel.grid)[block])
     floor = _FLOOR * block.size
     x = start[block].copy()
     v = np.zeros(kernel.grid.count)
-    f, nxt = np.array(start), np.empty(kernel.grid.count)
+    f = start
     deltas = (np.inf, np.inf)
     for solves in range(1, max_iter + 1):
         factor.solve(x)
-        np.divide(x, np.add.reduce(x), out=x)  # the scale only; keeps x finite
+        x /= np.sum(x)  # the scale only; keeps x finite
         v[block] = x
-        step.apply(v, nxt)
-        delta = step.l1(f, nxt)
+        nxt = _push(kernel, v)
+        delta = _quad.l1_distance(kernel.grid, f, nxt)
         deltas = (deltas[1], delta)
-        f, nxt = nxt, f
+        f = nxt
         if solves < 3:  # the first delta starts from `start`, not an iterate
             continue
         if delta < deltas[0]:  # steps shrinking by r from here on sum to delta/(1 - r)
@@ -286,25 +254,21 @@ def ergodic_distribution(
         init = DensityCurve.from_values(kernel.grid, np.ones(kernel.grid.count))
     elif init.grid != kernel.grid:
         raise GridMismatch("init grid differs from the kernel grid")
-    step = _Step(kernel)
-    w, start = step.weights, init.values
+    w, start = _quad.weights(kernel.grid), init.values
+    _push(kernel, start)  # refuses a kernel without supported rows, or a start off them
     best, solves = None, 0
     for block in component_blocks(kernel):
-        if not np.add.reduce(w[block] * start[block]) > 0.0:
+        if not np.sum(w[block] * start[block]) > 0.0:
             continue  # power iteration never reaches a component it starts off
-        f, bound, n = _solve_component(kernel, step, block, start, tol, max_iter)
+        f, bound, n = _solve_component(kernel, block, start, tol, max_iter)
         solves += n
-        root = np.add.reduce(w[block] * f[block])
+        root = np.sum(w[block] * f[block])
         if best is None or root > best[0]:
             best = (root, f, bound)
-    if best is None:
-        raise NoSupportedRows("density carries no mass on the kernel's supported rows")
     _, f, bound = best
-    nxt = np.empty(kernel.grid.count)
-    step.apply(f, nxt)
     return ErgodicSolution(
         density=DensityCurve(grid=kernel.grid, values=_frozen(f)),
-        residual=step.l1(f, nxt),
+        residual=_quad.l1_distance(kernel.grid, f, _push(kernel, f)),
         error_bound=bound,
         iterations=solves,
     )
