@@ -104,9 +104,9 @@ class RunConfig:
     bandwidth_y: float | None = _setting(None, "override the y bandwidth", (ANALYZE,),
                                          lambda v: v is None or v > 0, "be positive")
     tol: float = _setting(1e-10, "ergodic L1 tolerance", (ANALYZE,), _positive, "be positive")
-    max_iter: int = _setting(10000, "ergodic solves per support component, at most (3 or more: "
-                             "the third is the first that can stop)", (ANALYZE,),
-                             _positive, "be positive")
+    max_iter: int = _setting(10000, "ergodic solves per support component, at most (3 or more)",
+                             (ANALYZE,), lambda v: v >= 3,
+                             "be at least 3 (the third solve is the first that can stop)")
     prominence: float = _setting(0.05, "mode prominence threshold as a fraction of the peak",
                                  (ANALYZE,), lambda v: v >= 0, "be nonnegative")
     threads: int = _setting(1, "concurrent groups", (ANALYZE,), _positive, "be positive")
@@ -266,8 +266,7 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path) -> tuple[dic
         entry.update(
             status="not_converged",
             error=str(e),
-            # an infinite delta is one never measured (the solve stopped first)
-            last_deltas=[d if math.isfinite(d) else None for d in e.last_deltas],
+            last_deltas=list(e.last_deltas),
         )
     except DistDynError as e:
         entry.update(status="failed", error=str(e))

@@ -100,68 +100,45 @@ _EPS = float(np.finfo(float).eps)
 # differ by rounding alone lie within a few m*eps of each other in L1 (the
 # demo groups at G=16 to 512 settle at 1.4*eps or less)
 _FLOOR = 8.0 * _EPS
-# rows per block of the triangular substitutions
-_PANEL = 32
 
 
-def _lower_inverse(t: np.ndarray, unit: bool = False) -> np.ndarray:
-    """Inverse of a small lower-triangular M-matrix, a row at a time, so
-    every term of its sums is nonnegative. With ``unit`` the diagonal is
-    taken as ones and never read."""
-    zt = np.zeros(t.shape)  # the inverse, transposed: its rows are read whole
-    for k in range(t.shape[0]):
-        zt[:k, k] = -np.vecdot(zt[:k, :k], t[k, :k])
-        zt[k, k] = 1.0
-        if not unit:
-            zt[:k + 1, k] /= t[k, k]
-    return zt.T
-
-
-class _Factor:
-    """Doolittle LU of sigma*I - M^T for one support component, M = diag(w) K.
+def _factor(rows: np.ndarray, block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Doolittle LU of sigma*I - M^T for one support component, M = diag(w) K,
+    as one m x m array: L below the diagonal (its unit diagonal not stored)
+    and U on and above it.
 
     sigma*I - M^T is a nonsingular M-matrix (sigma exceeds the Perron root
     of M), so elimination needs no pivoting. Every multiplier and every
-    off-diagonal of U is nonpositive, and the substitutions of a
-    nonnegative right-hand side add nonnegative terms only. The factor is
-    built row by row (Crout order) into one m x m array, L below the
-    diagonal and U on and above it, with U's transpose as the one other
-    array while it runs; the substitutions run ``_PANEL`` rows at a time
-    through the inverse of their diagonal block. Every sum is an
-    ``np.vecdot`` row, a dot product that OpenBLAS runs on one thread at
-    these lengths: no LAPACK call or matrix product, whose sums could split
-    by the BLAS thread count.
+    off-diagonal of U is nonpositive, and :func:`_substitute` of a
+    nonnegative right-hand side adds nonnegative terms only. The factor is
+    built row by row (Crout order), with U's transpose as the one other
+    array while it runs. Every sum is an ``np.vecdot`` row, a dot product
+    that OpenBLAS runs on one thread at these lengths: no LAPACK call or
+    matrix product, whose sums could split by the BLAS thread count.
     """
+    m = block.size
+    lu = np.empty((m, m))  # -M^T: lu[y, i] = -w_i K(i, y), factored in place
+    np.multiply(rows[np.ix_(block, block)].T, -w, out=lu)
+    lu[np.diag_indices(m)] += _SHIFT
+    ut = np.zeros((m, m))  # U transposed, so U's columns are rows here
+    for k in range(m):
+        ut[k:, k] = lu[k, k:] - np.vecdot(ut[k:, :k], lu[k, :k])
+        lu[k, k:] = ut[k:, k]  # row k of A above the diagonal is read no more
+        lu[k + 1:, k] -= np.vecdot(lu[k + 1:, :k], ut[k, :k])
+        lu[k + 1:, k] /= ut[k, k]
+    return lu
 
-    def __init__(self, rows: np.ndarray, block: np.ndarray, w: np.ndarray):
-        m = block.size
-        lu = np.empty((m, m))  # -M^T: lu[y, i] = -w_i K(i, y), factored in place
-        np.multiply(rows[np.ix_(block, block)].T, -w, out=lu)
-        lu[np.diag_indices(m)] += _SHIFT
-        ut = np.zeros((m, m))  # U transposed, so U's columns are rows here
-        for k in range(m):
-            ut[k:, k] = lu[k, k:] - np.vecdot(ut[k:, :k], lu[k, :k])
-            lu[k, k:] = ut[k:, k]  # row k of A above the diagonal is read no more
-            lu[k + 1:, k] -= np.vecdot(lu[k + 1:, :k], ut[k, :k])
-            lu[k + 1:, k] /= ut[k, k]
-        self._lu = lu
-        self._spans = [(k, min(k + _PANEL, m)) for k in range(0, m, _PANEL)]
-        # U^-1 = J (J U J)^-1 J, J the reversal, as J U J is lower triangular;
-        # _lower_inverse reads on and below the diagonal only, so L's unit
-        # diagonal and U's lower zeros need not be stored
-        self._inverses = [
-            (np.ascontiguousarray(_lower_inverse(lu[k0:k1, k0:k1], unit=True)),
-             np.ascontiguousarray(_lower_inverse(lu[k0:k1, k0:k1][::-1, ::-1])[::-1, ::-1]))
-            for k0, k1 in self._spans
-        ]
 
-    def solve(self, x: np.ndarray) -> None:
-        """Overwrite ``x`` with (sigma*I - M^T)^-1 x."""
-        lu = self._lu
-        for (k0, k1), (l_inv, _) in zip(self._spans, self._inverses):
-            x[k0:k1] = np.vecdot(l_inv, x[k0:k1] - np.vecdot(lu[k0:k1, :k0], x[:k0]))
-        for (k0, k1), (_, u_inv) in zip(self._spans[::-1], self._inverses[::-1]):
-            x[k0:k1] = np.vecdot(u_inv, x[k0:k1] - np.vecdot(lu[k0:k1, k1:], x[k1:]))
+def _substitute(lu: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(sigma*I - M^T)^-1 b for the factor ``lu`` of :func:`_factor`: forward
+    substitution through L, then back substitution through U, one row at a
+    time, each sum one ``np.vecdot``."""
+    x = np.array(b, dtype=float)
+    for k in range(x.size):
+        x[k] -= np.vecdot(lu[k, :k], x[:k])
+    for k in range(x.size - 1, -1, -1):
+        x[k] = (x[k] - np.vecdot(lu[k, k + 1:], x[k + 1:])) / lu[k, k]
+    return x
 
 
 def _solve_component(
@@ -173,14 +150,14 @@ def _solve_component(
     of solves. Each iterate is mapped to the full grid by one forward step,
     so it carries the leak onto unsupported points the way ``evolve`` does.
     """
-    factor = _Factor(kernel.rows, block, _quad.weights(kernel.grid)[block])
+    lu = _factor(kernel.rows, block, _quad.weights(kernel.grid)[block])
     floor = _FLOOR * block.size
-    x = start[block].copy()
+    x = start[block]
     v = np.zeros(kernel.grid.count)
     f = start
     deltas = (np.inf, np.inf)
     for solves in range(1, max_iter + 1):
-        factor.solve(x)
+        x = _substitute(lu, x)
         x /= np.sum(x)  # the scale only; keeps x finite
         v[block] = x
         nxt = _push(kernel, v)

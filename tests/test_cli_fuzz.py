@@ -5,7 +5,7 @@ successful analyze writes strict JSON.
 
 Each example sets some settings to ordinary values and up to two to edge
 values. Every example stays small: a 30-unit panel, 16 to 32 grid points,
-at most 2 threads and 300 solver steps, and at most 40 units over 6 years
+at most 2 threads and 300 solves per component, and at most 40 units over 6 years
 for simulate. The explicit examples are inputs that once ended in a
 traceback or a numpy warning.
 """
@@ -40,7 +40,7 @@ SETTINGS = {
         **PANEL,
         "grid-count": ((16, 24, 32), INT_EDGES),
         "threads": ((1, 2), INT_EDGES),
-        "max-iter": ((1, 50, 300), INT_EDGES),
+        "max-iter": ((3, 50, 300), INT_EDGES),
         "tau": ((1, 2), INT_EDGES + (9,)),
         "groups": (("pooled", "per-sector,poorest-fraction", "per-region",
                     "pooled,per-sector,per-region,poorest-fraction"), ("bogus", "")),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdyn import Grid, _quad, evolve
+from distdyn import Grid, _quad, dynamics, evolve
 from distdyn.cli import main
 from distdyn.dynamics import (
     ErgodicSolution,
@@ -121,8 +121,10 @@ class TestEvolve:
         kern = StochasticKernel.from_rows(g, np.zeros((64, 64)))
         assert kern.n_supported == 0
         f = DensityCurve.from_values(g, np.ones(64))
-        with pytest.raises(NoSupportedRows):
+        with pytest.raises(NoSupportedRows, match="kernel has no supported rows"):
             evolve(kern, f)
+        with pytest.raises(NoSupportedRows, match="kernel has no supported rows"):
+            ergodic_distribution(kern, f)
 
     def test_input_mass_outside_support(self):
         # density concentrated entirely on unsupported rows cannot evolve
@@ -234,7 +236,7 @@ def solve_cases(demo_panel_path):
     return {
         **demo_kernels(demo_panel_path, 16, every_group),
         **demo_kernels(demo_panel_path, 128, every_group),
-        **demo_kernels(demo_panel_path, 512, "pooled"),
+        **demo_kernels(demo_panel_path, 512, "pooled,per-sector"),
         "ar1-sample": ar1_sample_kernel(),
         "interleaved": interleaved_kernel(),
     }
@@ -355,6 +357,22 @@ class TestSharedStep:
         got = evolve(kern, f)
         assert got.grid == g
         assert np.array_equal(got.values, evolve_before(kern, f).values)
+
+    @pytest.mark.parametrize("case", [f"{label}-{count}" for count in (128, 512)
+                                      for label in ("pooled", "urban", "rural")])
+    def test_substitution_solves_the_shifted_system(self, solve_cases, case):
+        # each component's factor and substitutions against a LAPACK solve of
+        # sigma*I - M^T (here only): a nonnegative b gives a nonnegative x
+        kern, _ = solve_cases[case]
+        w = _quad.weights(kern.grid)
+        rng = np.random.default_rng(67)
+        for block in component_blocks(kern):
+            b = rng.random(block.size)
+            x = dynamics._substitute(dynamics._factor(kern.rows, block, w[block]), b)
+            m_t = (w[block, None] * kern.rows[np.ix_(block, block)]).T
+            want = np.linalg.solve(dynamics._SHIFT * np.eye(block.size) - m_t, b)
+            assert np.all(x >= 0.0)
+            assert np.max(np.abs(x - want)) <= 1e-10 * np.max(want)
 
 
 class TestNTP:
