@@ -5,9 +5,9 @@ successful analyze writes strict JSON.
 
 Each example sets some settings to ordinary values and up to two to edge
 values. Every example stays small: a 30-unit panel, 16 to 32 grid points,
-at most 2 threads and 300 solves per component, and at most 40 units over 6 years
-for simulate. The explicit examples are inputs that once ended in a
-traceback or a numpy warning.
+at most 2 threads and 300 solves per component, and at most 40 units over
+6 years for simulate. The explicit examples are inputs that once ended in
+a traceback or a numpy warning.
 """
 
 import json
