@@ -318,9 +318,10 @@ def _rows_near(grid: Grid, lo: float, hi: float, reach: float) -> slice:
 
 
 def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
-    """A contiguous (rows, width) view at the start of the flat scratch buf."""
-    n = rows.stop - rows.start
-    return buf[:n * width].reshape(n, width)
+    """A contiguous (rows, width) view from the first 64-byte boundary of the
+    flat scratch buf (64 spare slots), so no ddot load splits a cache line."""
+    n, skip = rows.stop - rows.start, -buf.ctypes.data % 64 // buf.itemsize
+    return buf[skip:skip + n * width].reshape(n, width)
 
 
 def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
@@ -348,10 +349,10 @@ def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
     sx = np.zeros(grid.count)
     sxy = None if y is None else np.zeros((grid.count, grid.count))
     width = min(_BLOCK, x.size)
-    xb, kx_buf = np.empty(width), np.empty(grid.count * width)
-    mask_buf = np.empty(grid.count * width, dtype=bool)
+    xb, kx_buf = np.empty(width), np.empty(grid.count * width + 64)
+    mask_buf = np.empty(grid.count * width + 64, dtype=bool)
     if y is not None:
-        yb, ky_buf = np.empty(width), np.empty(grid.count * width)
+        yb, ky_buf = np.empty(width), np.empty(grid.count * width + 64)
     with np.errstate(over="ignore"):  # an overflowing z, or z*z, weighs 0.0
         for start in range(0, x.size, _BLOCK):
             idx = order[start:start + _BLOCK]
