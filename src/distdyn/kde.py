@@ -320,7 +320,8 @@ def _rows_near(grid: Grid, lo: float, hi: float, reach: float) -> slice:
 def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
     """A contiguous (rows, width) view from the first 64-byte boundary of the
     flat scratch buf (64 spare slots), so no ddot load splits a cache line."""
-    n, skip = rows.stop - rows.start, -buf.ctypes.data % 64 // buf.itemsize
+    n = rows.stop - rows.start
+    skip = -buf.ctypes.data % 64 // buf.itemsize
     return buf[skip:skip + n * width].reshape(n, width)
 
 
