@@ -1,9 +1,9 @@
 """Trapezoid quadrature on uniform grids.
 
-One discretization shared by the estimators, the evolution operator and the
-net-transition integrals, so the three stay mutually consistent. All
-reductions go through numpy's fixed-order pairwise summation (no BLAS), which
-keeps results bitwise identical regardless of caller threading.
+One discretization and one integral, for curves and surfaces alike, shared
+by the estimators, the evolution operator and the net-transition integrals,
+so the three stay consistent. All reductions use numpy's fixed-order pairwise
+summation (no BLAS), so results are bitwise identical at any caller threading.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ def weights(grid) -> np.ndarray:
 
 
 def integrate(grid, values) -> float:
-    """Trapezoid integral of point values over the grid."""
-    return float(np.sum(weights(grid) * np.asarray(values)))
-
-
-def integrate_2d(grid, values) -> float:
-    """Trapezoid integral of a surface sampled on grid x grid."""
+    """Trapezoid integral of point values over the grid, or of a surface
+    sampled on grid x grid (2-D values): each row first, then across rows."""
     w = weights(grid)
-    inner = np.sum(np.asarray(values) * w[None, :], axis=1)
-    return float(np.sum(inner * w))
+    v = np.asarray(values)
+    if v.ndim == 2:
+        v = np.sum(v * w, axis=1)
+    return float(np.sum(w * v))
 
 
 def l1_distance(grid, a, b) -> float:

@@ -6,10 +6,10 @@ turns a joint estimate and its x-marginal into a row-normalized stochastic
 kernel. A joint estimate and a kernel put income at t and at t + tau on
 one grid, which the ergodic solve and the NTP need.
 
-Incomes are positive, so grids are clipped at zero and every density is
-renormalized on its grid after evaluation (truncation correction). Raw,
-pre-normalization evaluations are available separately where point values
-matter.
+Incomes are positive, so grids are clipped at zero and every density, curve
+or surface, is renormalized on its grid after evaluation by one
+``from_values`` (truncation correction). Raw, pre-normalization evaluations
+are available separately where point values matter.
 
 Sample sums are accumulated in sorted order, by x and then y, in blocks of
 a fixed size, so results are bitwise reproducible, independent of caller
@@ -146,57 +146,47 @@ class Bandwidths:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """A probability density evaluated on a grid, unit trapezoid mass."""
+class _Density:
+    """Values on a grid (``ndim = 1``) or on grid x grid (``ndim = 2``) with unit
+    trapezoid mass: the one validator and normalizer of both density kinds."""
 
     grid: Grid
     values: np.ndarray
 
+    ndim, _noun, _kind = 1, "density", "curve"  # _noun and _kind: the nouns of its messages
+
     def __post_init__(self):
         v = _readonly(self.values)
-        if v.shape != (self.grid.count,):
+        if v.shape != (self.grid.count,) * self.ndim:
             raise ValueError("values do not match the grid")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("density values must be finite and nonnegative")
+            raise ValueError(f"{self._noun} values must be finite and nonnegative")
         if abs(_quad.integrate(self.grid, v) - 1.0) > 1e-6:
-            raise ValueError("density does not integrate to 1; use from_values")
+            raise ValueError(f"{self._noun} does not integrate to 1; use from_values")
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid: Grid, values) -> "DensityCurve":
+    def from_values(cls, grid: Grid, values) -> "_Density":
         """Renormalize raw nonnegative point values to unit trapezoid mass."""
         v = np.asarray(values, dtype=float)
         mass = _quad.integrate(grid, v)
         if not np.isfinite(mass) or mass <= 0:
-            raise ValueError("cannot normalize a curve with nonpositive mass")
+            raise ValueError(f"cannot normalize a {cls._kind} with nonpositive mass")
         return cls(grid=grid, values=_frozen(v / mass))
 
 
 @dataclass(frozen=True, eq=False)
-class DensitySurface:
+class DensityCurve(_Density):
+    """A probability density evaluated on a grid, unit trapezoid mass."""
+
+
+@dataclass(frozen=True, eq=False)
+class DensitySurface(_Density):
     """A joint density on grid x grid, unit 2-D trapezoid mass: ``values[i, j]``
     is the density at ``(grid.points[i], grid.points[j])``."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        if v.shape != (self.grid.count, self.grid.count):
-            raise ValueError("values do not match the grid")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("surface values must be finite and nonnegative")
-        if abs(_quad.integrate_2d(self.grid, v) - 1.0) > 1e-6:
-            raise ValueError("surface does not integrate to 1; use from_values")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_values(cls, grid: Grid, values) -> "DensitySurface":
-        v = np.asarray(values, dtype=float)
-        mass = _quad.integrate_2d(grid, v)
-        if not np.isfinite(mass) or mass <= 0:
-            raise ValueError("cannot normalize a surface with nonpositive mass")
-        return cls(grid=grid, values=_frozen(v / mass))
+    ndim = 2
+    _noun = _kind = "surface"
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +404,7 @@ def _normalized(cls, raw: np.ndarray, what: str, grid: Grid):
     mass, an overflowing mass, and a mass that divides the values out of
     float range, so that they no longer integrate to 1."""
     spacing = f"spacing {grid.spacing}"
-    mass = (_quad.integrate if raw.ndim == 1 else _quad.integrate_2d)(grid, raw)
+    mass = _quad.integrate(grid, raw)
     if mass == np.inf:
         raise InsufficientData(f"{what} has a mass beyond the floating-point range "
                                f"on the grid of {spacing}")

@@ -548,16 +548,21 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
     """Pool (income_t, income_{t+tau}) over every unit and every year pair.
 
     Assumes the transition law is the same for all start years, so pairs
-    from different years are pooled into one sample.
+    from different years are pooled into one sample. Raises NoPairs when
+    units x (year span + tau) does not fit in 64 bits, as the pair keys must.
     """
     if not panel.is_relative:
         raise ValueError("transition pairs are built from relative incomes; run to_relative first")
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
     years = panel.years()
-    span = int(years[-1] - years[0]) + 1 if len(years) else 1
+    span = int(years[-1]) - int(years[0]) + 1 if len(years) else 1
     start = end = np.empty(0, dtype=np.intp)
     if tau < span:
+        units = int(panel._unit_code.max()) + 1  # keys stay below units * (span + tau)
+        if units * (span + tau) >= 2**63:
+            raise NoPairs(f"cannot pair years {tau} apart over a span of {span} years for "
+                          f"{units} units: the keys, unit x (span + tau), exceed 64 bits")
         # rows sorted by unit code, then year; the key steps span + tau per
         # unit, so year + tau never reaches the next unit's keys. Each
         # scratch array is made in place where it can be, and freed as soon

@@ -105,19 +105,14 @@ def expand_groups(
     ``poorest``.
     """
     out: list[tuple[str, Panel]] = []
+    by_member = {"per-sector": ("sector", SECTORS), "per-region": ("region", REGIONS)}
     for token in parse_groups(groups):
         if token == "pooled":
             out.append(("pooled", panel))
-        elif token == "per-sector":
-            present = set(panel.sector)
-            for sec in SECTORS:
-                if sec in present:
-                    out.append((sec, filter_group(panel, sector=sec)))
-        elif token == "per-region":
-            present = set(panel.region)
-            for reg in REGIONS:
-                if reg in present:
-                    out.append((reg, filter_group(panel, region=reg)))
+        elif token in by_member:
+            column, members = by_member[token]
+            present = set(getattr(panel, column))
+            out += [(m, filter_group(panel, **{column: m})) for m in members if m in present]
         else:  # poorest-fraction
             year = base_year if base_year is not None else int(panel.years().min())
             out.append(("poorest", poorest_fraction(panel, year, fraction)))

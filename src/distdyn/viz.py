@@ -264,22 +264,14 @@ def _contour(x, y, v, style: PlotStyle) -> str:
                          'stroke="#666666" stroke-dasharray="6 4"', "diagonal"))
 
     # A level crosses a cell when it lies above the cell's lowest corner and
-    # at or below its highest, so one pass bins each cell's two extremes
-    # against the sorted levels and each level visits its crossing cells only.
+    # at or below its highest, so each level visits its crossing cells only.
     corners = (v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:])
     low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
     high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
-    order = np.argsort(levels, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    sorted_levels = np.asarray(levels)[order]
-    first = np.searchsorted(sorted_levels, low, side="right").ravel()
-    stop = np.searchsorted(sorted_levels, high, side="right").ravel()
-    cells = np.flatnonzero(first < stop)  # row-major
-    first, stop = first[cells], stop[cells]
     colors = _ramp_colors(0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
-    for level, color, r in zip(levels, colors, rank):
-        ci, cj = np.divmod(cells[(first <= r) & (r < stop)], v.shape[1] - 1)
+    for level, color in zip(levels, colors):
+        # the crossing cells, row-major
+        ci, cj = np.divmod(np.flatnonzero((low < level) & (level <= high)), v.shape[1] - 1)
         if ci.size == 0:
             continue
         c = [v[ci + di, cj + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]

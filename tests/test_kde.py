@@ -1,5 +1,6 @@
 """Kernel density estimation: bandwidths, grids, raw and normalized densities."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -273,7 +274,7 @@ class TestDensity2D:
         hy = silverman_bandwidth(y, 2)
         surf = density_2d(SimpleNamespace(x=x, y=y), Bandwidths(hx, hy), g, g)
         assert isinstance(surf, DensitySurface)
-        assert abs(_quad.integrate_2d(g, surf.values) - 1.0) < 1e-6
+        assert abs(_quad.integrate(g, surf.values) - 1.0) < 1e-6
 
     def test_insufficient_pairs(self):
         g = Grid.uniform(0.0, 1.0, 16)
@@ -743,6 +744,22 @@ class TestCurveAndKernelTypes:
         # a frozen buffer that owns its memory is taken without a copy
         assert DensityCurve(g, curve.values).values is curve.values
         assert StochasticKernel(g, kern.rows, kern.supported).rows is kern.rows
+
+    @pytest.mark.parametrize("count", [16, 128, 512])
+    def test_surface_integral_bits(self, count):
+        # each row first, then across the rows; a joint's mass sets every bit of kernel.csv
+        g = Grid.uniform(0.0, 2.7, count)
+        s = np.random.default_rng(count).random((count, count))
+        w = np.full(count, g.spacing)
+        w[0] = w[-1] = 0.5 * g.spacing
+        assert _quad.integrate(g, s) == float(np.sum(np.sum(s * w[None, :], axis=1) * w))
+
+    def test_surface_is_not_a_curve(self):
+        # the CSV and curve renderers dispatch on DensityCurve
+        surface = DensitySurface.from_values(_G, np.ones((16, 16)))
+        assert not isinstance(surface, DensityCurve)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            surface.extra = 1
 
     def test_bandwidths_positive(self):
         with pytest.raises(ValueError):

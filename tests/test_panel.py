@@ -594,6 +594,31 @@ class TestTransitionPairs:
             build_transition_pairs(rel, tau=1)
         assert len(build_transition_pairs(rel, tau=2)) == 2
 
+    def test_key_overflow_is_refused(self):
+        # three pairs, but 4 units x (span + tau) does not fit in 64 bits
+        b = 2**62
+        seen = [("a", 0), ("a", 1), ("b", 0), ("b", 1), ("c", b), ("c", b + 1), ("d", b)]
+        rel = self._relative([f"{u},urban,east,{y},1" for u, y in seen])
+        with pytest.raises(NoPairs, match=f"span of {b + 2} years for 4 units"):
+            build_transition_pairs(rel, tau=1)
+
+    def test_span_is_exact_across_the_int64_range(self):
+        b = 2**62
+        seen = [("a", -b), ("a", -b + 1), ("b", b), ("b", b + 1)]
+        rel = self._relative([f"{u},urban,east,{y},1" for u, y in seen])
+        with pytest.raises(NoPairs, match=f"span of {2 * b + 2} years for 2 units"):
+            build_transition_pairs(rel, tau=1)
+
+    def test_key_at_the_limit_keeps_its_pairs(self):
+        # 2 units x (span + tau) = 2^63 - 2 is the largest even product that fits
+        last = 2**62 - 3
+        rows = [f"a,urban,east,{y},1" for y in (0, 1)]
+        rows += [f"b,urban,east,{y},1" for y in (last - 1, last)]
+        assert len(build_transition_pairs(self._relative(rows), tau=1)) == 2
+        rows[2:] = [f"b,urban,east,{y},1" for y in (last, last + 1)]
+        with pytest.raises(NoPairs, match="exceed 64 bits"):
+            build_transition_pairs(self._relative(rows), tau=1)
+
     def test_requires_relative_incomes(self):
         p = csv_panel(["a,urban,east,1999,1", "a,urban,east,2000,2"])
         with pytest.raises(ValueError):
