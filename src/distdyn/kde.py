@@ -403,6 +403,10 @@ def _normalized(cls, raw: np.ndarray, what: str, grid: Grid):
     raises InsufficientData naming ``what`` and the grid spacing: a zero
     mass, an overflowing mass, and a mass that divides the values out of
     float range, so that they no longer integrate to 1."""
+    try:
+        return cls.from_values(grid, raw)
+    except ValueError:
+        pass
     spacing = f"spacing {grid.spacing}"
     mass = _quad.integrate(grid, raw)
     if mass == np.inf:
@@ -410,12 +414,9 @@ def _normalized(cls, raw: np.ndarray, what: str, grid: Grid):
                                f"on the grid of {spacing}")
     if not mass > 0:
         raise InsufficientData(f"{what} puts no mass on the grid of {spacing}")
-    try:
-        return cls.from_values(grid, raw)
-    except ValueError:
-        raise InsufficientData(f"{what} cannot be normalized on the grid of {spacing}: "
-                               f"divided by its mass {mass}, its values leave the "
-                               "floating-point range") from None
+    raise InsufficientData(f"{what} cannot be normalized on the grid of {spacing}: "
+                           f"divided by its mass {mass}, its values leave the "
+                           "floating-point range")
 
 
 def _curve(raw: np.ndarray, h: float, grid: Grid) -> DensityCurve:

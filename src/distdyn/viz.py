@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import NTPCurve
 from .errors import DegenerateSurface, EmptyPlot, GridMismatch
 from .kde import DensityCurve, StochasticKernel
+from .panel import _format17
 
 _CURVE_X_LABEL = "relative income"
 _KERNEL_X_LABEL, _KERNEL_Y_LABEL = "relative income at t", "relative income at t+τ"
@@ -376,10 +377,6 @@ def _surface(x, y, v, style: PlotStyle) -> str:
     return "\n".join(out) + "\n"
 
 
-def _g(xv: float) -> str:
-    return "%.17g" % float(xv)
-
-
 _CSV_VALUES = 8192  # values per CSV chunk: 4,096 rows of two columns
 
 
@@ -389,14 +386,14 @@ def _csv_chunks(obj) -> Iterator[bytes]:
     The input is checked before the first chunk is asked for. The header
     comes first; then each chunk holds as many whole rows as fit in 8,192
     values (4,096 rows of a two-column table, one row at the least),
-    formatted by one ``%`` over the chunk's values, so neither a long nor
-    a wide table is ever held whole as text.
+    written by ``panel._format17`` as ``"%.17g"`` writes each value, so
+    neither a long nor a wide table is ever held whole as text.
     """
     if isinstance(obj, (DensityCurve, NTPCurve)):
         header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
         table = np.column_stack((obj.grid.points, obj.values))
     elif isinstance(obj, StochasticKernel):
-        header = "x\\y," + ",".join(_g(yv) for yv in obj.grid.points)
+        header = "x\\y," + _format17(obj.grid.points[None, :]).decode("ascii")[:-1]
         table = np.column_stack((obj.grid.points, obj.rows))
     elif hasattr(obj, "x") and hasattr(obj, "y"):  # TransitionPairs
         header = "x,y"
@@ -418,11 +415,9 @@ def _csv_chunks(obj) -> Iterator[bytes]:
 
 def _csv_rows(header: str, table: np.ndarray) -> Iterator[bytes]:
     yield (header + "\n").encode("utf-8")
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     step = max(1, _CSV_VALUES // table.shape[1])
     for start in range(0, len(table), step):
-        block = table[start:start + step]
-        yield ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+        yield _format17(table[start:start + step])
 
 
 def export_csv(obj) -> bytes:

@@ -602,6 +602,19 @@ class TestTransitionPairs:
         with pytest.raises(NoPairs, match=f"span of {b + 2} years for 4 units"):
             build_transition_pairs(rel, tau=1)
 
+    def test_key_overflow_counts_the_groups_own_units(self):
+        # the west group's units carry codes 5 and 6 of the parent panel
+        b = 2**62
+        rows = [f"{u},urban,east,{y},1" for u in "abcde" for y in (0, 1)]
+        rows += [f"f,urban,west,{y},1" for y in (0, 1)]
+        rows += [f"g,urban,west,{y},1" for y in (b, b + 1)]
+        west = filter_group(self._relative(rows), region="west")
+        assert west._unit_code.tolist() == [5, 5, 6, 6]
+        with pytest.raises(NoPairs, match=f"span of {b + 2} years for 2 units"):
+            build_transition_pairs(west, tau=1)
+        near = filter_group(self._relative(rows[:-2] + ["g,urban,west,0,1"]), region="west")
+        assert len(build_transition_pairs(near, tau=1)) == 1
+
     def test_span_is_exact_across_the_int64_range(self):
         b = 2**62
         seen = [("a", -b), ("a", -b + 1), ("b", b), ("b", b + 1)]

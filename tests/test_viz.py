@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,7 +17,7 @@ from distdyn import Grid
 from distdyn.dynamics import NTPCurve
 from distdyn.errors import DegenerateSurface, EmptyPlot, GridMismatch
 from distdyn.kde import DensityCurve, StochasticKernel
-from distdyn.panel import TransitionPairs
+from distdyn.panel import TransitionPairs, _format17
 from distdyn.viz import (
     PlotStyle,
     _contour,
@@ -450,3 +452,42 @@ class TestCsvChunks:
     def test_bad_input_fails_before_the_first_chunk(self):
         with pytest.raises(EmptyPlot):
             _csv_chunks([])
+
+
+def per_value_text(values, columns):
+    """The CSV text of ``values`` as one "%.17g" per value, ``columns`` to a row."""
+    return csv_by_value("", [values[k::columns] for k in range(columns)])[1:]
+
+
+def formatter_edges():
+    """Zeros, NaNs and infinities, subnormals, every power of 10 and of 2 with
+    its neighbours, and values whose 18-digit decimal ends in a 5: exact ties."""
+    values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.225073858507201e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, 2.0**53 + 2]
+    for power in [float(f"1e{k}") for k in range(-323, 309)] + [2.0**e for e in range(-1074, 1024)]:
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+    for e in range(2, 60):  # q / 2**e, q odd, just above 10**(17 - e): 18 digits
+        q = -(-(2**e * 10 ** max(17 - e, 0)) // 10 ** max(e - 17, 0)) | 1
+        values += [q / 2**e, (q + 2) / 2**e, (q + 4) / 2**e]
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
+class TestFormat17:
+    @pytest.mark.parametrize("columns", [1, 2, 7])
+    def test_edges_are_the_per_value_text(self, columns):
+        values = formatter_edges()
+        values = values[:len(values) // columns * columns]
+        assert _format17(values.reshape(-1, columns)) == per_value_text(values, columns)
+
+    def test_random_bit_patterns_are_the_per_value_text(self):
+        bits = np.random.default_rng(24).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert _format17(values.reshape(-1, 4)) == per_value_text(values, 4)
+
+    def test_tables_are_built_on_first_use(self):
+        probe = ("import sys, distdyn.cli; from distdyn import panel; "
+                 "print(panel._pow10.cache_info().currsize, panel._text_tables.cache_info().currsize, "
+                 "'fractions' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0", "False"]
