@@ -132,10 +132,10 @@ def club_assignments(spec: ProcessSpec) -> np.ndarray:
 def simulate(spec: ProcessSpec) -> Panel:
     """Generate a panel from the process, deterministic given the seed.
 
-    Rows are unit-major, years ascending from 1999. Synthetic panels carry
-    sector "urban" and region "other" throughout; callers wanting richer
-    group structure can relabel. Raises InvalidSpec when an income is not
-    finite and positive, as a sigma too large for exp gives.
+    Rows are unit-major, years ascending from 1999, unit u's rows with unit
+    code u, sector "urban" and region "other"; callers wanting richer group
+    structure can relabel. Raises InvalidSpec when an income is not finite
+    and positive, as a sigma too large for exp gives.
     """
     if spec.kind == "two_club":
         mu = np.log(np.asarray(spec.club_centers))[club_assignments(spec)]
@@ -174,7 +174,7 @@ def simulate(spec: ProcessSpec) -> Panel:
         region=np.full(z.size, "other", dtype=object),
         year=np.tile(np.arange(START_YEAR, START_YEAR + spec.years), spec.units),
         income=z.ravel(),
-    )
+    )._with_unit_code(np.repeat(np.arange(spec.units), spec.years))
 
 
 def stationary_density(spec: ProcessSpec, grid: Grid, relative: bool = False) -> DensityCurve:

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import NTPCurve
 from .errors import DegenerateSurface, EmptyPlot, GridMismatch
 from .kde import DensityCurve, StochasticKernel
-from .panel import _format17
+from ._format17 import _format17
 
 _CURVE_X_LABEL = "relative income"
 _KERNEL_X_LABEL, _KERNEL_Y_LABEL = "relative income at t", "relative income at t+τ"
@@ -386,7 +386,7 @@ def _csv_chunks(obj) -> Iterator[bytes]:
     The input is checked before the first chunk is asked for. The header
     comes first; then each chunk holds as many whole rows as fit in 8,192
     values (4,096 rows of a two-column table, one row at the least),
-    written by ``panel._format17`` as ``"%.17g"`` writes each value, so
+    written by ``_format17`` as ``"%.17g"`` writes each value, so
     neither a long nor a wide table is ever held whole as text.
     """
     if isinstance(obj, (DensityCurve, NTPCurve)):

@@ -182,11 +182,13 @@ def load_panel_rows(stream) -> Panel:
     """Parse a panel CSV from a text stream, one ``csv.reader`` row at a time.
 
     The row loop ``load_panel`` ran before it read whole columns, kept as
-    its oracle: the same columns, and for a bad input the same error and
-    message. Two faults it misses are fixed in ``load_panel`` and modeled
-    by the tests: a year beyond 64 bits reaches ``np.array`` as an
-    ``OverflowError``, and input that is not UTF-8 is the caller's decode
-    error. Open the stream with ``newline=""``.
+    the oracle of both of its paths: the typed pass must give the same
+    columns for every file it accepts, and the row loop the same columns,
+    or for a bad input the same error and message. Two faults it misses
+    are fixed in ``load_panel``'s row loop and modeled by the tests: a year
+    beyond 64 bits reaches ``np.array`` as an ``OverflowError``, and input
+    that is not UTF-8 is the caller's decode error. Open the stream with
+    ``newline=""``.
     """
     try:
         reader = csv.reader(stream)

@@ -1,8 +1,8 @@
 """Every 17-significant-digit number the package writes comes from one formatter.
 
-``panel._format17`` writes the CSV numbers byte for byte as ``"%.17g"``
+``_format17._format17`` writes the CSV numbers byte for byte as ``"%.17g"``
 would; only its fallback, for values near a rounding tie, formats a value
-by itself. The fallback sits in ``panel._format_rows``, which formats one
+by itself. The fallback sits in ``_format17._format_rows``, which formats one
 block of rows for ``_format17``. A ``.17g`` format anywhere else (a ``%``
 format, a format spec or an f-string) would be a second writer that could
 drift from it. This scan of the package source turns that rule into a
@@ -50,7 +50,7 @@ def test_only_the_formatter_writes_17_digits(path):
 
 
 def test_the_formatter_has_one_fallback():
-    hits = seventeen_digit_formats((REPO_ROOT / "src" / "distdyn" / "panel.py").read_text())
+    hits = seventeen_digit_formats((REPO_ROOT / "src" / "distdyn" / "_format17.py").read_text())
     assert [f for f, _ in hits] == [FORMATTER]
 
 

@@ -1171,6 +1171,15 @@ class TestLoaderFixes:
         with pytest.raises(MalformedRow, match=want):
             load_panel(data.format(long=self.LONG).encode())
 
+    def test_over_long_field_loads_with_any_spelling(self, monkeypatch):
+        # the typed pass reads what int() and float() read, so a file with
+        # odd spellings never needs the row loop, whose csv.reader has the limit
+        monkeypatch.setattr(panel_module, "_read_rows", _row_loop_must_not_run)
+        p = csv_panel([f"{self.LONG},urban,east,1_999,1_0.5", "b,urban,east,１２,2"])
+        assert p.unit_id.tolist() == [self.LONG, "b"]
+        assert p.year.tolist() == [1999, 12] and p.income.tolist() == [10.5, 2.0]
+        assert csv.field_size_limit() == self.LIMIT
+
     def test_rows_share_one_str_per_value(self):
         p = csv_panel([f" u{i % 3} ,urban ,east,{1999 + i},1" for i in range(9)])
         for column in (p.unit_id, p.sector, p.region):
@@ -1182,6 +1191,89 @@ class TestLoaderFixes:
         for derived in (deflate(p), to_relative(deflate(p)), filter_group(p, sector="urban")):
             assert "_unit_code" in derived.__dict__
         assert filter_group(p, sector="urban")._unit_code.tolist() == [0, 0]
+
+
+def _row_loop_must_not_run(lines):
+    raise AssertionError("the row loop ran")
+
+
+def _read(reader, data: bytes):
+    """``reader`` (``_read_typed`` or ``_read_rows``) on the lines of ``data``."""
+    with panel_module._text(data) as stream:
+        return reader(panel_module._lines(stream))
+
+
+def _csv(rows, header=HEADER, newline="\n"):
+    return (header + "".join(r + newline for r in rows)).encode()
+
+
+# files the typed pass reads whole, each with a CSV or spelling corner
+TYPED = {
+    "partly blank cpi": _csv(["a,urban,east,1999,1,100", "a,urban,east,2000,2,",
+                              "b,rural,west,1999,3, "], HEADER_CPI),
+    "quoted ids": _csv(['"a,b",urban,east,1999,1', '"c\rd",rural,west,1999,2',
+                        '"e\nf",urban,east,1999,3', '"g""h",urban,east,1999,4']),
+    "byte-order mark": b"\xef\xbb\xbf" + _csv(["a,urban,east,1999,1", "a,urban,east,2000,2"]),
+    "CR endings": _csv(["a,urban,east,1999,1", "a,urban,east,2000,2"],
+                       HEADER.replace("\n", "\r"), "\r"),
+    "blank lines": _csv(["", "a,urban,east,1999,1", "", "", "a,urban,east,2000,2", ""]),
+    "one full block": _csv(valid_rows(_BLOCK)),
+    "odd spellings": _csv(["a,urban,east,1_000,1", "a,urban,east,１２,1_0.5",
+                           "a,urban,east, 7 , 3 ", f"a,urban,east, {2**63 - 1} ,1e-300",
+                           f"a,urban,east,{-(2**63)},２"]),
+}
+# files the typed pass refuses, though numpy's own number parse would take them
+NUMPY_ONLY = {
+    "year with an astral character": _csv(["a,urban,east,1\U0010ffff5,1"]),
+    "year after U+001C": _csv(["a,urban,east,\x1c1999,1"]),
+    "income after U+001F": _csv(["a,urban,east,1999,\x1f2.5"]),
+}
+
+
+class TestLoaderPaths:
+    """Which of load_panel's two paths reads a file, and that both give one panel."""
+
+    @pytest.mark.parametrize("name", list(TYPED))
+    def test_typed_pass_reads_the_whole_file(self, name, monkeypatch):
+        monkeypatch.setattr(panel_module, "_read_rows", _row_loop_must_not_run)
+        assert_loads_like_oracle(TYPED[name], TYPED[name])
+
+    def test_typed_pass_reads_the_demo_panel(self, demo_panel_path, monkeypatch):
+        monkeypatch.setattr(panel_module, "_read_rows", _row_loop_must_not_run)
+        data = demo_panel_path.read_bytes()
+        assert_loads_like_oracle(demo_panel_path, data)
+
+    @pytest.mark.parametrize("name", ["odd spellings", "quoted ids", "partly blank cpi"])
+    def test_row_loop_gives_the_panel(self, name):
+        assert_same_panel(_read(panel_module._read_rows, TYPED[name]), expected_load(TYPED[name]))
+
+    def test_both_paths_give_one_panel(self, demo_panel_path):
+        data = demo_panel_path.read_bytes()
+        typed, rows = (_read(r, data) for r in (panel_module._read_typed, panel_module._read_rows))
+        assert_same_panel(typed, rows)
+        for p in (typed, rows):
+            for column, values in ((p.sector, SECTORS), (p.region, REGIONS)):
+                assert all(any(v is s for s in values) for v in column)
+            assert len({id(u) for u in p.unit_id}) == len(set(p.unit_id))
+
+    @pytest.mark.parametrize("name", list(NUMPY_ONLY))
+    def test_text_numpy_alone_reads_goes_to_the_row_loop(self, name):
+        assert _read(panel_module._read_typed, NUMPY_ONLY[name]) is None
+        want = r"^row 2: (year|income) '.*' is not an? (integer|number)$"
+        with pytest.raises(MalformedRow, match=want):
+            load_panel(NUMPY_ONLY[name])
+        assert_loads_like_oracle(NUMPY_ONLY[name], NUMPY_ONLY[name])
+
+    @pytest.mark.parametrize("row, error", [("u0,rural,east,2000,1", DuplicateKey),
+                                            ("u0,rural,west,2999,1", MalformedRow)],
+                             ids=["repeated-year", "region-change"])
+    def test_a_refused_file_goes_to_the_row_loop(self, row, error):
+        data = _csv(valid_rows(3 * _BLOCK) + [row])
+        assert _read(panel_module._read_typed, data) is None
+        with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as rows:
+            with pytest.raises(error, match=rf"^row {3 * _BLOCK + 2}: "):
+                load_panel(data)
+        assert rows.call_count == 1
 
 
 class TestDumpPanelChunks:
@@ -1209,6 +1301,33 @@ class TestDumpPanelChunks:
             cpi=np.where(rng.random(n) < 0.3, np.nan, rng.uniform(1, 200, n)) if cpi else None,
         )
         assert dump_panel(p) == self._plain(p)
+
+    def test_a_unit_whose_region_changes_keeps_each_rows_region(self):
+        # a panel built in code may move a unit; its text is built per unit
+        p = Panel(
+            unit_id=np.array(["a", "a", "b,c", "a", "b,c"], dtype=object),
+            sector=np.array(["urban"] * 5, dtype=object),
+            region=np.array(["east", "west", "east", "east", "other"], dtype=object),
+            year=np.arange(5),
+            income=np.ones(5),
+        )
+        assert dump_panel(p) == self._plain(p).replace(b"b,c", b'"b,c"')
+
+    @pytest.mark.parametrize("cut", [
+        lambda p: filter_group(p, sector="urban"),
+        lambda p: filter_group(p, region="west"),
+        lambda p: poorest_fraction(p, 1999, 0.3),
+    ], ids=["urban", "west", "poorest"])
+    def test_a_subgroup_keeps_its_parents_codes_and_dumps_row_by_row(self, cut,
+                                                                     demo_panel_path):
+        sub = cut(load_panel(demo_panel_path))
+        codes = np.unique(sub._unit_code)
+        assert not np.array_equal(codes, np.arange(len(codes)))  # codes with gaps
+        raw = dump_panel(sub)
+        assert raw == self._plain(sub)
+        again = load_panel(raw)
+        for name in ("unit_id", "sector", "region", "year", "income"):
+            assert getattr(again, name).tolist() == getattr(sub, name).tolist()
 
 
 def _columns(n=2, **override):

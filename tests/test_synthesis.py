@@ -206,6 +206,13 @@ class TestSimulateMatchesUnitLoop:
     def test_panel_bytes(self, spec):
         assert dump_panel(simulate(spec)) == dump_panel(simulate_unit_loop(spec))
 
+    @given(spec=process_specs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_unit_code_is_the_first_appearance_number(self, spec):
+        # simulate sets the unit code that a panel built in code computes on first use
+        want = simulate_unit_loop(spec)._unit_code
+        assert np.array_equal(simulate(spec).__dict__["_unit_code"], want)
+
 
 def test_demo_generator_writes_the_committed_panel(repo_root, demo_panel_path):
     # README: demo/make_demo.py regenerates demo/panel.csv

@@ -17,7 +17,8 @@ from distdyn import Grid
 from distdyn.dynamics import NTPCurve
 from distdyn.errors import DegenerateSurface, EmptyPlot, GridMismatch
 from distdyn.kde import DensityCurve, StochasticKernel
-from distdyn.panel import TransitionPairs, _format17
+from distdyn._format17 import _format17
+from distdyn.panel import TransitionPairs
 from distdyn.viz import (
     PlotStyle,
     _contour,
@@ -486,8 +487,8 @@ class TestFormat17:
         assert _format17(values.reshape(-1, 4)) == per_value_text(values, 4)
 
     def test_tables_are_built_on_first_use(self):
-        probe = ("import sys, distdyn.cli; from distdyn import panel; "
-                 "print(panel._pow10.cache_info().currsize, panel._text_tables.cache_info().currsize, "
+        probe = ("import sys, distdyn.cli; from distdyn import _format17 as f; "
+                 "print(f._pow10.cache_info().currsize, f._text_tables.cache_info().currsize, "
                  "'fractions' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0", "False"]
