@@ -22,34 +22,26 @@ thread count either. A matrix product (``@``, ``np.dot``, ``np.matmul``)
 is not used: gemm blocks its sums by thread count. Another CPU family or
 BLAS build may sum a dot product in another order, changing the last bits.
 
-Two rules keep the weight loops off numpy's slow floating-point paths:
+One floor keeps the weight loops off numpy's slow floating-point paths:
+every Gaussian weight exp(-0.5*z*z) whose argument is below -354 (a
+weight below e^-354) is 0.0, in the 1-D estimate as in the joint. ``exp``
+runs on arguments clamped at the floor, so it never forms a subnormal,
+nor reaches 0.0 on its slow path, and each product of two kept weights
+is at least e^-708, a normal number. A dropped weight moves a raw 1-D
+value by at most e^-354 / (sqrt(2*pi)*h) and a raw joint value by at most
+e^-354 / (2*pi*h_x*h_y), up to rounding in the sums.
 
-- Exact zeros. ``exp`` of any argument below -746 rounds to 0.0, but numpy
-  reaches that 0.0 on a slow path. A Gaussian weight exp(-0.5*z*z) is
-  evaluated only where its argument is at least -746 and is written as 0.0
-  elsewhere, the value ``exp`` would return, so 1-D estimates keep every
-  bit.
-- A floor on joint weights. Before the 2-D contraction, each weight whose
-  argument is below -354 (a weight below e^-354) is set to zero. Each
-  product of two kept weights is then at least e^-708, a normal number, so
-  the contraction never forms a slow subnormal product. A dropped product
-  is below e^-354, so a raw joint value moves by at most
-  e^-354 / (2*pi*h_x*h_y), about 2.9e-155 / (h_x*h_y), up to rounding in
-  the sums. Grid rows left without any weight in a block add only zeros
-  and are skipped in that block's contraction.
-
-So a weight has two reach radii: it is exactly 0.0 more than
-sqrt(2*746) = 38.6 bandwidths from its sample, and a joint weight is
-dropped more than sqrt(2*354) = 26.6 bandwidths away. A block of sorted
-samples spans a narrow x range, so it computes x weights only on the rows
-within 38.6*h_x plus one grid step of its x range, and y weights only on
-the rows within 26.6*h_y plus one grid step of its y range. Every row left
-out would add an exact zero.
+So a weight has one reach: it is 0.0 more than sqrt(2*354) = 26.6
+bandwidths from its sample. A block of sorted samples spans a narrow x
+range, so it computes x weights only on the rows within 26.6*h_x plus
+one grid step of its x range, and y weights only on the rows within
+26.6*h_y plus one grid step of its y range. Every row left out would add
+an exact zero, as does a row kept that holds only zeros.
 
 The x-marginal of a joint estimate comes from the same pass: it is the
-row sum of the exact x weights, taken before the floor, so
-:func:`joint_and_marginal` returns the joint surface together with a
-marginal bitwise equal to :func:`density_1d` at the x bandwidth.
+row sum of the x weights, so :func:`joint_and_marginal` returns the joint
+surface together with a marginal bitwise equal to :func:`density_1d` at
+the x bandwidth.
 """
 
 from __future__ import annotations
@@ -72,11 +64,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 2048  # samples per accumulation block; fixed so sums are reproducible
 _CHUNK = 32  # y rows per joint contraction step: 32 x 2048 weights stay in L2
 MIN_GRID_POINTS = 16  # fewest points a Grid may have
-_EXP_UNDERFLOW = -746.0  # exp of any smaller argument rounds to 0.0
-_JOINT_FLOOR = -354.0  # joint weights with a smaller argument are dropped
-_JOINT_MIN_WEIGHT = float(np.exp(_JOINT_FLOOR))
-_REACH = float(np.sqrt(-2.0 * _EXP_UNDERFLOW))  # 38.6: beyond, a weight is 0.0
-_JOINT_REACH = float(np.sqrt(-2.0 * _JOINT_FLOOR))  # 26.6: beyond, a joint weight is dropped
+_FLOOR = -354.0  # a weight with a smaller argument is 0.0
+_REACH = float(np.sqrt(-2.0 * _FLOOR))  # 26.6: beyond, a weight is 0.0
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -275,27 +264,23 @@ def silverman_bandwidth(samples, dimensions: int = 1) -> float:
     return 0.9 * spread * n ** (-1.0 / (4 + dimensions))
 
 
-def _gauss(z: np.ndarray, cutoff: float = _EXP_UNDERFLOW, mask=None) -> np.ndarray:
+def _gauss(z: np.ndarray, keep=None) -> np.ndarray:
     """Overwrite z with the Gaussian weights exp(-0.5*z*z) and return it.
 
-    ``exp`` runs only where its argument is at least ``cutoff``; elsewhere
-    the weight is 0.0. At the default cutoff that is bitwise
-    ``np.exp(-0.5*z*z)``. ``mask`` is boolean scratch of z's shape.
+    A weight whose argument is below ``_FLOOR`` is 0.0; every other is
+    bitwise ``np.exp(-0.5*z*z)``. ``exp`` runs on the arguments clamped at
+    the floor, so it forms no subnormal, and the weights below the floor
+    are then multiplied by 0.0, the others by 1.0. ``keep`` is boolean
+    scratch of z's shape.
     """
-    if mask is None:
-        mask = np.empty(z.shape, dtype=bool)
+    if keep is None:
+        keep = np.empty(z.shape, dtype=bool)
     np.multiply(z, z, out=z)
     np.multiply(z, -0.5, out=z)
-    np.greater_equal(z, cutoff, out=mask)
-    np.exp(z, out=z, where=mask)
-    # the arguments left in place are negative; a weight is never below 0.0
-    return np.maximum(z, 0.0, out=z)
-
-
-def _reached(k: np.ndarray) -> slice:
-    """The rows from the first to the last that hold a nonzero weight."""
-    rows = np.flatnonzero(np.any(k, axis=1))
-    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+    np.greater_equal(z, _FLOOR, out=keep)
+    np.maximum(z, _FLOOR, out=z)
+    np.exp(z, out=z)
+    return np.multiply(z, keep, out=z)
 
 
 def _rows_near(grid: Grid, lo: float, hi: float, reach: float) -> slice:
@@ -318,9 +303,9 @@ def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
 def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
     """Raw KDE values from sums of Gaussian weights, block by block in sorted order.
 
-    Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on the grid from the
-    exact weights. With ``y`` given, ``fxy`` is the product-kernel joint
-    KDE on grid x grid from the floored weights; otherwise it is None.
+    Returns ``(fx, fxy)``: ``fx`` is the 1-D KDE of x on the grid. With
+    ``y`` given, ``fxy`` is the product-kernel joint KDE on grid x grid;
+    otherwise it is None. Both sum the floored weights of ``_gauss``.
 
     A z = (g - x)/h, or z*z, that overflows at a tiny bandwidth weighs 0.0,
     as any z beyond the reach does. Raises InsufficientData, before any
@@ -349,43 +334,41 @@ def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
             idx = order[start:start + _BLOCK]
             width = idx.size
             xs = np.take(x, idx, out=xb[:width])
-            # xs is sorted; every x weight outside rx is exactly 0.0
+            # xs is sorted; every x weight outside rx is 0.0
             rx = _rows_near(grid, xs[0], xs[-1], _REACH * h_x)
             kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
             np.subtract(grid.points[rx, None], xs[None, :], out=kx)
             kx /= h_x
-            sx[rx] += np.sum(_gauss(kx, mask=mx), axis=1)
+            sx[rx] += np.sum(_gauss(kx, mx), axis=1)
             if y is None:
                 continue
-            np.less(kx, _JOINT_MIN_WEIGHT, out=mx)
-            np.putmask(kx, mx, 0.0)
             ys = np.take(y, idx, out=yb[:width])
-            # every y weight outside ry is below the joint floor
-            ry = _rows_near(grid, np.min(ys), np.max(ys), _JOINT_REACH * h_y)
+            # every y weight outside ry is 0.0
+            ry = _rows_near(grid, np.min(ys), np.max(ys), _REACH * h_y)
             ky = _scratch(ky_buf, ry, width)
             np.subtract(grid.points[ry, None], ys[None, :], out=ky)
             ky /= h_y
-            _gauss(ky, _JOINT_FLOOR, _scratch(mask_buf, ry, width))
+            _gauss(ky, _scratch(mask_buf, ry, width))
             # Each entry is one ddot over the block's samples: a function of
             # its two weight rows alone, whatever the rows skipped or the
             # chunking. No gemm, which may block by BLAS thread count.
-            ax, ay = _reached(kx), _reached(ky)
-            kxa, kya, out = kx[ax, None, :], ky[ay], sxy[rx, ry][ax, ay]
-            for c in range(0, kya.shape[0], _CHUNK):
-                out[:, c:c + _CHUNK] += np.vecdot(kxa, kya[None, c:c + _CHUNK])
-    fx = sx * scale_x
-    if y is None:
-        return fx, None
-    return fx, sxy * scale_xy
+            kxa, out = kx[:, None, :], sxy[rx, ry]
+            for c in range(0, ky.shape[0], _CHUNK):
+                out[:, c:c + _CHUNK] += np.vecdot(kxa, ky[None, c:c + _CHUNK])
+    # the weight loops form no subnormal, but a sum of weights, or of their
+    # products, near the floor may scale to one: it is the estimate's value
+    with np.errstate(under="ignore"):
+        return sx * scale_x, None if y is None else sxy * scale_xy
 
 
 def density_1d_raw(samples, h: float, grid: Grid) -> np.ndarray:
     """Gaussian KDE point values on the grid, before any renormalization.
 
     Value at g is (1/(n*h)) * sum_i K((g - x_i)/h) with K the standard
-    normal density. Samples accumulate in sorted order, so the result does
-    not depend on their order. Raises NonFiniteSample for a NaN or
-    infinite sample.
+    normal density, with the floor of the module docstring applied to the
+    weights. Samples accumulate in sorted order, so the result does not
+    depend on their order. Raises NonFiniteSample for a NaN or infinite
+    sample.
     """
     x = np.ascontiguousarray(samples, dtype=float)
     if x.size == 0:
@@ -450,7 +433,7 @@ def density_2d_raw(pairs, bandwidths: Bandwidths, grid: Grid) -> np.ndarray:
     """Product-kernel joint KDE point values on grid x grid, before renormalization.
 
     Value at (gx, gy) is (1/(n*h_x*h_y)) * sum_i K((gx-x_i)/h_x)*K((gy-y_i)/h_y),
-    with the joint floor of the module docstring applied to the weights.
+    with the floor of the module docstring applied to the weights.
     """
     return _joint_raw(pairs, bandwidths, grid)[1]
 

@@ -24,8 +24,7 @@ import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +186,8 @@ def load_panel(source) -> Panel:
     not UTF-8 raises :class:`MalformedRow` naming its first bad byte,
     whatever else is wrong with it.
 
-    A typed pass reads ``_BLOCK`` rows at a time with ``np.loadtxt``, and
+    A typed pass reads ``_BLOCK`` rows at a time with ``np.loadtxt``, with
+    numpy's own number parse if the text is plain (:func:`_plain`), and
     its checks run as masks over whole columns; a file it refuses is read
     again by a row loop, one ``csv.reader`` row at a time, which names the
     first fault. The rows share one ``str`` per distinct ``unit_id``,
@@ -196,7 +196,7 @@ def load_panel(source) -> Panel:
     content = _content(source)
     try:
         with _text(content) as stream:
-            panel = _read_typed(_lines(stream))
+            panel = _read_typed(_lines(stream), _plain(content))
         if panel is None:
             with _text(content) as stream:
                 try:
@@ -210,6 +210,44 @@ def load_panel(source) -> Panel:
         raise _not_utf8(content) from None
 
 
+# Plain text is ASCII with none of U+001C-U+001F and no "_": on it numpy's
+# int64 and float64 parse read what int() and float() read. On other text
+# numpy misreads some non-ASCII digits, skips U+001C-U+001F as spaces, and
+# refuses a "_" inside a number, which int() and float() read.
+_NOT_PLAIN = "_\x1c\x1d\x1e\x1f"  # the ASCII characters plain text lacks
+_LINE_BREAK = {str: re.compile("[\r\n]"), bytes: re.compile(b"[\r\n]")}
+# Content is checked this many bytes or characters at a time. A chunk stays
+# below glibc's 128 KiB mmap threshold: freeing a larger one raises that
+# threshold, and later stages then peak 2-5 MiB higher on panel-300k.
+_SCAN = 1 << 16
+
+
+def _plain(content) -> bool:
+    """Whether ``content`` (a ``Path``, bytes or str) is plain after its first line break.
+
+    The first line holds the header, or its start, which the header check
+    reads; a leading byte-order mark is part of it. Content is checked a
+    chunk at a time, and no chunk is kept.
+    """
+    if isinstance(content, Path):
+        with open(content, "rb") as f:
+            return _plain_chunks(iter(partial(f.read, _SCAN), b""))
+    return _plain_chunks(content[i:i + _SCAN] for i in range(0, len(content), _SCAN))
+
+
+def _plain_chunks(chunks) -> bool:
+    for i, chunk in enumerate(chunks):
+        if i == 0:
+            line_break = _LINE_BREAK[type(chunk)].search(chunk)
+            if line_break is None:  # a first line this long is not worth checking
+                return False
+            chunk = chunk[line_break.end():]
+        marks = _NOT_PLAIN if isinstance(chunk, str) else _NOT_PLAIN.encode()
+        if not chunk.isascii() or any(mark in chunk for mark in marks):
+            return False
+    return True
+
+
 def _lines(stream):
     """The stream's lines by readline, after one leading byte-order mark, as spreadsheets write."""
     if stream.read(1) != "\ufeff":
@@ -217,34 +255,41 @@ def _lines(stream):
     return iter(stream.readline, "")
 
 
-def _read_typed(lines) -> Panel | None:
+def _read_typed(lines, plain: bool = False) -> Panel | None:
     """The typed pass: the panel of a valid file, or None if it refuses the file.
 
-    Each block is one ``np.loadtxt`` call with every field as text, made
-    codes and numbers before the next block is read; ``astype`` converts by
-    Python's ``int()`` and ``float()``, as numpy's own parse reads text they refuse.
+    Each block is one ``np.loadtxt`` call, made codes and numbers before the
+    next block is read. On ``plain`` text (see :func:`_plain`) numpy parses
+    year and income itself; otherwise every field is read as text, and
+    ``astype`` converts by Python's ``int()`` and ``float()``, as numpy's
+    own parse reads text they refuse. ``unit_id``, sector and region are
+    coded by their text as read, each distinct spelling stripped once.
     """
     units = defaultdict()
     units.default_factory = units.__len__  # numbers each new unit_id as it is looked up
+    unit_code = _Codes(units.__getitem__)
+    sector_code = _Codes(lambda text: _SECTOR_CODE.get(text, -1))
+    region_code = _Codes(lambda text: _REGION_CODE.get(text, -1))
     blocks = []
     try:
         header = [h.strip() for h in next(csv.reader(lines), [])]
         if header not in (_HEADER, _HEADER + ["cpi"]):
             return None
-        dtype = np.dtype([(name, object) for name in header])
+        typed = {"year": np.int64, "income": np.float64} if plain else {}
+        dtype = np.dtype([(name, typed.get(name, object)) for name in header])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's, on an empty read
             while not blocks or len(rows) == _BLOCK:
                 rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                                   comments=None, ndmin=1, max_rows=_BLOCK)
-                n, text = len(rows), {name: map(str.strip, rows[name]) for name in header}
-                uid = np.fromiter(map(units.__getitem__, text["unit_id"]), np.intp, n)
-                sector = np.fromiter(map(_SECTOR_CODE.get, text["sector"], repeat(-1)), np.int8, n)
-                region = np.fromiter(map(_REGION_CODE.get, text["region"], repeat(-1)), np.int8, n)
+                n = len(rows)
+                uid = np.fromiter(map(unit_code.__getitem__, rows["unit_id"]), np.intp, n)
+                sector = np.fromiter(map(sector_code.__getitem__, rows["sector"]), np.int8, n)
+                region = np.fromiter(map(region_code.__getitem__, rows["region"]), np.int8, n)
                 year, income = rows["year"].astype(np.int64), rows["income"].astype(np.float64)
                 cpi, given = np.full(n, np.nan), np.zeros(n, dtype=bool)
-                if "cpi" in text:
-                    given = np.fromiter(map(bool, text["cpi"]), bool, n)
+                if "cpi" in header:
+                    given = np.fromiter(map(bool, map(str.strip, rows["cpi"])), bool, n)
                     cpi[given] = rows["cpi"][given].astype(np.float64)
                 valid = ((uid != units.get("", -1)) & (sector >= 0) & (region >= 0) & (income > 0)
                          & (income < np.inf) & (~given | ((cpi > 0) & (cpi < np.inf))))
@@ -255,6 +300,19 @@ def _read_typed(lines) -> Panel | None:
         return None
     columns = [np.concatenate(c) for c in zip(*blocks)]
     return None if _unit_repeats_or_moves(*columns[:4]) else _coded_panel(units, columns)
+
+
+class _Codes(dict):
+    """The code of each field text as read, ``code(text.strip())``: a
+    distinct spelling is stripped and looked up once, on its first read."""
+
+    def __init__(self, code):
+        super().__init__()
+        self._code = code
+
+    def __missing__(self, text):
+        self[text] = code = self._code(text.strip())
+        return code
 
 
 def _unit_repeats_or_moves(uid, sector, region, year) -> bool:

@@ -333,17 +333,24 @@ class TestDensity2D:
 
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-JOINT_FLOOR = -354.0  # the documented floor on joint weight arguments
+FLOOR = -354.0  # the documented floor on weight arguments
 
 
-def plain_density_1d_raw(x, h, grid, block):
-    """The 1-D loop before the exact-zero rule: exp over every argument,
-    ``block`` samples at a time in the given order."""
+def floored(z, floor):
+    """exp(-0.5*z*z), with ``floor`` each weight whose argument is below the floor zeroed."""
+    arg = -0.5 * z * z
+    return np.where(arg < FLOOR, 0.0, np.exp(arg)) if floor else np.exp(arg)
+
+
+def plain_density_1d_raw(x, h, grid, block, floor=False):
+    """The 1-D loop before the floor: exp over every argument, ``block``
+    samples at a time in the given order. With ``floor``, weights whose
+    argument is below the floor are zeroed."""
     out = np.zeros(grid.count)
     pts = grid.points[:, None]
     for start in range(0, x.size, block):
         z = (pts - x[None, start:start + block]) / h
-        out += np.sum(np.exp(-0.5 * z * z), axis=1)
+        out += np.sum(floored(z, floor), axis=1)
     return out * (_INV_SQRT_2PI / (x.size * h))
 
 
@@ -363,16 +370,11 @@ def plain_density_2d_raw(x, y, bw, gx, gy, block, floor=False, contract=vecdot_r
     """The 2-D loop before the joint floor: every product enters the sum,
     ``block`` pairs at a time in the given order, over every grid row. With
     ``floor``, weights whose argument is below the floor are zeroed."""
-
-    def weights(z):
-        arg = -0.5 * z * z
-        return np.where(arg < JOINT_FLOOR, 0.0, np.exp(arg)) if floor else np.exp(arg)
-
     out = np.zeros((gx.count, gy.count))
     for start in range(0, x.size, block):
         zx = (gx.points[:, None] - x[None, start:start + block]) / bw.h_x
         zy = (gy.points[:, None] - y[None, start:start + block]) / bw.h_y
-        out += contract(weights(zx), weights(zy))
+        out += contract(floored(zx, floor), floored(zy, floor))
     return out * (_INV_SQRT_2PI * _INV_SQRT_2PI / (x.size * bw.h_x * bw.h_y))
 
 
@@ -402,18 +404,21 @@ def silverman_2d(x, y):
 
 
 class TestWeightLoops:
-    @pytest.mark.parametrize("lo, hi", [(0.0, 37.0), (37.6, 38.7), (38.7, 1e4)],
+    @pytest.mark.parametrize("lo, hi", [(0.0, 26.6), (37.6, 38.7), (38.7, 1e4)],
                              ids=["normal", "subnormal-band", "far-underflow"])
     def test_gauss_is_bitwise_exp(self, lo, hi):
+        # above the floor a weight is exp's own; below it, where exp would
+        # give a subnormal or round to 0.0 on its slow path, it is 0.0
         rng = np.random.default_rng(23)
         z = rng.uniform(lo, hi, size=(64, 257)) * rng.choice([-1.0, 1.0], size=(64, 257))
-        assert np.array_equal(_gauss(z.copy()), np.exp(-0.5 * z * z))
+        want = np.exp(-0.5 * z * z) if lo == 0.0 else np.zeros(z.shape)
+        assert np.array_equal(_gauss(z.copy()), want)
 
     def test_gauss_cutoff_zeroes_below(self):
         z = np.linspace(-40.0, 40.0, 2001)
         arg = -0.5 * z * z
-        kept = arg >= JOINT_FLOOR
-        w = _gauss(z.copy(), JOINT_FLOOR)
+        kept = arg >= FLOOR
+        w = _gauss(z.copy())
         assert np.array_equal(w[kept], np.exp(arg[kept]))
         assert np.all(w[~kept] == 0.0)
 
@@ -443,7 +448,7 @@ class TestWeightLoops:
             bw = silverman_2d(x, y)
             new = density_2d_raw(pairs, bw, grid)
             old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK)
-            bound = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
+            bound = math.exp(FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
             assert np.max(np.abs(new - old)) <= bound, label
             changed += int(not np.array_equal(new, old))
         assert changed  # the floor drops some weight in at least one group
@@ -461,7 +466,7 @@ class TestWeightLoops:
             new = density_2d_raw(pairs, bw, grid)
             old = plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
                                        contract=einsum_rows)
-            floor = math.exp(JOINT_FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
+            floor = math.exp(FLOOR) / (2.0 * math.pi * bw.h_x * bw.h_y)
             bound = floor + 2 * (x.size + 1) * 2.0**-53 * old
             assert np.all(np.abs(new - old) <= bound), label
 
@@ -484,6 +489,20 @@ class TestWeightLoops:
                               plain_density_2d_raw(*by_pair(x, y), bw, grid, grid, _BLOCK,
                                                    floor=True))
 
+    @pytest.mark.parametrize("upper", [1.1, 3.0], ids=["data", "three-times-past"])
+    def test_no_weight_loop_forms_a_subnormal(self, demo_pairs, upper):
+        # exp of an argument below -708 forms a subnormal, and raises here;
+        # so does a product of two weights whose arguments sum below it
+        x = np.asarray(demo_pairs.x)
+        grid = Grid.uniform(0.0, upper * float(max(x.max(), demo_pairs.y.max())), 128)
+        bw = silverman_2d(x, demo_pairs.y)
+        with np.errstate(under="raise"):
+            density_1d(x, silverman_bandwidth(x), grid)
+            if upper == 1.1:
+                joint_and_marginal(demo_pairs, bw, grid)
+            else:  # joint values of two weights near the floor normalize to subnormals
+                density_2d_raw(demo_pairs, bw, grid)
+
 
 class TestSortedBlocks:
     """The weight loops sum sorted blocks and weigh only the grid rows a block
@@ -494,7 +513,7 @@ class TestSortedBlocks:
         xs, ys = by_pair(x, y)
         pairs = SimpleNamespace(x=x, y=y)
         marginal, joint = _joint_raw(pairs, bw, grid)
-        one_d = plain_density_1d_raw(xs, bw.h_x, grid, _BLOCK)
+        one_d = plain_density_1d_raw(xs, bw.h_x, grid, _BLOCK, floor=True)
         assert np.array_equal(density_1d_raw(x, bw.h_x, grid), one_d)
         assert np.array_equal(marginal, one_d)
         assert np.array_equal(joint, plain_density_2d_raw(xs, ys, bw, grid, grid, _BLOCK,
@@ -503,7 +522,7 @@ class TestSortedBlocks:
     @pytest.mark.parametrize("h_per_dx", [0.05, 1.0, 3.0, 20.0])
     def test_bitwise_plain_loop_at_bandwidth(self, h_per_dx):
         # the grid reaches far past the data, so some rows hold only the
-        # subnormal weights of samples more than 35 bandwidths away
+        # floored weights of samples more than 26.6 bandwidths away
         x, y = ar1_sample(3 * _BLOCK + 7)
         grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 96)
         h = h_per_dx * grid.spacing

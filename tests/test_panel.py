@@ -912,15 +912,18 @@ def _field(value: str, quote: bool) -> str:
     return '"' + value.replace('"', '""') + '"' if quote else value
 
 
+FAULTS = ("header", "unit", "sector", "region", "move", "year", "income", "cpi", "fields",
+          "repeat", "blank")
+
+
 @st.composite
-def mutated_panel_csv(draw):
+def mutated_panel_csv(draw, kinds=FAULTS):
     """Bytes of a small panel CSV with CSV corners and, of drawn kinds at a drawn rate, faults.
 
     Each value comes from a list of valid spellings, odd ones included, or
-    from a list of faulty ones.
+    from a list of faulty ones. A "move" puts a unit in another valid
+    region than on its first row, so it is a fault of its own.
     """
-    kinds = ("header", "unit", "sector", "region", "year", "income", "cpi", "fields", "repeat",
-             "blank")
     faulty_kinds = draw(st.sets(st.sampled_from(kinds), max_size=3))
     odds = draw(st.sampled_from([20, 6, 1]))  # a fault in 1 of odds + 1 draws
 
@@ -940,7 +943,8 @@ def mutated_panel_csv(draw):
         key = (unit.strip(), sector.strip())
         region = region_of.setdefault(key, pick("region", ["east", "west", " other ", "central"],
                                                 ["north", ""]))
-        region = pick("region", [region], ["east", "west", "north"])  # a region change
+        region = pick("region", [region], ["north", ""])  # an unknown region on a later row
+        region = pick("move", [region], [r for r in REGIONS if r != region.strip()])
         k = seen[key] = seen.get(key, -1) + 1  # the unit's k-th row gets a year of its own
         year = pick("year", [str(1999 + k)] * 4 + [f" {1999 + k} ", f"{1999 + k:_}",
                                                     str(2**63 - 1 - k), str(-(2**63) + k)],
@@ -994,6 +998,14 @@ class TestLoaderMatchesRowLoop:
             source = data
         with mock.patch.object(panel_module, "_BLOCK", block):
             assert_loads_like_oracle(source, data)
+
+    @given(data=mutated_panel_csv(kinds=("move",)), block=st.sampled_from([1, 2, 8192]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_region_changes_in_files_otherwise_valid(self, data, block):
+        # the only fault drawn is a unit that moves region, which only the
+        # whole-column unit check sees
+        with mock.patch.object(panel_module, "_BLOCK", block):
+            assert_loads_like_oracle(data, data)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_one_block_and_one_more_row(self, extra):
@@ -1229,6 +1241,15 @@ NUMPY_ONLY = {
     "income after U+001F": _csv(["a,urban,east,1999,\x1f2.5"]),
 }
 
+# files that load, but whose numbers numpy's parse is not given: their text is not plain
+OBJECT_PATH = {
+    "non-ASCII unit_id": _csv(["é,urban,east,1999,1", "a,rural,west,1999,2"]),
+    "U+001D in a unit_id": _csv(["a\x1db,urban,east,1999,1", "a,rural,west,1999,2"]),
+    "U+001C before a unit_id": _csv(["\x1ca,urban,east,1999,1", "a,rural,west,1999,2"]),
+    "_ in a unit_id": _csv(["prov_1,urban,east,1999,1", "prov_2,rural,west,1999,2"]),
+    "_ in an income": _csv(["a,urban,east,1999,1_000", "a,rural,west,1999,2"]),
+}
+
 
 class TestLoaderPaths:
     """Which of load_panel's two paths reads a file, and that both give one panel."""
@@ -1274,6 +1295,53 @@ class TestLoaderPaths:
             with pytest.raises(error, match=rf"^row {3 * _BLOCK + 2}: "):
                 load_panel(data)
         assert rows.call_count == 1
+
+    @pytest.mark.parametrize("name, plain", [(name, name != "odd spellings") for name in TYPED]
+                             + [(name, False) for name in OBJECT_PATH])
+    def test_numpy_parses_the_numbers_of_plain_text_alone(self, name, plain, monkeypatch):
+        data = {**TYPED, **OBJECT_PATH}[name]
+        monkeypatch.setattr(panel_module, "_read_rows", _row_loop_must_not_run)
+        with mock.patch.object(panel_module, "_read_typed",
+                               wraps=panel_module._read_typed) as typed:
+            assert_loads_like_oracle(data, data)
+        assert typed.call_args.args[1] is plain
+        for source in (data, data.decode("utf-8")):
+            assert panel_module._plain(source) is plain
+
+    def test_a_plain_file_with_a_fault_reaches_the_row_loop(self):
+        data = _csv(valid_rows(3 * _BLOCK) + ["u9,urban,east,1999,-1"])
+        assert panel_module._plain(data)
+        with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as rows:
+            with pytest.raises(NonPositiveIncome, match=rf"^row {3 * _BLOCK + 2}: "):
+                load_panel(data)
+        assert rows.call_count == 1
+
+    def test_a_file_is_checked_chunk_by_chunk(self, tmp_path, monkeypatch):
+        # chunks of 40 bytes: the first holds the header line, and each row
+        # spans two chunks
+        monkeypatch.setattr(panel_module, "_SCAN", 40)
+        path = tmp_path / "p.csv"
+        rows = ["a,urban,east,1999,1", "a,urban,east,2000,2"]
+        for at, plain in ((None, True), (0, False), (1, False)):
+            odd = [r.replace("a,", "a_b,") if i == at else r for i, r in enumerate(rows)]
+            path.write_bytes(_csv(odd))
+            assert panel_module._plain(path) is plain
+            assert_loads_like_oracle(path, path.read_bytes())
+
+
+# spellings on which numpy's number parse must read what int() and float() read
+SPELLINGS = ["+5", " 7 ", "0005", "1e5", ".5", "1.", "-0", "-5", "nan", "-inf", "inf", "1e400",
+             "1e-400", "Infinity", str(2**63 - 1), str(2**63), str(2**63 + 1), str(-(2**63)),
+             str(-(2**63) - 1), "\t3\x0b", "0x10", "1 2", "", "1999.0", "--1", "5\x00"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("column", ["year", "income"])
+def test_numpy_reads_plain_spellings_as_python_does(spelling, column):
+    row = {"year": "1999", "income": "2.5", column: spelling}
+    data = _csv([f"a,urban,east,{row['year']},{row['income']}", "a,urban,east,2000,1.5"])
+    assert panel_module._plain(data)
+    assert_loads_like_oracle(data, data)
 
 
 class TestDumpPanelChunks:
