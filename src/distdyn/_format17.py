@@ -15,10 +15,11 @@ import numpy as np
 # formatting. X is fixed up where the product leaves [1e16, 1e17), and an
 # N rounded up to 1e17 is 1e16 at X + 1. The text is assembled in a row of
 # _WIDTH bytes per value from word-sized tables; bytes a value does not
-# use are zeroed and dropped.
+# use are set to _PAD and dropped by one translate.
 _K = range(-294, 343)  # exponents k of the 10**k table: 16 - X, X in float64's range, +-1
 _SPLIT = 134217729.0  # 2**27 + 1
 _WIDTH = 48  # "-0.000", then 17 digits each followed by ".", "e+308", separator, 2 unused
+_PAD = b"\xff"  # the byte of unused text: no UTF-8 text holds it
 
 
 @cache
@@ -43,26 +44,30 @@ def _pow10() -> tuple[np.ndarray, ...]:
 
 @cache
 def _text_tables() -> tuple[np.ndarray, ...]:
-    """Word tables of the formatter's text row, and its keep mask by layout.
+    """Word tables of the formatter's text row, and its pad mask by layout.
 
     ``lead[d]`` is "-0.000d."; ``quads[g]`` is the four digits of g, each
-    followed by "."; ``exps[X + 400]`` is "eSHTU", S the sign of X and HTU
-    its three digits. ``keep[key]`` marks the bytes a value's text uses,
-    with key = (layout * 18 + digits) * 2 + negative, where layout is X + 4
-    for fixed notation (X in -4..16), 21 for a two-digit and 22 for a
-    three-digit exponent, and digits counts the significant digits without
-    trailing zeros.
+    followed by ".", and ``tails[g]`` counts their trailing zeros;
+    ``exps[X + 400]`` is "eSHTU," (S the sign of X, HTU its three digits)
+    and ``keys[X + 400]`` is 36 times X's layout: X + 4 for
+    fixed notation (X in -4..16), 21 for a two-digit and 22 for a
+    three-digit exponent. ``pad[key]`` is ``_PAD`` on the bytes a value's
+    text does not use and 0 on the others, with key = keys[X + 400] +
+    2 * digits + negative, where digits counts the significant digits
+    without trailing zeros.
     """
     lead = np.tile(np.frombuffer(b"-0.000?.", np.uint8), (10, 1))
     lead[:, 6] = np.arange(ord("0"), ord("9") + 1)
     quads = np.full((10000, 8), ord("."), np.uint8)
     for k, p in enumerate((1000, 100, 10, 1)):
         quads[:, 2 * k] = np.arange(10000, dtype=np.uint16) // p % 10 + ord("0")
+    tails = sum(np.arange(10000) % p == 0 for p in (10, 100, 1000, 10000))
     e = np.arange(-400, 400)
     exps = np.zeros((800, 8), np.uint8)
     exps[:, :2] = np.where(e < 0, ord("-"), ord("+"))[:, None]
-    exps[:, 0] = ord("e")
+    exps[:, 0], exps[:, 5] = ord("e"), ord(",")
     exps[:, 2:5] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    keys = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22)) * 36
     layout, sig, negative = (a.reshape(-1, 1) for a in np.indices((23, 18, 2)))
     col = np.arange(_WIDTH)
     x, fixed = layout - 4, layout < 21
@@ -75,14 +80,14 @@ def _text_tables() -> tuple[np.ndarray, ...]:
             | (col >= 6) & (col < 40) & (after == 1) & (i == dot) & (dot >= 0) & (sig > dot + 1)
             | (col >= 40) & (col < 45) & ~fixed & ((col != 42) | (layout == 22))
             | (col == 45))
-    return (lead.view(np.uint64).ravel(), quads.view(np.uint64).ravel(),
-            exps.view(np.uint64).ravel(), keep.astype(np.uint8))
+    return (lead.view(np.uint64).ravel(), quads.view(np.uint64).ravel(), tails,
+            exps.view(np.uint64).ravel(), keys, np.where(keep, 0, ord(_PAD)).astype(np.uint8))
 
 
 def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**k as hi + lo: hi the rounded product, lo the rest to about 2**-100 of it."""
     j = k - _K.start
-    hi_t, high_t, low_t, lo_t, scale_t = (t[j] for t in _pow10())
+    hi_t, high_t, low_t, lo_t, scale_t = (t.take(j) for t in _pow10())
     a = a * scale_t
     c = a * _SPLIT
     high = c - (c - a)
@@ -95,29 +100,31 @@ def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _NAN_INF = np.frombuffer(b"-0.000n.a.n.0.0.-0.000i.n.f.0.0.", np.uint64).reshape(2, 2)
 
 
-def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, N, slow) of each value: its decimal exponent, its 17 significant
-    digits as an integer in [1e16, 1e17), and whether it lies within 2**-30
-    of a tie, where N is not sure. A slow value, a zero, a NaN and an
-    infinity get N = 1e16."""
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(X, N, slow, regular) of each value: its decimal exponent, its 17
+    significant digits as an integer in [1e16, 1e17), whether it lies within
+    2**-30 of a tie, where N is not sure, and whether it is finite and not
+    0. A slow value, a zero, a NaN and an infinity get N = 1e16."""
     regular = np.isfinite(v) & (v != 0)
-    a = np.where(regular, np.abs(v), 1.0)
+    a = np.abs(v) if regular.all() else np.where(regular, np.abs(v), 1.0)
     x = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _times_pow10(a, 16 - x)
-    step = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp)
-    step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
-    fix = np.flatnonzero(step)
+    fix = np.flatnonzero((hi >= 1e17) | (hi <= 1e16))  # where N may leave [1e16, 1e17)
     if fix.size:
-        x[fix] += step[fix]
+        h, l = hi[fix], lo[fix]
+        step = ((h > 1e17) | (h == 1e17) & (l >= 0)).astype(np.intp)
+        step -= (h < 1e16) | (h == 1e16) & (l < 0)
+        x[fix] += step
         hi[fix], lo[fix] = _times_pow10(a[fix], 16 - x[fix])
     rounded = np.rint(lo)
     n = hi.astype(np.int64) + rounded.astype(np.int64)
-    slow = regular & ((np.abs(np.abs(lo - rounded) - 0.5) < 2.0**-30) | (n < 10**16) | (n > 10**17))
-    n[slow | ~regular] = 10**16
+    # |lo - rounded| <= 0.5, so this is: within 2**-30 of a tie
+    slow = regular & ((np.abs(lo - rounded) > 0.5 - 2.0**-30) | (n < 10**16) | (n > 10**17))
+    n[slow] = 10**16
     top = n == 10**17
     n[top] = 10**16
     x += top
-    return x, n, slow
+    return x, n, slow, regular
 
 
 _FORMAT_VALUES = 2048  # values formatted at once, in whole rows: bounds the scratch arrays
@@ -130,31 +137,47 @@ def _format17(table: np.ndarray) -> bytes:
     at once."""
     table = np.asarray(table, dtype=float)
     step = max(1, _FORMAT_VALUES // table.shape[1])
-    return b"".join(_format_rows(table[i:i + step]) for i in range(0, len(table), step))
+    return b"".join(_unpadded(_format_rows(table[i:i + step]))
+                    for i in range(0, len(table), step))
 
 
-def _format_rows(table: np.ndarray) -> bytes:
-    """``_format17`` of one block of rows."""
+def _unpadded(rows: np.ndarray) -> bytes:
+    """The text of padded byte rows: their bytes in order, each ``_PAD`` dropped."""
+    return rows.tobytes().translate(None, _PAD)
+
+
+def _format_rows(table: np.ndarray) -> np.ndarray:
+    """``_format17`` of one block of rows as padded byte rows: row r holds
+    ``_WIDTH`` bytes per value of the block's row r, with ``_PAD`` on every
+    byte its text does not use (see :func:`_unpadded`)."""
     v = table.ravel()
-    x, n, slow = _decimal(v)
-    lead, quads, exps, keep = _text_tables()
-    high, low = np.divmod(n, 10**8)
+    x, n, slow, regular = _decimal(v)
+    lead, quads, tails, exps, keys, pad = _text_tables()
     words = np.empty((v.size, _WIDTH // 8), np.uint64)
-    words[:, 0] = lead[high // 10**8]
-    for j, q in enumerate((high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4), 1):
-        words[:, j] = quads[q]
+    # N's first digit, then its other 16 in groups of 4, each group's
+    # trailing zeros from ``tails``; zeros counts N's trailing zeros
+    above = n // 10**16
+    words[:, 0] = lead[above]
+    zeros = np.zeros(v.size, np.intp)
+    for j, p in enumerate((10**12, 10**8, 10**4, 1), 1):
+        below = n // p
+        group = below - above * 10**4
+        words[:, j] = quads[group]
+        tail = tails[group]
+        zeros *= tail == 4  # a group of 4 zeros extends the zeros before it
+        zeros += tail
+        above = below
     text = words.view(np.uint8)
-    zeros = np.argmax(text[:, 38:5:-2] != ord("0"), axis=1)  # the first digit is not 0
-    nan, inf = np.isnan(v), np.isinf(v)
-    words[v == 0, 0] = lead[0]
-    words[nan, :2], words[inf, :2] = _NAN_INF
-    x[nan | inf] = 2
+    negative = np.signbit(v)
+    if not regular.all():
+        nan, inf = np.isnan(v), np.isinf(v)
+        words[v == 0, 0] = lead[0]
+        words[nan, :2], words[inf, :2] = _NAN_INF
+        x[nan | inf] = 2
+        negative &= ~nan
     words[:, 5] = exps[x + 400]
-    fixed = (x >= -4) & (x <= 16)
-    layout = np.where(fixed, x + 4, np.where(np.abs(x) < 100, 21, 22))
-    text[:, 45] = ord(",")
     text[table.shape[1] - 1::table.shape[1], 45] = ord("\n")
-    text *= keep.take((layout * 18 + 17 - zeros) * 2 + (np.signbit(v) & ~nan), axis=0)
+    text |= pad.take(keys[x + 400] + (17 - zeros) * 2 + negative, axis=0)
     for i in np.flatnonzero(slow):
-        text[i, :45] = np.frombuffer(("%.17g" % v[i]).encode("ascii").ljust(45, b"\0"), np.uint8)
-    return text.tobytes().translate(None, b"\0")
+        text[i, :45] = np.frombuffer(("%.17g" % v[i]).encode("ascii").ljust(45, _PAD), np.uint8)
+    return text.reshape(len(table), -1)

@@ -63,6 +63,7 @@ from .errors import (
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 2048  # samples per accumulation block; fixed so sums are reproducible
 _CHUNK = 32  # y rows per joint contraction step: 32 x 2048 weights stay in L2
+_CHUNK_1D = 128  # x rows per 1-D step: 128 x 2048 weights (2 MiB) at any grid size
 MIN_GRID_POINTS = 16  # fewest points a Grid may have
 _FLOOR = -354.0  # a weight with a smaller argument is 0.0
 _REACH = float(np.sqrt(-2.0 * _FLOOR))  # 26.6: beyond, a weight is 0.0
@@ -300,6 +301,21 @@ def _scratch(buf: np.ndarray, rows: slice, width: int) -> np.ndarray:
     return buf[skip:skip + n * width].reshape(n, width)
 
 
+def _row_chunks(rows: slice, size: int):
+    """The grid rows as slices of ``size`` rows, the last one shorter."""
+    for start in range(rows.start, rows.stop, size):
+        yield slice(start, min(start + size, rows.stop))
+
+
+def _weights(grid: Grid, rows: slice, samples: np.ndarray, h: float, buf, mask_buf):
+    """The Gaussian weights of the samples at the grid rows, (rows, samples),
+    formed in the scratch buffers."""
+    w = _scratch(buf, rows, samples.size)
+    np.subtract(grid.points[rows, None], samples[None, :], out=w)
+    w /= h
+    return _gauss(w, _scratch(mask_buf, rows, samples.size))
+
+
 def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
     """Raw KDE values from sums of Gaussian weights, block by block in sorted order.
 
@@ -320,41 +336,43 @@ def _raw_values(x, h_x: float, grid: Grid, y=None, h_y=None):
                                "times the bandwidths, is out of floating-point range")
     # Samples with tied x have equal x weights, so only y can tell their orders apart.
     order = np.argsort(x)
-    if y is not None and np.any(x[order[1:]] == x[order[:-1]]):
-        order = np.lexsort((y, x))
+    if y is not None:
+        sorted_x = x[order]
+        if np.any(sorted_x[1:] == sorted_x[:-1]):
+            order = np.lexsort((y, x))
+        del sorted_x
     sx = np.zeros(grid.count)
     sxy = None if y is None else np.zeros((grid.count, grid.count))
     width = min(_BLOCK, x.size)
-    xb, kx_buf = np.empty(width), np.empty(grid.count * width + 64)
-    mask_buf = np.empty(grid.count * width + 64, dtype=bool)
+    # weights are formed a chunk of grid rows at a time, but for the joint
+    # pass's x weights, which each chunk of y weights is contracted with
+    x_rows = _CHUNK_1D if y is None else grid.count
+    xb, kx_buf = np.empty(width), np.empty(x_rows * width + 64)
+    mask_buf = np.empty(x_rows * width + 64, dtype=bool)
     if y is not None:
-        yb, ky_buf = np.empty(width), np.empty(grid.count * width + 64)
+        yb, ky_buf = np.empty(width), np.empty(_CHUNK * width + 64)
     with np.errstate(over="ignore"):  # an overflowing z, or z*z, weighs 0.0
         for start in range(0, x.size, _BLOCK):
             idx = order[start:start + _BLOCK]
-            width = idx.size
-            xs = np.take(x, idx, out=xb[:width])
+            xs = np.take(x, idx, out=xb[:idx.size])
             # xs is sorted; every x weight outside rx is 0.0
             rx = _rows_near(grid, xs[0], xs[-1], _REACH * h_x)
-            kx, mx = _scratch(kx_buf, rx, width), _scratch(mask_buf, rx, width)
-            np.subtract(grid.points[rx, None], xs[None, :], out=kx)
-            kx /= h_x
-            sx[rx] += np.sum(_gauss(kx, mx), axis=1)
             if y is None:
+                for rows in _row_chunks(rx, _CHUNK_1D):
+                    sx[rows] += np.sum(_weights(grid, rows, xs, h_x, kx_buf, mask_buf), axis=1)
                 continue
-            ys = np.take(y, idx, out=yb[:width])
+            kx = _weights(grid, rx, xs, h_x, kx_buf, mask_buf)
+            sx[rx] += np.sum(kx, axis=1)
+            ys = np.take(y, idx, out=yb[:idx.size])
             # every y weight outside ry is 0.0
             ry = _rows_near(grid, np.min(ys), np.max(ys), _REACH * h_y)
-            ky = _scratch(ky_buf, ry, width)
-            np.subtract(grid.points[ry, None], ys[None, :], out=ky)
-            ky /= h_y
-            _gauss(ky, _scratch(mask_buf, ry, width))
             # Each entry is one ddot over the block's samples: a function of
             # its two weight rows alone, whatever the rows skipped or the
             # chunking. No gemm, which may block by BLAS thread count.
-            kxa, out = kx[:, None, :], sxy[rx, ry]
-            for c in range(0, ky.shape[0], _CHUNK):
-                out[:, c:c + _CHUNK] += np.vecdot(kxa, ky[None, c:c + _CHUNK])
+            kxa = kx[:, None, :]
+            for rows in _row_chunks(ry, _CHUNK):
+                ky = _weights(grid, rows, ys, h_y, ky_buf, mask_buf)
+                sxy[rx, rows] += np.vecdot(kxa, ky[None])
     # the weight loops form no subnormal, but a sum of weights, or of their
     # products, near the floor may scale to one: it is the estimate's value
     with np.errstate(under="ignore"):

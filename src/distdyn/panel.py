@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format17 import _format17
+from ._format17 import _PAD, _WIDTH, _format_rows, _unpadded
 from .errors import (
     DistDynError,
     DuplicateKey,
@@ -424,32 +424,55 @@ def dump_panel(panel: Panel) -> bytes:
 
     ``load_panel`` reads the bytes back: a ``unit_id`` that needs quotes
     is quoted by CSV rules, and an empty id or one with leading or trailing
-    whitespace raises ValueError. Each unit's ``unit_id,sector,region,``
-    text is built once and picked by each row's unit. Rows are formatted
-    ``_BLOCK`` at a time: ``_format17`` writes the block's income and cpi
-    text, a blank cpi cell as empty text, and one ``%`` joins it to the
-    units' text and the years.
+    whitespace raises ValueError. The text is assembled as padded byte rows
+    (see ``_format17._unpadded``): each unit's ``unit_id,sector,region,``
+    text and each distinct year's ``%d,`` text is built once, as a row of
+    a padded table, and every ``_BLOCK`` rows are one concatenation of the
+    rows' unit text, year text and ``_format17._format_rows`` number text,
+    a blank cpi cell cleared. A unit text over ``_WIDE`` bytes is written
+    apart, before its row's other text.
     """
     numbers = (panel.income,) if panel.cpi is None else (panel.income, panel.cpi)
-    out = [",".join(_HEADER + ["cpi"] * (len(numbers) - 1)) + "\n"]
-    prefix = _row_prefixes(panel)
+    out = [",".join(_HEADER + ["cpi"] * (len(numbers) - 1)).encode() + b"\n"]
+    texts, prefix_of = _row_prefixes(panel)
+    # a text longer than _WIDE bytes is written apart, so that it does not
+    # widen every row of the table; its own row of the table is empty
+    apart = np.fromiter(map(len, texts), np.intp, len(texts)) > _WIDE
+    prefixes = _padded([b"" if a else t for t, a in zip(texts, apart.tolist())])
+    distinct, year_of = np.unique(panel.year, return_inverse=True)
+    years = _padded([b"%d," % year for year in distinct.tolist()])
     for start in range(0, len(panel), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        text = _format17(np.column_stack([c[rows] for c in numbers])).decode("ascii")
-        lines = text.replace(",nan\n", ",\n").splitlines(keepends=True)
-        table = np.empty((len(lines), 3), dtype=object)
-        table[:, 0], table[:, 1], table[:, 2] = prefix[rows], panel.year[rows], lines
-        out.append("%s%d,%s" * len(table) % tuple(table.ravel().tolist()))
-    return "".join(out).encode("utf-8")
+        text = _format_rows(np.column_stack([c[rows] for c in numbers]))
+        if panel.cpi is not None:  # a blank cell keeps its row's LF alone
+            text[np.isnan(panel.cpi[rows]), _WIDTH:2 * _WIDTH - 3] = ord(_PAD)
+        entries = prefix_of[rows]
+        block = np.concatenate((prefixes.take(entries, axis=0),
+                                years.take(year_of[rows], axis=0), text), axis=1)
+        at = 0
+        for i in np.flatnonzero(apart.take(entries)):
+            out += [_unpadded(block[at:i]), texts[entries[i]]]
+            at = i
+        out.append(_unpadded(block[at:]))
+    return b"".join(out)
+
+
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """The texts as the rows of a byte table, each padded with ``_PAD`` to the longest."""
+    width = max(map(len, texts), default=0)
+    table = b"".join(text.ljust(width, _PAD) for text in texts)
+    return np.frombuffer(table, np.uint8).reshape(len(texts), width)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_WIDE = 256  # dump_panel writes a unit text longer than this, in bytes, apart from its table
 
 
-def _row_prefixes(panel: Panel) -> np.ndarray:
-    """Each row's ``unit_id,sector,region,`` text, built once per unit, and once
-    per row whose region is not its unit's first (a panel built in code may
-    have them). An id that holds a comma, a double quote, CR or LF is quoted.
+def _row_prefixes(panel: Panel) -> tuple[list[bytes], np.ndarray]:
+    """The ``unit_id,sector,region,`` texts, UTF-8, and each row's entry
+    among them. A text is built once per unit, and once per row whose region
+    is not its unit's first (a panel built in code may have them). An id
+    that holds a comma, a double quote, CR or LF is quoted.
 
     Raises ValueError, naming the first such id, on an id that
     ``load_panel`` would read back as another: an empty one, or one with
@@ -467,10 +490,9 @@ def _row_prefixes(panel: Panel) -> np.ndarray:
                              "strips the whitespace around a field and refuses an empty one")
         if _NEEDS_QUOTES.search(unit):
             unit = '"' + unit.replace('"', '""') + '"'
-        texts.append(f"{unit},{sector},{region},")
-    prefix = np.array(texts[:len(first)], dtype=object)[rank]
-    prefix[moved] = texts[len(first):]
-    return prefix
+        texts.append(f"{unit},{sector},{region},".encode())
+    rank[moved] = len(first) + np.arange(len(moved))
+    return texts, rank
 
 
 def deflate(panel: Panel) -> Panel:

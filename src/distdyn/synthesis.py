@@ -168,10 +168,11 @@ def simulate(spec: ProcessSpec) -> Panel:
 
     width = max(4, len(str(spec.units - 1)))
     ids = np.array([f"u{u:0{width}d}" for u in range(spec.units)], dtype=object)
+    urban, other = np.array(["urban"], dtype=object), np.array(["other"], dtype=object)
     return Panel(
         unit_id=np.repeat(ids, spec.years),
-        sector=np.full(z.size, "urban", dtype=object),
-        region=np.full(z.size, "other", dtype=object),
+        sector=np.repeat(urban, z.size),  # one shared str, as np.full(dtype=object) is slow
+        region=np.repeat(other, z.size),
         year=np.tile(np.arange(START_YEAR, START_YEAR + spec.years), spec.units),
         income=z.ravel(),
     )._with_unit_code(np.repeat(np.arange(spec.units), spec.years))

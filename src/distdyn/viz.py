@@ -387,17 +387,18 @@ def _csv_chunks(obj) -> Iterator[bytes]:
     comes first; then each chunk holds as many whole rows as fit in 8,192
     values (4,096 rows of a two-column table, one row at the least),
     written by ``_format17`` as ``"%.17g"`` writes each value, so
-    neither a long nor a wide table is ever held whole as text.
+    neither a long nor a wide table is ever held whole as text, nor its
+    columns stacked whole.
     """
     if isinstance(obj, (DensityCurve, NTPCurve)):
         header = "x,density" if isinstance(obj, DensityCurve) else "x,ntp"
-        table = np.column_stack((obj.grid.points, obj.values))
+        columns = [obj.grid.points, obj.values]
     elif isinstance(obj, StochasticKernel):
         header = "x\\y," + _format17(obj.grid.points[None, :]).decode("ascii")[:-1]
-        table = np.column_stack((obj.grid.points, obj.rows))
+        columns = [obj.grid.points, obj.rows]
     elif hasattr(obj, "x") and hasattr(obj, "y"):  # TransitionPairs
         header = "x,y"
-        table = np.column_stack((obj.x, obj.y))
+        columns = [obj.x, obj.y]
     else:
         items = list(obj)
         if not items:
@@ -409,15 +410,17 @@ def _csv_chunks(obj) -> Iterator[bytes]:
             if crv.grid != grid:
                 raise GridMismatch("all exported curves must share one grid")
         header = "x," + ",".join(labels)
-        table = np.column_stack([grid.points] + [c.values for c in curves])
-    return _csv_rows(header, table.astype(float, copy=False))
+        columns = [grid.points] + [c.values for c in curves]
+    return _csv_rows(header, [np.asarray(c, dtype=float) for c in columns])
 
 
-def _csv_rows(header: str, table: np.ndarray) -> Iterator[bytes]:
+def _csv_rows(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
+    """The header line, then the rows of the columns (1-D, or 2-D for several),
+    stacked a chunk at a time."""
     yield (header + "\n").encode("utf-8")
-    step = max(1, _CSV_VALUES // table.shape[1])
-    for start in range(0, len(table), step):
-        yield _format17(table[start:start + step])
+    step = max(1, _CSV_VALUES // sum(1 if c.ndim == 1 else c.shape[1] for c in columns))
+    for start in range(0, len(columns[0]), step):
+        yield _format17(np.column_stack([c[start:start + step] for c in columns]))
 
 
 def export_csv(obj) -> bytes:

@@ -22,6 +22,8 @@ from distdyn.errors import (
 )
 from distdyn.kde import (
     _BLOCK,
+    _CHUNK,
+    _REACH,
     MIN_GRID_POINTS,
     Bandwidths,
     DensityCurve,
@@ -29,6 +31,7 @@ from distdyn.kde import (
     StochasticKernel,
     _gauss,
     _joint_raw,
+    _rows_near,
     conditional_density,
     density_1d,
     density_1d_raw,
@@ -527,6 +530,20 @@ class TestSortedBlocks:
         grid = Grid.uniform(0.0, 3.0 * float(max(x.max(), y.max())), 96)
         h = h_per_dx * grid.spacing
         self.assert_plain(x, y, Bandwidths(h, 0.9 * h), grid)
+
+    @pytest.mark.parametrize("h_per_dx", [0.5, 3.0, 5.0])
+    def test_bitwise_plain_loop_at_g512(self, h_per_dx):
+        # at G=512 a block's y rows span several chunks of _CHUNK rows, and
+        # the last chunk of some block is partial
+        x, y = ar1_sample(2 * _BLOCK + 5)
+        grid = Grid.uniform(0.0, 1.1 * float(max(x.max(), y.max())), 512)
+        bw = Bandwidths(h_per_dx * grid.spacing, 1.3 * h_per_dx * grid.spacing)
+        xs, ys = by_pair(x, y)
+        spans = [_rows_near(grid, ys[i:i + _BLOCK].min(), ys[i:i + _BLOCK].max(), _REACH * bw.h_y)
+                 for i in range(0, x.size, _BLOCK)]
+        rows = [r.stop - r.start for r in spans]
+        assert all(n > 2 * _CHUNK for n in rows) and any(n % _CHUNK for n in rows)
+        self.assert_plain(x, y, bw, grid)
 
     def test_samples_off_both_ends_of_the_grid(self):
         x, y = ar1_sample(2 * _BLOCK + 100)

@@ -1435,3 +1435,73 @@ def test_rejections(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def csv_quoted(unit: str) -> str:
+    return '"' + unit.replace('"', '""') + '"' if any(c in unit for c in ',"\r\n') else unit
+
+
+# ids dump_panel writes: no whitespace at either end, but NUL, quotes,
+# commas, line breaks, non-ASCII and long ids inside
+_DUMP_IDS = st.lists(
+    st.builds(lambda text, repeat: text * repeat,
+              st.text(alphabet='ab\x00",\r\n é中\x85\u2028_', min_size=1, max_size=5),
+              st.sampled_from([1, 1, 1, 60])).filter(lambda u: u == u.strip()),
+    min_size=1, max_size=6, unique=True)
+
+
+class TestDumpPanelMatchesRowLoop:
+    """``dump_panel`` writes the bytes of ``TestDumpPanelChunks._plain``, one
+    row at a time, with CSV quoting applied to the ids."""
+
+    @given(ids=_DUMP_IDS, n=st.sampled_from([0, 1, 2, 13, _BLOCK, _BLOCK + 1]),
+           first_year=st.sampled_from([1999, -5, 123456, -(2**62)]),
+           year_step=st.sampled_from([1, 10**12]), moved=st.sampled_from([0.0, 0.1]),
+           cpi=st.sampled_from([None, 0.0, 0.3, 1.0]),
+           cut=st.sampled_from([None, "urban", "gaps"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_bytes_equal_a_row_at_a_time(self, ids, n, first_year, year_step, moved, cpi, cut,
+                                         seed):
+        # row i is unit ids[i % k] in sector (i // k) % 2; a share ``moved``
+        # of the rows is in another region than its unit's first; years step
+        # by 1, or so far apart that they span more years than rows; a share
+        # ``cpi`` of the cpi cells is blank
+        k, i = len(ids), np.arange(n)
+        rng = np.random.default_rng(seed)
+        region = (i % k + (i // k) % 2) % len(REGIONS)
+        region = np.where(rng.random(n) < moved, (region + 1) % len(REGIONS), region)
+        income = rng.lognormal(0.0, 30.0, n)
+        income[rng.random(n) < 0.05] = rng.choice([0.0, -0.0, np.inf, np.nan, 5e-324])
+        p = Panel(
+            unit_id=np.array(ids, dtype=object)[i % k],
+            sector=np.array(SECTORS, dtype=object)[(i // k) % 2],
+            region=np.array(REGIONS, dtype=object)[region],
+            year=first_year + (i // (2 * k)) * year_step,
+            income=income,
+            cpi=None if cpi is None else np.where(rng.random(n) < cpi, np.nan,
+                                                  rng.uniform(1, 200, n)),
+        )
+        if cut == "urban" and "urban" in p.sector:
+            p = filter_group(p, sector="urban")
+        elif cut == "gaps" and n:
+            p = p._take(p._unit_code % 3 != 1)  # a subgroup: unit codes with gaps
+        quoted = Panel(np.array([csv_quoted(u) for u in p.unit_id], dtype=object), p.sector,
+                       p.region, p.year, p.income, p.cpi)
+        assert dump_panel(p) == TestDumpPanelChunks._plain(quoted)
+
+    @pytest.mark.parametrize("at", [0, 1, _BLOCK - 1, _BLOCK])
+    @pytest.mark.parametrize("long_id", ["x" * 300, 'a,"' * 100, "中" * 90],
+                             ids=["ascii", "quoted", "cjk"])
+    def test_a_long_id_is_written_apart(self, at, long_id):
+        # a unit text over panel._WIDE bytes is written apart from the table;
+        # here two rows in a row at ``at``, next to a block edge or not
+        n = _BLOCK + 3
+        ids = np.array([f"u{i % 7}" for i in range(n)], dtype=object)
+        ids[at:at + 2] = long_id
+        p = Panel(ids, np.array(["urban"] * n, dtype=object), np.array(["east"] * n, dtype=object),
+                  np.arange(n), np.linspace(0.5, 9.5, n), np.linspace(1.0, 2.0, n))
+        assert len(f"{csv_quoted(long_id)},urban,east,".encode()) > panel_module._WIDE
+        quoted = Panel(np.array([csv_quoted(u) for u in ids], dtype=object), p.sector, p.region,
+                       p.year, p.income, p.cpi)
+        assert dump_panel(p) == TestDumpPanelChunks._plain(quoted)

@@ -103,6 +103,13 @@ class TestSimulate:
             with pytest.raises(InvalidSpec, match="outside the positive floating-point range"):
                 simulate(spec)
 
+    @pytest.mark.parametrize("kind", ["ar1_log", "two_club"])
+    def test_each_label_column_holds_one_shared_str(self, kind):
+        panel = simulate(ProcessSpec(kind=kind, units=6, years=4, seed=5))
+        for column, label in ((panel.sector, "urban"), (panel.region, "other")):
+            assert type(column[0]) is str and column[0] == label
+            assert all(value is column[0] for value in column)
+
     def test_unit_major_row_order(self):
         panel = simulate(ProcessSpec(kind="ar1_log", units=3, years=2, seed=5))
         assert list(panel.unit_id) == ["u0000", "u0000", "u0001", "u0001", "u0002", "u0002"]
