@@ -86,7 +86,7 @@ class Panel:
 
     def units(self) -> list[tuple[str, str]]:
         """Distinct (unit_id, sector) keys in first-appearance order."""
-        first = self._first_rows()
+        first = self._first_rows
         return list(zip(self.unit_id[first], self.sector[first]))
 
     @cached_property
@@ -102,6 +102,7 @@ class Panel:
         self.__dict__["_unit_code"] = code  # fills the cached property
         return self
 
+    @cached_property
     def _first_rows(self) -> np.ndarray:
         """Row of each unit's first appearance, in unit-code order."""
         return np.unique(self._unit_code, return_index=True)[1]
@@ -287,19 +288,26 @@ def _read_typed(lines, plain: bool = False) -> Panel | None:
                 sector = np.fromiter(map(sector_code.__getitem__, rows["sector"]), np.int8, n)
                 region = np.fromiter(map(region_code.__getitem__, rows["region"]), np.int8, n)
                 year, income = rows["year"].astype(np.int64), rows["income"].astype(np.float64)
-                cpi, given = np.full(n, np.nan), np.zeros(n, dtype=bool)
+                block = [uid, sector, region, year, income]
+                valid = ((uid != units.get("", -1)) & (sector >= 0) & (region >= 0) & (income > 0)
+                         & (income < np.inf))
                 if "cpi" in header:
                     given = np.fromiter(map(bool, map(str.strip, rows["cpi"])), bool, n)
+                    cpi = np.full(n, np.nan)
                     cpi[given] = rows["cpi"][given].astype(np.float64)
-                valid = ((uid != units.get("", -1)) & (sector >= 0) & (region >= 0) & (income > 0)
-                         & (income < np.inf) & (~given | ((cpi > 0) & (cpi < np.inf))))
+                    valid &= ~given | ((cpi > 0) & (cpi < np.inf))
+                    block.append(cpi)
                 if not valid.all():
                     return None
-                blocks.append((uid, sector, region, year, income, cpi))
+                blocks.append(block)
     except (ValueError, OverflowError, csv.Error):  # ragged rows, numbers int()/float() refuse
         return None
-    columns = [np.concatenate(c) for c in zip(*blocks)]
-    return None if _unit_repeats_or_moves(*columns[:4]) else _coded_panel(units, columns)
+    columns = []
+    while blocks[0]:  # a column at a time, each block's part released once joined
+        columns.append(np.concatenate([b.pop(0) for b in blocks]))
+    if _unit_repeats_or_moves(*columns[:4]):
+        return None
+    return _coded_panel(units, columns)
 
 
 class _Codes(dict):
@@ -398,15 +406,16 @@ def _parse(kind: type, text: str):
 
 def _coded_panel(units, columns) -> Panel:
     """The panel of coded columns (unit_id number, sector and region codes,
-    year, income, cpi). Its rows share one ``str`` per distinct value, and it
-    carries its unit code: (unit_id, sector) numbered in first-appearance order.
+    year, income, and cpi if the file has one). Its rows share one ``str`` per
+    distinct value, and it carries its unit code: (unit_id, sector) numbered in
+    first-appearance order.
     """
-    uid, sector, region, year, income, cpi = columns
+    uid, sector, region, year, income, *cpi = columns
     _, first, unit = np.unique(uid * len(SECTORS) + sector, return_index=True, return_inverse=True)
     code = np.argsort(np.argsort(first))[unit]
     unit_id, sector, region = (np.array(list(strings), dtype=object)[c] for strings, c in
                                ((units, uid), (SECTORS, sector), (REGIONS, region)))
-    return Panel(unit_id, sector, region, year, income, cpi)._with_unit_code(code)
+    return Panel(unit_id, sector, region, year, income, *cpi)._with_unit_code(code)
 
 
 def _not_utf8(content) -> MalformedRow:
@@ -518,18 +527,19 @@ def to_relative(panel: Panel, scope: str = "pooled") -> Panel:
         raise ValueError(f"scope must be 'pooled' or 'per_sector', got {scope!r}")
     if len(panel) == 0:
         raise EmptyYear("cannot normalize an empty panel")
-    columns = (panel.year,) if scope == "pooled" else (panel.year, panel.sector)
-    key = 0
-    for column in columns:
-        values, code = np.unique(column, return_inverse=True)
-        key = key * len(values) + code
+    per_sector = scope == "per_sector"
+    key = panel.year
+    if per_sector:
+        _, year = np.unique(panel.year, return_inverse=True)
+        sectors, sector = np.unique(panel.sector, return_inverse=True)
+        key = year * len(sectors) + sector
     _, first, cell = np.unique(key, return_index=True, return_inverse=True)
     income = np.empty_like(panel.income)
     for c in np.argsort(first):
         rows = cell == c  # a mask keeps row order, so the mean sums in row order
         mean = float(np.mean(panel.income[rows]))
         if mean <= 0:
-            k = (int(panel.year[first[c]]), panel.sector[first[c]])[: len(columns)]
+            k = (int(panel.year[first[c]]), panel.sector[first[c]])[: 1 + per_sector]
             raise EmptyYear(f"no usable observations in scope {k}")
         income[rows] = panel.income[rows] / mean
     return panel._take(slice(None), income=income, is_relative=True)
@@ -624,6 +634,6 @@ def group_shares(panel: Panel) -> dict[str, float]:
     """Share of distinct (unit_id, sector) units in each region present."""
     if len(panel) == 0:
         raise EmptySelection("cannot compute region shares of an empty panel")
-    regions = panel.region[panel._first_rows()]
+    regions = panel.region[panel._first_rows]
     counts = {r: int(np.count_nonzero(regions == r)) for r in REGIONS}
     return {r: c / len(regions) for r, c in counts.items() if c}

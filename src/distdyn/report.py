@@ -154,7 +154,7 @@ def build_report(
         group_label=group_label,
         sample_counts={
             "observations": len(panel),
-            "units": len(panel.units()),
+            "units": len(panel._first_rows),
             "pairs": len(pairs),
         },
         modes=tuple(modes),

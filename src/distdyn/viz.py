@@ -11,13 +11,16 @@ byte-identical documents, so figures can be golden-tested.
 Coordinates are formatted with two decimals; that is far below visual
 resolution and keeps files small and diffs stable. Each contour level and
 each mesh is computed over whole arrays, in a per-cell loop's operation
-order, and written by one ``%``: the bytes are that loop's.
+order, and its numbers are written as byte rows by one two-decimal writer,
+``_fixed2``, each exactly as ``"%.2f"`` writes it: the bytes are that
+loop's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar, Iterator
 from xml.sax.saxutils import escape
 
@@ -26,7 +29,7 @@ import numpy as np
 from .dynamics import NTPCurve
 from .errors import DegenerateSurface, EmptyPlot, GridMismatch
 from .kde import DensityCurve, StochasticKernel
-from ._format17 import _format17
+from ._format17 import _PAD, _format17, _unpadded
 
 _CURVE_X_LABEL = "relative income"
 _KERNEL_X_LABEL, _KERNEL_Y_LABEL = "relative income at t", "relative income at t+τ"
@@ -68,6 +71,78 @@ def _px(x: float) -> str:
     return "%.2f" % x
 
 
+# The two-decimal writer. A value's hundredths N = round(|v| * 100) are the
+# rounded product's nearest integer. Below 10**5 every tie k + 1/2 is a
+# double, so the rounded product lies on the exact product's side of each
+# tie, or on the tie: a value whose product lies within 2**-30 of a tie,
+# exact ties among them, is written by _px, as is one beyond the tables or
+# not finite. A row is the sign byte, N // 100 right-aligned in three bytes,
+# "." and two digits of N % 100, and one byte left for a separator; every
+# byte no text uses is _PAD.
+_FIXED2_WIDTH = 8
+
+
+@cache
+def _fixed2_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Four-byte words of ``_fixed2``'s rows: ``ints[i]`` is ``_PAD`` (the
+    sign's byte) and i < 1000 right-aligned in three bytes, its leading
+    zeros ``_PAD``; ``decs[d]`` is "." and the two digits of d < 100, then
+    ``_PAD``."""
+    i, d = np.arange(1000), np.arange(100)
+    ints = np.full((1000, 4), ord(_PAD), np.uint8)
+    for col, p in ((1, 100), (2, 10), (3, 1)):
+        ints[:, col] = np.where((i >= p) | (p == 1), i // p % 10 + ord("0"), ord(_PAD))
+    decs = np.full((100, 4), ord(_PAD), np.uint8)
+    decs[:, 0], decs[:, 1], decs[:, 2] = ord("."), d // 10 + ord("0"), d % 10 + ord("0")
+    return ints.view(np.uint32).ravel(), decs.view(np.uint32).ravel()
+
+
+def _fixed2(values) -> np.ndarray:
+    """``_px`` of each value as padded byte rows (see ``_format17._unpadded``):
+    one row per value, ``_FIXED2_WIDTH`` bytes, or as wide as the longest
+    text written by ``_px`` needs, with its last byte ``_PAD``."""
+    v = np.asarray(values, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # such values are slow
+        scaled = np.abs(v) * 100.0
+        n = np.rint(scaled)
+        slow = ~((np.abs(scaled - n) < 0.5 - 2.0**-30) & (n < 100000))
+    n = np.where(slow, 0.0, n).astype(np.intp)  # a slow value's row is written below
+    ints, decs = _fixed2_tables()
+    words = np.empty((v.size, 2), np.uint32)
+    whole = n // 100
+    words[:, 0], words[:, 1] = ints[whole], decs[n - 100 * whole]
+    text = words.view(np.uint8)
+    text[np.signbit(v), 0] = ord("-")
+    if slow.any():
+        slow_text = [_px(x).encode("ascii") for x in v[slow].tolist()]
+        width = max(_FIXED2_WIDTH, 1 + max(map(len, slow_text)))
+        text = np.pad(text, ((0, 0), (0, width - _FIXED2_WIDTH)), constant_values=ord(_PAD))
+        text[slow] = np.frombuffer(b"".join(t.ljust(width, _PAD) for t in slow_text),
+                                   np.uint8).reshape(-1, width)
+    return text
+
+
+def _joined(*columns) -> np.ndarray:
+    """Byte rows side by side: each column an (n, w) ``uint8`` array, or bytes
+    written on every row."""
+    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
+    n = next(len(c) for c in columns if not isinstance(c, bytes))
+    rows = np.empty((n, sum(widths)), np.uint8)
+    # each column one field of a row: a field's copy is one block of bytes
+    fields = np.dtype({"names": [f"c{k}" for k in range(len(columns))],
+                       "formats": [f"V{w}" for w in widths],
+                       "offsets": np.cumsum([0] + widths[:-1]).tolist(), "itemsize": sum(widths)})
+    view = rows.view(fields)[:, 0]
+    for name, c, w in zip(fields.names, columns, widths):
+        view[name] = c if isinstance(c, bytes) else np.ascontiguousarray(c).view(f"V{w}")[:, 0]
+    return rows
+
+
+def _ascii(rows: np.ndarray) -> str:
+    """The text of padded byte rows of ASCII."""
+    return _unpadded(rows).decode("ascii")
+
+
 def _text(x: float, y: float, text: str, anchor: str | None = "middle", extra: str = "") -> str:
     """A ``<text>`` element at (x, y), its text escaped; ``anchor=None`` omits text-anchor."""
     return '<text x="%s" y="%s" font-size="%s"%s font-family="sans-serif"%s>%s</text>' % (
@@ -81,13 +156,18 @@ def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, cls: str = ""
         ' class="%s"' % cls if cls else "", _px(x1), _px(y1), _px(x2), _px(y2), stroke)
 
 
-def _ramp_colors(t) -> list[str]:
-    """Ramp colours at the heights ``t``, each clipped to [0, 1] (NaN to 0)."""
+# the two hex digits of each byte value, as the two bytes of one uint16
+_HEX = (np.frombuffer(b"0123456789abcdef", np.uint8)[np.arange(256)[:, None] >> [4, 0] & 15]
+        .view(np.uint16).ravel())
+
+
+def _ramp_colors(t) -> np.ndarray:
+    """Ramp colours at the heights ``t``, each clipped to [0, 1] (NaN to 0),
+    as byte rows "#rrggbb"."""
     lo, hi = (np.array(c) for c in PlotStyle.ramp)
     t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
-    rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
-    packed = np.sum(rgb << [16, 8, 0], axis=1)  # 0xRRGGBB, each channel in 0..255
-    return ("#%06x " * len(packed) % tuple(packed.tolist())).split()
+    rgb = np.rint(255 * (lo + t * (hi - lo))).astype(np.intp)  # each channel in 0..255
+    return _joined(b"#", _HEX.take(rgb).view(np.uint8))
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -209,25 +289,22 @@ def render_curves(curves, style: PlotStyle = PlotStyle(), y_label: str = "") -> 
         stroke = 'stroke="%s" stroke-width="1.6"%s' % (
             _COLORS[k % len(_COLORS)], ' stroke-dasharray="%s"' % dash if dash else "")
         v = np.asarray(curve.values, dtype=float)
-        parts = []
-        pen_up = True
-        for i in range(grid.count):
-            if not np.isfinite(v[i]):
-                pen_up = True
-                continue
-            cmd = "M" if pen_up else "L"
-            parts.append("%s%s %s" % (cmd, _px(sx(grid.points[i])), _px(sy(v[i]))))
-            pen_up = False
-        if parts:
-            out.append(
-                '<path class="series" fill="none" %s d="%s"/>' % (stroke, " ".join(parts))
-            )
+        drawn = np.isfinite(v)
+        if drawn.any():
+            # a run of drawn points starts (M) after a point that is not drawn
+            starts = ~np.concatenate(([False], drawn[:-1]))[drawn]
+            xs, ys = _fixed2(sx(grid.points[drawn])), _fixed2(sy(v[drawn]))
+            xs[:, -1] = ys[:, -1] = ord(" ")
+            ys[-1, -1] = ord(_PAD)
+            cmd = np.where(starts, ord("M"), ord("L")).astype(np.uint8)[:, None]
+            path = _ascii(_joined(cmd, xs, ys))
+            out.append('<path class="series" fill="none" %s d="%s"/>' % (stroke, path))
         row_y = ly + 8 + k * (fs + 8) + fs / 2
         legend.append(_line(lx + 6, row_y, lx + 34, row_y, stroke))
         legend.append(_text(lx + 40, row_y + 0.35 * fs, label, None))
     out += legend
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + [""])
 
 
 def render_contour(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> str:
@@ -236,11 +313,11 @@ def render_contour(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> 
     Level curves are traced by marching squares over the cells a level
     crosses: a cell's 4-bit corner case indexes the ``_SEGMENTS`` table, and
     a saddle (case 5 or 10) whose cell-centre average is below the level is
-    drawn as the opposite saddle. A level is traced over all its crossing
-    cells at once (row-major, then table order) and its path written by
-    one ``%``, with the bytes of a cell-by-cell loop. The y = x diagonal is
-    drawn dashed wherever the two axis ranges overlap, making deviation
-    from pure persistence visible at a glance.
+    drawn as the opposite saddle. All levels are traced at once, each over
+    its crossing cells (row-major, then table order), and their paths
+    written as byte rows, with the bytes of a cell-by-cell loop. The y = x
+    diagonal is drawn dashed wherever the two axis ranges overlap, making
+    deviation from pure persistence visible at a glance.
     """
     return _contour(kernel.grid.points, kernel.grid.points, kernel.rows, style)
 
@@ -270,36 +347,42 @@ def _contour(x, y, v, style: PlotStyle) -> str:
     low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
     high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
     colors = _ramp_colors(0.25 + 0.75 * (np.arange(1, len(levels) + 1) / len(levels)))
-    for level, color in zip(levels, colors):
-        # the crossing cells, row-major
-        ci, cj = np.divmod(np.flatnonzero((low < level) & (level <= high)), v.shape[1] - 1)
-        if ci.size == 0:
+    # the crossing cells, level by level, each level's row-major
+    crossing = [np.flatnonzero((low < level) & (level <= high)) for level in levels]
+    ci, cj = np.divmod(np.concatenate(crossing), v.shape[1] - 1)
+    k = np.repeat(np.arange(len(levels)), [len(c) for c in crossing])  # each cell's level
+    level = np.take(levels, k)
+    c = [v[ci + di, cj + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    case = ((c[0] >= level) | (c[1] >= level) << 1 | (c[2] >= level) << 2
+            | (c[3] >= level) << 3).astype(np.uint8)
+    # A saddle whose centre is not at or above the level flips.
+    centre = 0.25 * (c[0] + c[1] + c[2] + c[3])
+    case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
+    # One row per segment: the crossing cells in order, then table order.
+    edges = _CASE_EDGES[case]
+    drawn = edges[:, :, 0] >= 0
+    per_cell = np.count_nonzero(drawn, axis=1)
+    i, j, k, level = (np.repeat(a, per_cell)[:, None] for a in (ci, cj, k, level))
+    ai, aj, bi, bj = np.moveaxis(_EDGES[edges[drawn]], -1, 0)
+    # Each end where the level crosses its edge, by linear interpolation.
+    a, b = v[i + ai, j + aj], v[i + bi, j + bj]
+    t = (level - a) / (b - a)
+    along_y = ai == bi
+    ex = np.where(along_y, x[i + ai], x[i] + t * (x[i + 1] - x[i]))
+    ey = np.where(along_y, y[j] + t * (y[j + 1] - y[j]), y[j + aj])
+    ends = _fixed2(np.stack((sx(ex), sy(ey)), axis=-1))  # x1 y1 x2 y2, a row each
+    ends[:, -1] = ord(" ")
+    ends = ends.reshape(len(i), 2, 2 * ends.shape[1])
+    segments = _joined(b"M", ends[:, 0], b"L", ends[:, 1])
+    stops = np.cumsum(np.bincount(k.ravel(), minlength=len(levels)))
+    for start, stop, color in zip([0, *stops[:-1]], stops, colors):
+        if start == stop:
             continue
-        c = [v[ci + di, cj + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
-        case = ((c[0] >= level) | (c[1] >= level) << 1 | (c[2] >= level) << 2
-                | (c[3] >= level) << 3).astype(np.uint8)
-        # A saddle whose centre is not at or above the level flips.
-        centre = 0.25 * (c[0] + c[1] + c[2] + c[3])
-        case[((case == 5) | (case == 10)) & ~(centre >= level)] ^= 15
-        # One row per segment: the crossing cells row-major, then table order.
-        edges = _CASE_EDGES[case]
-        drawn = edges[:, :, 0] >= 0
-        per_cell = np.count_nonzero(drawn, axis=1)
-        i, j = np.repeat(ci, per_cell)[:, None], np.repeat(cj, per_cell)[:, None]
-        ai, aj, bi, bj = np.moveaxis(_EDGES[edges[drawn]], -1, 0)
-        # Each end where the level crosses its edge, by linear interpolation.
-        a, b = v[i + ai, j + aj], v[i + bi, j + bj]
-        t = (level - a) / (b - a)
-        along_y = ai == bi
-        ex = np.where(along_y, x[i + ai], x[i] + t * (x[i + 1] - x[i]))
-        ey = np.where(along_y, y[j] + t * (y[j + 1] - y[j]), y[j + aj])
-        ends = np.stack((sx(ex), sy(ey)), axis=-1).ravel().tolist()
-        out.append(
-            '<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
-            % (color, " ".join(["M%.2f %.2f L%.2f %.2f"] * len(i)) % tuple(ends))
-        )
+        segments[stop - 1, -1] = ord(_PAD)  # no space after a level's last segment
+        out.append('<path class="level" fill="none" stroke="%s" stroke-width="1.1" d="%s"/>'
+                   % (_ascii(color), _ascii(segments[start:stop])))
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + [""])
 
 
 def _mesh_indices(n: int, limit: int) -> np.ndarray:
@@ -311,8 +394,8 @@ def _mesh_indices(n: int, limit: int) -> np.ndarray:
 def render_surface(kernel: StochasticKernel, style: PlotStyle = PlotStyle()) -> str:
     """Isometric 3-D mesh of a stochastic kernel.
 
-    Each mesh vertex is projected once; one ``%`` formats the vertices and
-    one writes the cell polygons, with the bytes of a cell-by-cell loop.
+    Each mesh vertex is projected and written once; the cell polygons are
+    byte rows of their vertices' text, with the bytes of a cell-by-cell loop.
     Cells are painted back to front (painter's algorithm: far diagonals
     i + j first, each in ascending i), filled by the style ramp according
     to their mean height.
@@ -349,8 +432,11 @@ def _surface(x, y, v, style: PlotStyle) -> str:
         return (x_center + u * scale, m + top_pad + (1.0 + zh - elev) * scale)
 
     px, py = project(xn[:, None], yn[None, :], zn)
-    vertex = np.array(("%.2f,%.2f " * px.size % tuple(np.stack((px, py), -1).ravel().tolist()))
-                      .split(), dtype=object)
+    vertex = _fixed2(np.stack((px, py), axis=-1))  # each vertex's x, then y
+    vertex[0::2, -1], vertex[1::2, -1] = ord(","), ord(" ")
+    vertex = vertex.reshape(px.size, -1)  # "x,y " with pads
+    last = vertex.copy()  # a polygon's last vertex: "x,y\""
+    last[:, -1] = ord('"')
     mean_z = 0.25 * (zn[:-1, :-1] + zn[1:, :-1] + zn[1:, 1:] + zn[:-1, 1:])
     ci, cj = np.indices(mean_z.shape).reshape(2, -1)
     order = np.lexsort((ci, -(ci + cj)))
@@ -362,19 +448,19 @@ def _surface(x, y, v, style: PlotStyle) -> str:
         '<polygon class="base" points="%s" fill="#f4f4f4" stroke="#bbbbbb"/>'
         % " ".join("%s,%s" % (_px(X), _px(Y)) for X, Y in base)
     )
-    cells = np.stack((vertex[k], vertex[k + yi.size], vertex[k + yi.size + 1], vertex[k + 1],
-                      np.array(_ramp_colors(mean_z.ravel()[order]), dtype=object)), axis=-1)
-    out.append(
-        "\n".join(['<polygon class="cell" points="%s %s %s %s" fill="%s" stroke="#333333" '
-                   'stroke-width="0.25"/>'] * len(order)) % tuple(cells.ravel().tolist())
-    )
+    cells = _joined(b'<polygon class="cell" points="', vertex.take(k, 0),
+                    vertex.take(k + yi.size, 0), vertex.take(k + yi.size + 1, 0),
+                    last.take(k + 1, 0), b' fill="', _ramp_colors(mean_z.ravel()[order]),
+                    b'" stroke="#333333" stroke-width="0.25"/>\n')
+    cells[-1, -1] = ord(_PAD)  # the figure's join puts the last LF
+    out.append(_ascii(cells))
     fs = style.font_size
     xL = project(0.55, -0.08, 0)
     yL = project(-0.08, 0.55, 0)
     out.append(_text(xL[0], xL[1] + fs, _KERNEL_X_LABEL))
     out.append(_text(yL[0], yL[1] + fs, _KERNEL_Y_LABEL))
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + [""])
 
 
 _CSV_VALUES = 8192  # values per CSV chunk: 4,096 rows of two columns

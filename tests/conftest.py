@@ -316,12 +316,75 @@ def simulate_unit_loop(spec: ProcessSpec) -> Panel:
 def ramp_colors_each(t) -> list[str]:
     """Ramp colours at the heights ``t``, one ``%`` per colour.
 
-    The list form of ``viz._ramp_colors``, kept as its oracle.
+    The per-colour form of ``viz._ramp_colors``, kept as its oracle.
     """
     lo, hi = (np.array(c) for c in viz.PlotStyle.ramp)
     t = np.minimum(1.0, np.fmax(0.0, np.asarray(t, dtype=float)))[:, None]
     rgb = np.rint(255 * (lo + t * (hi - lo))).astype(int)
     return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+
+
+def render_curves_points(curves, y_label: str = "") -> str:
+    """A line chart written one point at a time.
+
+    The per-point loop ``viz.render_curves`` ran before it wrote each path
+    as byte rows, kept as its oracle: a point that is not finite lifts the
+    pen, and the next finite one starts a run with "M".
+    """
+    style, px = viz.PlotStyle, viz._px
+    curves = list(curves)
+    grid = curves[0][1].grid
+    vals = np.concatenate([np.asarray(c.values, dtype=float) for _, c in curves])
+    finite = vals[np.isfinite(vals)]
+    want_zero = bool(np.any(finite < 0)) or any(isinstance(c, NTPCurve) for _, c in curves)
+    vlo = min(0.0, float(finite.min()))
+    vhi = max(0.0, float(finite.max()))
+    span = vhi - vlo or 1.0
+    yhi = vhi + 0.06 * span
+    ylo = vlo - 0.06 * span if vlo < 0 else 0.0
+    xlo, xhi = grid.lower, grid.upper
+
+    m = style.margin
+    w = style.width - 2 * m
+    sx, sy = viz._scales(style, xlo, xhi, ylo, yhi)
+    out = viz._svg_open(style)
+    out += viz._axes(style, xlo, xhi, ylo, yhi, viz._CURVE_X_LABEL, y_label)
+    if want_zero:
+        out.append(viz._line(m, sy(0.0), m + w, sy(0.0),
+                             'stroke="#999999" stroke-dasharray="4 4"', "zero-line"))
+    fs = style.font_size
+    lw = max(len(lbl) for lbl, _ in curves) * fs * 0.62 + 46
+    lx = m + w - lw - 8
+    ly = m + 8
+    legend = [
+        '<rect x="%s" y="%s" width="%s" height="%s" fill="#ffffff" '
+        'fill-opacity="0.85" stroke="#cccccc"/>'
+        % (px(lx), px(ly), px(lw), px(len(curves) * (fs + 8) + 8))
+    ]
+    for k, (label, curve) in enumerate(curves):
+        dash = viz._DASHES[k % len(viz._DASHES)]
+        stroke = 'stroke="%s" stroke-width="1.6"%s' % (
+            viz._COLORS[k % len(viz._COLORS)], ' stroke-dasharray="%s"' % dash if dash else "")
+        v = np.asarray(curve.values, dtype=float)
+        parts = []
+        pen_up = True
+        for i in range(grid.count):
+            if not np.isfinite(v[i]):
+                pen_up = True
+                continue
+            cmd = "M" if pen_up else "L"
+            parts.append("%s%s %s" % (cmd, px(sx(grid.points[i])), px(sy(v[i]))))
+            pen_up = False
+        if parts:
+            out.append(
+                '<path class="series" fill="none" %s d="%s"/>' % (stroke, " ".join(parts))
+            )
+        row_y = ly + 8 + k * (fs + 8) + fs / 2
+        legend.append(viz._line(lx + 6, row_y, lx + 34, row_y, stroke))
+        legend.append(viz._text(lx + 40, row_y + 0.35 * fs, label, None))
+    out += legend
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def _crossing(x, y, v, level, i, j, edge):

@@ -17,12 +17,15 @@ from distdyn import Grid
 from distdyn.dynamics import NTPCurve
 from distdyn.errors import DegenerateSurface, EmptyPlot, GridMismatch
 from distdyn.kde import DensityCurve, StochasticKernel
-from distdyn._format17 import _format17
+from distdyn._format17 import _PAD, _format17, _unpadded
 from distdyn.panel import TransitionPairs
 from distdyn.viz import (
     PlotStyle,
+    _ascii,
     _contour,
     _csv_chunks,
+    _fixed2,
+    _ramp_colors,
     _surface,
     export_csv,
     render_contour,
@@ -30,7 +33,13 @@ from distdyn.viz import (
     render_surface,
 )
 
-from conftest import gaussian, render_contour_cells, render_surface_cells
+from conftest import (
+    gaussian,
+    ramp_colors_each,
+    render_contour_cells,
+    render_curves_points,
+    render_surface_cells,
+)
 
 
 def density(grid, mu=1.0, sd=0.3):
@@ -124,6 +133,64 @@ class TestRenderCurves:
             text = kernel_figure(small_kernel(g))
             assert ">relative income at t</text>" in text
             assert ">relative income at t+τ</text>" in text
+
+
+LABELS = ["a", "<b & c>", "\"q\" 's'", "α 1999", "x" * 30]
+GAPS = ["none", "head", "tail", "both", "single", "runs", "all"]
+
+
+def gapped(values, gap, rng):
+    """``values`` with the NaN pattern ``gap``: a run at the head, the tail or
+    both, one finite point between NaNs, random runs, or no finite point."""
+    n = len(values)
+    values = values.copy()
+    cut = int(rng.integers(1, n // 2))
+    if gap in ("head", "both"):
+        values[:cut] = np.nan
+    if gap in ("tail", "both"):
+        values[n - cut:] = np.nan
+    if gap == "single":
+        values[np.arange(n) != cut] = np.nan
+    if gap == "runs":
+        values[np.repeat(rng.random(n // 4 + 1) < 0.4, 4)[:n]] = np.nan
+    if gap == "all":
+        values[:] = np.nan
+    return values
+
+
+@given(
+    count=st.integers(16, 160),
+    kinds=st.lists(st.sampled_from(["density", "ntp"]), min_size=1, max_size=3),
+    gaps=st.lists(st.sampled_from(GAPS), min_size=3, max_size=3),
+    labels=st.lists(st.sampled_from(LABELS), min_size=3, max_size=3),
+    y_label=st.sampled_from(["", "density", "net <τ> & 'p'"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=64, kinds=["ntp"], gaps=["single", "none", "none"], labels=["a"] * 3,
+         y_label="", seed=1)
+@example(count=17, kinds=["ntp", "density", "ntp"], gaps=["all", "none", "both"],
+         labels=LABELS[:3], y_label="density", seed=2)
+@example(count=128, kinds=["ntp", "ntp"], gaps=["head", "tail", "none"], labels=LABELS[1:4],
+         y_label="net <τ> & 'p'", seed=3)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_render_curves_matches_the_point_loop(count, kinds, gaps, labels, y_label, seed):
+    # NTP values lie in [-1, 1], so they hold negative values and NaN gaps;
+    # a density is finite. The grid starts below zero or above it.
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-2.0, 1.0)
+    g = Grid.uniform(lower, lower + rng.uniform(0.5, 40.0), count)
+    curves = []
+    for kind, gap, label in zip(kinds, gaps, labels):
+        if kind == "density":
+            curve = DensityCurve.from_values(g, rng.random(count) + 1e-3)
+        else:
+            curve = NTPCurve(grid=g, values=gapped(rng.uniform(-1.0, 1.0, count), gap, rng))
+        curves.append((label, curve))
+    if not any(np.isfinite(c.values).any() for _, c in curves):
+        with pytest.raises(EmptyPlot):
+            render_curves(curves, y_label=y_label)
+        return
+    assert render_curves(curves, y_label=y_label) == render_curves_points(curves, y_label)
 
 
 class TestRenderContour:
@@ -492,3 +559,86 @@ class TestFormat17:
                  "'fractions' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0", "False"]
+
+
+def fixed2_texts(values) -> list[str]:
+    """Each row of ``_fixed2(values)`` as text; every row ends in ``_PAD``."""
+    rows = _fixed2(values)
+    assert (rows[:, -1] == ord(_PAD)).all()
+    rows[:, -1] = ord("\n")
+    return _unpadded(rows).decode("ascii").split("\n")[:-1]
+
+
+def per_value_2f(values) -> list[str]:
+    return ["%.2f" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def fixed2_edges() -> np.ndarray:
+    """Binary ties (k/8, k/64), decimal near-ties x.xx5 and one ulp either
+    side, values that print "-0.00", carries into a new digit, and each edge
+    of the tables (integer parts 0 and 999, 100,000 hundredths)."""
+    h = np.concatenate((np.arange(300), np.arange(300, 99700, 37), np.arange(99700, 100100)))
+    near = (h + 0.5) / 100  # the double nearest to each x.xx5
+    carries = np.array([0.995, 9.995, 99.995, 999.995, 9999.995, 0.9951, 9.9951, 99.9951,
+                        999.9951, 99999.995])
+    values = np.concatenate((
+        np.arange(-8200, 8200) / 8, np.arange(-4000, 4000) / 64,
+        near, np.nextafter(near, 0.0), np.nextafter(near, np.inf), carries,
+        np.nextafter(carries, 0.0), np.nextafter(carries, np.inf),
+        [0.0, 0.004, 0.0049999999, 0.005, 1e-300, 5e-324, 999.99, 999.994, 999.9949999999,
+         1000.0, 1000.004, 0.1 + 0.2, 2.675, 1.005, 1e15, 1e16 + 2, 1.7976931348623157e308],
+        [np.nan, -np.nan, np.inf],
+    ))
+    return np.concatenate((values, -values))
+
+
+class TestFixed2:
+    def test_edges_are_the_per_value_text(self):
+        values = fixed2_edges()
+        assert fixed2_texts(values) == per_value_2f(values)
+
+    def test_random_bit_patterns_are_the_per_value_text(self):
+        rng = np.random.default_rng(30)
+        values = np.concatenate((rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+                                 rng.uniform(-50.0, 700.0, 100_000),
+                                 np.round(rng.uniform(-1200.0, 1200.0, 100_000), 3)))
+        assert fixed2_texts(values) == per_value_2f(values)
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+        st.floats(-1000.0, 1000.0),
+        st.integers(-100_000, 100_000).map(lambda n: (n + 0.5) / 100),
+        st.floats(1e15, 1e300),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -0.004, 999.995, 9999.995]),
+    ), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_value_is_the_per_value_text(self, values):
+        assert fixed2_texts(values) == per_value_2f(values)
+
+    def test_rows_are_eight_bytes_unless_a_text_needs_more(self):
+        assert _fixed2([0.0, -123.456, 999.99]).shape == (3, 8)
+        assert _fixed2([1.0, -1000.0]).shape == (2, 9)  # "-1000.00" and a pad
+        assert _fixed2([1e300]).shape[1] == len("%.2f" % 1e300) + 1
+        assert _fixed2([]).shape == (0, 8)
+
+    def test_tables_are_built_on_first_use(self):
+        probe = ("import distdyn.cli; from distdyn import viz; "
+                 "print(viz._fixed2_tables.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0"]
+
+
+def test_ramp_colors_are_the_per_colour_text():
+    t = np.concatenate((np.linspace(-0.5, 1.5, 2001), [np.nan, np.inf, -np.inf, 0.5 / 255]))
+    colors = _ramp_colors(t)
+    assert colors.shape == (len(t), 7)
+    assert _ascii(colors).split("#")[1:] == [c[1:] for c in ramp_colors_each(t)]
+
+
+def test_compare_years_figure_keeps_its_bytes(demo_panel_path, tmp_path):
+    # sha256 of compare.svg as the per-point loop wrote it
+    from distdyn.cli import main
+    assert main(["compare-years", "--input", str(demo_panel_path), "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "compare.svg").read_bytes()).hexdigest() == (
+        "3dd5c04f0f069a1a55eb3df8c2a63200369da00a4c6368bc82b17b753af15cb7")
