@@ -28,7 +28,6 @@ import os
 import sys
 import typing
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -195,9 +194,9 @@ def _validate(cfg: RunConfig, command: str):
 def _write_atomic(path: Path, data: bytes | Iterable[bytes]) -> str:
     """Write bytes, or a stream of byte chunks, via a temp file and rename.
 
-    Each chunk is hashed as it is written; returns the content hash.
+    Each chunk is hashed as it is written; returns the content hash. The
+    directory must exist: each command makes its directories once.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     with open(tmp, "wb") as fh:
@@ -232,6 +231,8 @@ def _run_group(label, gpanel, grid, cfg: RunConfig, out_base: Path) -> tuple[dic
     files: dict[str, str] = {}
 
     def put(name: str, data: bytes | Iterable[bytes]):
+        if not files:  # a group that fails before its first file leaves no directory
+            gdir.mkdir(exist_ok=True)
         files[f"{label}/{name}"] = _write_atomic(gdir / name, data)
 
     def on_estimate(est, ntp):
@@ -287,6 +288,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         return _run_group(*group, grid, cfg, out_base)
 
     if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded for one thread
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             results = list(ex.map(run, groups))
     else:  # in this thread, so the groups' arrays share the caller's heap
@@ -328,6 +331,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     )
     panel = simulate(spec)
     out_base = Path(cfg.out_dir)
+    out_base.mkdir(parents=True, exist_ok=True)
     path = out_base / "panel.csv"
     _write_atomic(path, dump_panel(panel))
     print(f"wrote {path} ({len(panel)} observations)")
@@ -350,6 +354,7 @@ def _cmd_compare_years(cfg: RunConfig) -> int:
             labeled.append((f"{sector} {first}", a))
             labeled.append((f"{sector} {last}", b))
     out_base = Path(cfg.out_dir)
+    out_base.mkdir(parents=True, exist_ok=True)
     h_csv = _write_atomic(out_base / "compare.csv", _csv_chunks(labeled))
     svg = render_curves(labeled, y_label="density")
     h_svg = _write_atomic(out_base / "compare.svg", svg.encode("utf-8"))

@@ -2,10 +2,13 @@
 
 A panel holds one row per (unit, sector, year) with a positive income and an
 optional CPI index. Storage is columnar (numpy arrays). Ingestion reads the
-CSV in a typed pass, a block of rows at a time into the columns, with its
-checks as masks over whole columns; a file that pass refuses is read again
-by a plain row loop, which names the first faulty row. All operations are
-pure: each returns a new panel.
+CSV in a typed pass, a block of rows at a time into columns allocated once,
+sized by the line breaks a first scan of the text counts, with its checks
+as masks over whole columns; a file that pass refuses is read again by a
+plain row loop, which names the first faulty row. Each stage keeps at most
+one or two row-sized arrays beyond its inputs and outputs: units are
+numbered and found by scatters over unit codes, not by row-sized sorts. All
+operations are pure: each returns a new panel.
 
 Input CSV contract: UTF-8, where a leading byte-order mark is skipped; header
 exactly ``unit_id,sector,region,year,income`` with an optional trailing
@@ -105,7 +108,7 @@ class Panel:
     @cached_property
     def _first_rows(self) -> np.ndarray:
         """Row of each unit's first appearance, in unit-code order."""
-        return np.unique(self._unit_code, return_index=True)[1]
+        return _first_rows(self._unit_code)
 
     def _take(self, mask_or_idx, **overrides) -> "Panel":
         """The rows a mask, an index array or a slice picks, with the unit code if built."""
@@ -187,17 +190,19 @@ def load_panel(source) -> Panel:
     not UTF-8 raises :class:`MalformedRow` naming its first bad byte,
     whatever else is wrong with it.
 
-    A typed pass reads ``_BLOCK`` rows at a time with ``np.loadtxt``, with
-    numpy's own number parse if the text is plain (:func:`_plain`), and
-    its checks run as masks over whole columns; a file it refuses is read
-    again by a row loop, one ``csv.reader`` row at a time, which names the
-    first fault. The rows share one ``str`` per distinct ``unit_id``,
-    sector and region, and the panel carries its unit code.
+    A first scan (:func:`_scan`) tells whether the text is plain and counts
+    its line breaks. A typed pass then reads ``_BLOCK`` rows at a time with
+    ``np.loadtxt`` into columns allocated once, that count long, with
+    numpy's own number parse if the text is plain, and its checks run as
+    masks over whole columns; a file it refuses is read again by a row
+    loop, one ``csv.reader`` row at a time, which names the first fault.
+    The rows share one ``str`` per distinct ``unit_id``, sector and region,
+    and the panel carries its unit code.
     """
     content = _content(source)
     try:
         with _text(content) as stream:
-            panel = _read_typed(_lines(stream), _plain(content))
+            panel = _read_typed(_lines(stream), *_scan(content))
         if panel is None:
             with _text(content) as stream:
                 try:
@@ -223,30 +228,42 @@ _LINE_BREAK = {str: re.compile("[\r\n]"), bytes: re.compile(b"[\r\n]")}
 _SCAN = 1 << 16
 
 
-def _plain(content) -> bool:
-    """Whether ``content`` (a ``Path``, bytes or str) is plain after its first line break.
+def _scan(content) -> tuple[bool, int]:
+    """Whether ``content`` (a ``Path``, bytes or str) is plain after its first
+    line break, and its count of LF or of CR, whichever is larger: every row
+    after the header follows a line break, so only a file that mixes its
+    line endings has more rows than that.
 
     The first line holds the header, or its start, which the header check
-    reads; a leading byte-order mark is part of it. Content is checked a
-    chunk at a time, and no chunk is kept.
+    reads; a leading byte-order mark is part of it. Content is read a chunk
+    at a time, and no chunk is kept.
     """
     if isinstance(content, Path):
         with open(content, "rb") as f:
-            return _plain_chunks(iter(partial(f.read, _SCAN), b""))
-    return _plain_chunks(content[i:i + _SCAN] for i in range(0, len(content), _SCAN))
+            return _scan_chunks(iter(partial(f.read, _SCAN), b""))
+    return _scan_chunks(content[i:i + _SCAN] for i in range(0, len(content), _SCAN))
 
 
-def _plain_chunks(chunks) -> bool:
+def _scan_chunks(chunks) -> tuple[bool, int]:
+    plain, lf, cr = True, 0, 0
     for i, chunk in enumerate(chunks):
+        kind = type(chunk)
+        if kind is bytes:  # counted by numpy, several times faster than bytes.count
+            codes = np.frombuffer(chunk, np.uint8)
+            lf += int(np.count_nonzero(codes == ord("\n")))
+            cr += int(np.count_nonzero(codes == ord("\r"))) if b"\r" in chunk else 0
+        else:
+            lf += chunk.count("\n")
+            cr += chunk.count("\r")
         if i == 0:
-            line_break = _LINE_BREAK[type(chunk)].search(chunk)
+            line_break = _LINE_BREAK[kind].search(chunk)
             if line_break is None:  # a first line this long is not worth checking
-                return False
+                plain = False
+                continue
             chunk = chunk[line_break.end():]
-        marks = _NOT_PLAIN if isinstance(chunk, str) else _NOT_PLAIN.encode()
-        if not chunk.isascii() or any(mark in chunk for mark in marks):
-            return False
-    return True
+        marks = _NOT_PLAIN if kind is str else _NOT_PLAIN.encode()
+        plain = plain and chunk.isascii() and not any(mark in chunk for mark in marks)
+    return plain, max(lf, cr)
 
 
 def _lines(stream):
@@ -256,58 +273,66 @@ def _lines(stream):
     return iter(stream.readline, "")
 
 
-def _read_typed(lines, plain: bool = False) -> Panel | None:
+# dtypes of the coded columns: unit_id number, sector and region codes, year, income, cpi
+_COLUMN_TYPES = (np.intp, np.int8, np.int8, np.int64, np.float64, np.float64)
+
+
+def _read_typed(lines, plain: bool = False, size: int = 0) -> Panel | None:
     """The typed pass: the panel of a valid file, or None if it refuses the file.
 
-    Each block is one ``np.loadtxt`` call, made codes and numbers before the
-    next block is read. On ``plain`` text (see :func:`_plain`) numpy parses
-    year and income itself; otherwise every field is read as text, and
-    ``astype`` converts by Python's ``int()`` and ``float()``, as numpy's
-    own parse reads text they refuse. ``unit_id``, sector and region are
-    coded by their text as read, each distinct spelling stripped once.
+    The coded columns are allocated once, ``size`` rows long (the line-break
+    count of :func:`_scan`), and each block is one ``np.loadtxt`` call,
+    written into them as codes and numbers before the next block is read;
+    a short ``size`` grows them. On ``plain`` text (see :func:`_scan`)
+    numpy parses year and income itself; otherwise every field is read as
+    text, and the columns take it by Python's ``int()`` and ``float()``, as
+    numpy's own parse reads text they refuse. ``unit_id``, sector and region
+    are coded by their text as read, each distinct spelling stripped once.
     """
     units = defaultdict()
     units.default_factory = units.__len__  # numbers each new unit_id as it is looked up
     unit_code = _Codes(units.__getitem__)
     sector_code = _Codes(lambda text: _SECTOR_CODE.get(text, -1))
     region_code = _Codes(lambda text: _REGION_CODE.get(text, -1))
-    blocks = []
     try:
         header = [h.strip() for h in next(csv.reader(lines), [])]
         if header not in (_HEADER, _HEADER + ["cpi"]):
             return None
         typed = {"year": np.int64, "income": np.float64} if plain else {}
         dtype = np.dtype([(name, typed.get(name, object)) for name in header])
+        columns = [np.empty(size, t) for t in _COLUMN_TYPES[:len(header)]]
+        n, k = 0, _BLOCK
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's, on an empty read
-            while not blocks or len(rows) == _BLOCK:
+            while k == _BLOCK:
                 rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                                   comments=None, ndmin=1, max_rows=_BLOCK)
-                n = len(rows)
-                uid = np.fromiter(map(unit_code.__getitem__, rows["unit_id"]), np.intp, n)
-                sector = np.fromiter(map(sector_code.__getitem__, rows["sector"]), np.int8, n)
-                region = np.fromiter(map(region_code.__getitem__, rows["region"]), np.int8, n)
-                year, income = rows["year"].astype(np.int64), rows["income"].astype(np.float64)
-                block = [uid, sector, region, year, income]
+                k = len(rows)
+                if n + k > len(columns[0]):  # a short size
+                    columns = [np.resize(c, max(2 * len(c), n + k)) for c in columns]
+                uid, sector, region, year, income = (c[n:n + k] for c in columns[:5])
+                uid[:] = np.fromiter(map(unit_code.__getitem__, rows["unit_id"]), np.intp, k)
+                sector[:] = np.fromiter(map(sector_code.__getitem__, rows["sector"]), np.int8, k)
+                region[:] = np.fromiter(map(region_code.__getitem__, rows["region"]), np.int8, k)
+                year[:], income[:] = rows["year"], rows["income"]
                 valid = ((uid != units.get("", -1)) & (sector >= 0) & (region >= 0) & (income > 0)
                          & (income < np.inf))
                 if "cpi" in header:
-                    given = np.fromiter(map(bool, map(str.strip, rows["cpi"])), bool, n)
-                    cpi = np.full(n, np.nan)
-                    cpi[given] = rows["cpi"][given].astype(np.float64)
+                    cpi = columns[5][n:n + k]
+                    given = np.fromiter(map(bool, map(str.strip, rows["cpi"])), bool, k)
+                    cpi[:] = np.nan
+                    cpi[given] = rows["cpi"][given]
                     valid &= ~given | ((cpi > 0) & (cpi < np.inf))
-                    block.append(cpi)
                 if not valid.all():
                     return None
-                blocks.append(block)
+                n += k
     except (ValueError, OverflowError, csv.Error):  # ragged rows, numbers int()/float() refuse
         return None
-    columns = []
-    while blocks[0]:  # a column at a time, each block's part released once joined
-        columns.append(np.concatenate([b.pop(0) for b in blocks]))
-    if _unit_repeats_or_moves(*columns[:4]):
+    columns = [c[:n] for c in columns]
+    code = _unit_codes(*columns[:2])
+    if _repeats_or_moves(code, *columns[2:4]):
         return None
-    return _coded_panel(units, columns)
+    return _coded_panel(units, columns, code)
 
 
 class _Codes(dict):
@@ -323,13 +348,36 @@ class _Codes(dict):
         return code
 
 
-def _unit_repeats_or_moves(uid, sector, region, year) -> bool:
-    """Whether a unit, (unit_id number, sector code), repeats a year or changes region."""
-    unit = uid * len(SECTORS) + sector
-    by_unit = np.lexsort((year, unit))  # the rows in unit, then year order
-    same_unit = np.diff(unit[by_unit]) == 0
-    return bool((same_unit & ((np.diff(year[by_unit]) == 0)
-                              | (np.diff(region[by_unit]) != 0))).any())
+def _first_rows(code: np.ndarray) -> np.ndarray:
+    """Row of each distinct code's first appearance, in code order (codes are nonnegative)."""
+    first = np.full(code.max(initial=-1) + 1, len(code))
+    np.minimum.at(first, code, np.arange(len(code)))
+    return first[first < len(code)]
+
+
+def _unit_codes(uid, sector) -> np.ndarray:
+    """Each row's unit code: its (unit_id number, sector code) numbered in first-appearance order."""
+    key = uid * len(SECTORS)
+    key += sector
+    appear = np.sort(_first_rows(key))  # each unit's first row, in row order
+    code = np.empty(key.max(initial=-1) + 1, np.intp)
+    code[key[appear]] = np.arange(len(appear))
+    return code[key]
+
+
+def _repeats_or_moves(code, region, year) -> bool:
+    """Whether a unit, numbered 0, 1, ... by ``code``, repeats a year or changes region."""
+    region_of = np.empty(code.max(initial=-1) + 1, np.int8)
+    region_of[code] = region  # a region of each unit, from one of its rows
+    if (region_of[code] != region).any():
+        return True
+    by_unit = np.lexsort((year, code))  # the rows in unit, then year order
+    unit = code[by_unit]
+    repeat = unit[1:] == unit[:-1]
+    del unit
+    year = year[by_unit]
+    repeat &= year[1:] == year[:-1]
+    return bool(repeat.any())
 
 
 def _read_rows(lines) -> Panel:
@@ -391,9 +439,9 @@ def _read_rows(lines) -> Panel:
     except csv.Error as e:  # raised while the reader reads the next row
         number += 1
         raise fault(str(e)) from None
-    types = (np.intp, np.int8, np.int8, np.int64, np.float64, np.float64)
-    columns = zip(*kept) if kept else [()] * len(types)
-    return _coded_panel(units, [np.array(c, t) for c, t in zip(columns, types)])
+    columns = zip(*kept) if kept else [()] * len(_COLUMN_TYPES)
+    columns = [np.array(c, t) for c, t in zip(columns, _COLUMN_TYPES)]
+    return _coded_panel(units, columns, _unit_codes(*columns[:2]))
 
 
 def _parse(kind: type, text: str):
@@ -404,15 +452,12 @@ def _parse(kind: type, text: str):
         return None
 
 
-def _coded_panel(units, columns) -> Panel:
+def _coded_panel(units, columns, code) -> Panel:
     """The panel of coded columns (unit_id number, sector and region codes,
     year, income, and cpi if the file has one). Its rows share one ``str`` per
-    distinct value, and it carries its unit code: (unit_id, sector) numbered in
-    first-appearance order.
+    distinct value, and it carries its unit ``code`` (see :func:`_unit_codes`).
     """
     uid, sector, region, year, income, *cpi = columns
-    _, first, unit = np.unique(uid * len(SECTORS) + sector, return_index=True, return_inverse=True)
-    code = np.argsort(np.argsort(first))[unit]
     unit_id, sector, region = (np.array(list(strings), dtype=object)[c] for strings, c in
                                ((units, uid), (SECTORS, sector), (REGIONS, region)))
     return Panel(unit_id, sector, region, year, income, *cpi)._with_unit_code(code)
@@ -528,20 +573,23 @@ def to_relative(panel: Panel, scope: str = "pooled") -> Panel:
     if len(panel) == 0:
         raise EmptyYear("cannot normalize an empty panel")
     per_sector = scope == "per_sector"
-    key = panel.year
-    if per_sector:
-        _, year = np.unique(panel.year, return_inverse=True)
-        sectors, sector = np.unique(panel.sector, return_inverse=True)
-        key = year * len(sectors) + sector
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    sector_rows = {}  # per_sector: each sector's mask, made once
     income = np.empty_like(panel.income)
-    for c in np.argsort(first):
-        rows = cell == c  # a mask keeps row order, so the mean sums in row order
+    todo = np.ones(len(panel), dtype=bool)
+    while todo.any():  # a cell at a time, in order of first appearance
+        first = int(np.argmax(todo))
+        rows = panel.year == panel.year[first]  # a mask keeps row order, so the mean sums in row order
+        if per_sector:
+            sector = panel.sector[first]
+            if sector not in sector_rows:
+                sector_rows[sector] = panel.sector == sector
+            rows &= sector_rows[sector]
         mean = float(np.mean(panel.income[rows]))
         if mean <= 0:
-            k = (int(panel.year[first[c]]), panel.sector[first[c]])[: 1 + per_sector]
+            k = (int(panel.year[first]), panel.sector[first])[: 1 + per_sector]
             raise EmptyYear(f"no usable observations in scope {k}")
         income[rows] = panel.income[rows] / mean
+        todo[rows] = False
     return panel._take(slice(None), income=income, is_relative=True)
 
 
@@ -596,9 +644,9 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
         raise ValueError("transition pairs are built from relative incomes; run to_relative first")
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
-    years = panel.years()
-    span = int(years[-1]) - int(years[0]) + 1 if len(years) else 1
-    start = end = np.empty(0, dtype=np.intp)
+    low = int(panel.year.min()) if len(panel) else 0
+    span = int(panel.year.max()) - low + 1 if len(panel) else 1
+    x = y = np.empty(0)
     if tau < span:
         # rows sorted by unit code, then year; a unit's key is its rank
         # among the panel's units, stepped span + tau per unit, so year +
@@ -615,19 +663,32 @@ def build_transition_pairs(panel: Panel, tau: int = 1) -> TransitionPairs:
                           f"{units} units: the keys, unit x (span + tau), exceed 64 bits")
         key *= span + tau
         key += panel.year[order]
-        key -= years[0]
-        at = np.searchsorted(key, key + tau)
-        np.minimum(at, len(key) - 1, out=at)
-        gap = key[at]
-        gap -= key
-        hit = gap == tau
-        del key, gap
-        at = at[hit]
-        start, end = order[hit], order[at]
-        del order, at, hit
-    if not len(start):
+        key -= low
+        # A unit's years are distinct, so a sorted row's partner, if any, is
+        # d <= tau rows on: rows d apart are d or more keys apart, and more
+        # than tau if they are in two units. step holds each row's d, or 0;
+        # the last d tried is at most tau + 1.
+        step = np.zeros(len(key), np.min_scalar_type(min(tau + 1, len(key))))
+        for d in range(1, len(key)):
+            gap = key[d:] - key[:-d]
+            near = (gap <= tau).any()
+            step[:-d][gap == tau] = d
+            del gap
+            if not near:
+                break
+        del key
+        income = panel.income[order]  # in sorted-row order
+        del order
+        start = step > 0
+        end = np.flatnonzero(start)
+        end += step[start]
+        del step
+        y = income[end]
+        del end
+        x = income[start]
+    if not len(x):
         raise NoPairs(f"no unit is observed {tau} years apart (panel spans {span} year(s))")
-    return TransitionPairs(x=panel.income[start], y=panel.income[end])
+    return TransitionPairs(x=x, y=y)
 
 
 def group_shares(panel: Panel) -> dict[str, float]:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from typing import ClassVar, Iterator
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -147,7 +146,14 @@ def _text(x: float, y: float, text: str, anchor: str | None = "middle", extra: s
     """A ``<text>`` element at (x, y), its text escaped; ``anchor=None`` omits text-anchor."""
     return '<text x="%s" y="%s" font-size="%s"%s font-family="sans-serif"%s>%s</text>' % (
         _px(x), _px(y), _px(PlotStyle.font_size),
-        ' text-anchor="%s"' % anchor if anchor else "", extra, escape(text))
+        ' text-anchor="%s"' % anchor if anchor else "", extra, _escape(text))
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` written as entities, ``&`` first, as
+    ``xml.sax.saxutils.escape`` writes them; that module would load ``urllib``
+    and ``ssl`` with it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, cls: str = "") -> str:

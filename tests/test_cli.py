@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ class TestAnalyze:
         assert status["pooled"] == "ok"
         assert status["west"] == "ok"
         assert "error" in next(g for g in manifest["groups"] if g["label"] == "east")
+
+    def test_each_directory_is_made_once(self, tmp_path, monkeypatch):
+        rows = [HEADER] + [f"w{u},urban,west,{year},{1 + u + (year - 1999) / 10!r}\n"
+                           for u in range(12) for year in (1999, 2000, 2001)]
+        panel = tmp_path / "panel.csv"
+        panel.write_text("".join(rows) + "lone,urban,east,1999,2.5\n")
+        made, mkdir = [], Path.mkdir
+
+        def recorded_mkdir(path, *args, **kwargs):
+            made.append(path)
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", recorded_mkdir)
+        code, out = run_analyze(tmp_path, panel, "out", "--groups", "pooled,per-region")
+        assert code == 0
+        # the east group fails before its first file, so it has no directory
+        assert sorted(made) == [out, out / "pooled", out / "west"]
+        assert not (out / "east").exists()
 
     def test_input_path_with_comma(self, tmp_path):
         (tmp_path / "a,b").mkdir()
@@ -462,6 +481,11 @@ class TestSimulate:
         assert set(panel.sector) == {"urban"}
         assert set(panel.region) == {"other"}
 
+    def test_makes_its_output_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["simulate", "--units", "3", "--years", "2", "--out-dir", str(out)]) == 0
+        assert len(load_panel(out / "panel.csv")) == 6
+
     def test_deterministic_across_runs(self, tmp_path):
         args = ["simulate", "--kind", "two_club", "--units", "20", "--years", "5", "--seed", "4"]
         a = tmp_path / "a"
@@ -509,6 +533,13 @@ class TestCompareYears:
         assert len(lines) == 65
         assert (out / "compare.svg").read_text().startswith("<svg")
 
+    def test_makes_its_output_directory(self, tmp_path):
+        panel = write_panel(tmp_path / "panel.csv", years=(1999, 2005))
+        out = tmp_path / "a" / "b"
+        assert main(["compare-years", "--input", str(panel), "--out-dir", str(out),
+                     "--grid-count", "16"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["compare.csv", "compare.svg"]
+
     @pytest.mark.parametrize("flags", [["--grid-count", "8"], ["--scope", "bogus"]])
     def test_bad_setting_is_config_error(self, tmp_path, flags):
         panel = write_panel(tmp_path / "panel.csv", years=(1999, 2005))
@@ -523,6 +554,16 @@ class TestCompareYears:
         panel = write_panel(tmp_path / "panel.csv", years=(1999,))
         code = main(["compare-years", "--input", str(panel), "--out-dir", str(tmp_path / "o")])
         assert code == 3
+
+
+def test_cli_import_loads_no_tls_stack_or_thread_pool():
+    """The SVG text escape needs no ``xml.sax.saxutils``, which loads
+    ``urllib.request``, ``http.client``, ``email`` and ``ssl``, and one
+    thread needs no ``concurrent.futures``."""
+    probe = ("import sys, distdyn.cli; print(*sorted({'ssl', 'http.client', 'email', "
+             "'urllib.request', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_console_entry_point_runs():

@@ -1,11 +1,13 @@
 """Panel loading, validation, normalization, grouping and pair construction."""
 
 import csv
+import gc
 import io
 import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -16,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdyn import panel as panel_module
-from distdyn import DistDynError, MalformedRow, dump_panel, load_panel, prepare_panel
+from distdyn import (
+    DistDynError,
+    MalformedRow,
+    ProcessSpec,
+    dump_panel,
+    load_panel,
+    prepare_panel,
+    simulate,
+)
 from distdyn.errors import (
     DuplicateKey,
     EmptySelection,
@@ -558,6 +568,18 @@ class TestTransitionPairs:
         # both units have identical relative income 1.0 everywhere
         assert np.allclose(pairs.x, 1.0) and np.allclose(pairs.y, 1.0)
 
+    @pytest.mark.parametrize("tau", [1, 3, 254, 255, 256, 299])
+    def test_long_units_at_any_horizon(self, tau):
+        # a partner up to tau sorted rows on, past the 255 that a byte of
+        # offsets holds: unit a has every year, b has gaps; rows interleaved
+        rows = [f"{u},urban,east,{1700 + y},{y + 1 + 0.5 * (u == 'b')!r}"
+                for y in range(300) for u in "ab" if u == "a" or y % 7 != 3]
+        rel = self._relative(rows)
+        x, y = _ref_pairs(rel, tau)
+        pairs = build_transition_pairs(rel, tau=tau)
+        assert len(x) > 0
+        assert pairs.x.tobytes() == x.tobytes() and pairs.y.tobytes() == y.tobytes()
+
     def test_pair_values_match_series(self):
         rel = self._relative(
             [
@@ -826,6 +848,18 @@ class TestUnitIndexMatchesReference:
             assert sub.year.tobytes() == p.year[want].tobytes()
             assert sub.income.tobytes() == p.income[want].tobytes()
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_rows_of_subgroups_with_sparse_codes(self, seed):
+        p = shuffled_panel(seed, 1990)
+        subgroups = [p, *(filter_group(p, sector=s) for s in set(p.sector)),
+                     *(filter_group(p, region=r) for r in set(p.region)),
+                     poorest_fraction(p, int(p.year[0]), 0.3)]
+        for sub in subgroups:
+            code = sub._unit_code
+            assert sub._first_rows.tolist() == np.unique(code, return_index=True)[1].tolist()
+        empty = p._take(np.zeros(len(p), dtype=bool))
+        assert empty._first_rows.tolist() == []
+
     def test_empty_relative_panel_has_no_pairs(self):
         rel = to_relative(csv_panel(["a,urban,east,1999,1", "a,urban,east,2000,2"]))
         empty = rel._take(np.zeros(len(rel), dtype=bool))
@@ -979,6 +1013,11 @@ def valid_rows(n):
             for i in range(n)]
 
 
+def _file(rows, newline="\n", header=HEADER) -> bytes:
+    """A CSV file of the header and rows, each line ended by ``newline``."""
+    return "".join(line + newline for line in [header.strip(), *rows][not header:]).encode()
+
+
 class TestLoaderMatchesRowLoop:
     @given(data=mutated_panel_csv(), block=st.sampled_from([1, 2, 3, 8192]),
            kind=st.sampled_from(["bytes", "binary stream", "text stream", "path"]))
@@ -1072,6 +1111,46 @@ class TestLoaderMatchesRowLoop:
                                   r"\('u0', 'rural', 2003\)$")
         with pytest.raises(want[0], match=want[1]):
             load_panel(data)
+
+
+    # files by their line breaks, each with the row count the typed pass is
+    # sized for: every row after the header follows a break, so that count
+    # is never below the rows of a file with one kind of line ending
+    BREAKS = {
+        "LF": (_file(valid_rows(7)), 8),
+        "CRLF": (_file(valid_rows(7), "\r\n"), 8),
+        "CR": (_file(valid_rows(7), "\r"), 8),
+        "blank lines": (_file(["", *valid_rows(3), "", "\r"]), 7),
+        "quoted line breaks": (_file(['"a\nb",urban,east,1999,1', '"c\r\nd",rural,west,1999,2']), 5),
+        "no final line break": (_file(valid_rows(7))[:-1], 7),
+        "header only": (_file([]), 1),
+        "header without a line break": (_file([])[:-1], 0),
+        "byte-order mark": (b"\xef\xbb\xbf" + _file([r + ",100" for r in valid_rows(3)], "\r\n",
+                                                   HEADER_CPI), 4),
+        "cpi column": (_file(["a,urban,east,1999,1,100", "a,urban,east,2000,2,", ""], "\n",
+                             HEADER_CPI), 4),
+    }
+
+    @pytest.mark.parametrize("name", list(BREAKS))
+    def test_columns_are_sized_by_the_line_breaks(self, name, monkeypatch):
+        data, size = self.BREAKS[name]
+        monkeypatch.setattr(panel_module, "_read_rows", _row_loop_must_not_run)
+        with mock.patch.object(panel_module, "_read_typed", wraps=panel_module._read_typed) as typed:
+            assert_loads_like_oracle(data, data)
+        assert typed.call_args.args[2] == size
+        assert len(load_panel(data)) <= size
+        assert panel_module._scan(data.decode("utf-8"))[1] == size
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 100])
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    def test_a_short_or_long_size_gives_the_same_panel(self, size, block):
+        # a file that mixes its line endings has more rows than its LF or its CR count
+        data = _file(valid_rows(9), "\r") + _file(valid_rows(13)[9:], "\n", "")
+        assert panel_module._scan(data)[1] < 13
+        with mock.patch.object(panel_module, "_BLOCK", block):
+            with panel_module._text(data) as stream:
+                got = panel_module._read_typed(panel_module._lines(stream), True, size)
+        assert_same_panel(got, expected_load(data))
 
 
 class TestLoaderCheckOrder:
@@ -1306,11 +1385,11 @@ class TestLoaderPaths:
             assert_loads_like_oracle(data, data)
         assert typed.call_args.args[1] is plain
         for source in (data, data.decode("utf-8")):
-            assert panel_module._plain(source) is plain
+            assert panel_module._scan(source)[0] is plain
 
     def test_a_plain_file_with_a_fault_reaches_the_row_loop(self):
         data = _csv(valid_rows(3 * _BLOCK) + ["u9,urban,east,1999,-1"])
-        assert panel_module._plain(data)
+        assert panel_module._scan(data)[0]
         with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as rows:
             with pytest.raises(NonPositiveIncome, match=rf"^row {3 * _BLOCK + 2}: "):
                 load_panel(data)
@@ -1325,7 +1404,7 @@ class TestLoaderPaths:
         for at, plain in ((None, True), (0, False), (1, False)):
             odd = [r.replace("a,", "a_b,") if i == at else r for i, r in enumerate(rows)]
             path.write_bytes(_csv(odd))
-            assert panel_module._plain(path) is plain
+            assert panel_module._scan(path)[0] is plain
             assert_loads_like_oracle(path, path.read_bytes())
 
 
@@ -1340,7 +1419,7 @@ SPELLINGS = ["+5", " 7 ", "0005", "1e5", ".5", "1.", "-0", "-5", "nan", "-inf", 
 def test_numpy_reads_plain_spellings_as_python_does(spelling, column):
     row = {"year": "1999", "income": "2.5", column: spelling}
     data = _csv([f"a,urban,east,{row['year']},{row['income']}", "a,urban,east,2000,1.5"])
-    assert panel_module._plain(data)
+    assert panel_module._scan(data)[0]
     assert_loads_like_oracle(data, data)
 
 
@@ -1505,3 +1584,40 @@ class TestDumpPanelMatchesRowLoop:
         quoted = Panel(np.array([csv_quoted(u) for u in ids], dtype=object), p.sector, p.region,
                        p.year, p.income, p.cpi)
         assert dump_panel(p) == TestDumpPanelChunks._plain(quoted)
+
+
+def _scratch_rows(call, rows: int):
+    """``call()`` and its traced peak above what it keeps, its inputs and
+    its outputs, in 8-byte row-sized arrays of ``rows`` rows."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, (peak - kept) / (8 * rows)
+
+
+class TestRowSizedScratch:
+    """Each panel stage keeps at most one or two row-sized arrays beyond its
+    inputs and outputs. The bounds hold on a simulated panel of 20,000 rows,
+    where numpy's row-sized sorts and copies needed 2.2 to 6.1 of them."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        spec = ProcessSpec(kind="ar1_log", rho=0.5, units=2000, years=10, seed=3)
+        return dump_panel(simulate(spec))
+
+    def test_each_stage_keeps_few_row_sized_arrays(self, data):
+        rows = 20_000
+        # the loader's one-block arrays of text fields weigh about two more at this size
+        panel, scratch = _scratch_rows(lambda: load_panel(data), rows)
+        assert len(panel) == rows and scratch < 5
+        relative, scratch = _scratch_rows(lambda: to_relative(panel), rows)
+        assert scratch < 1
+        for tau in (1, 3):
+            pairs, scratch = _scratch_rows(lambda: build_transition_pairs(relative, tau), rows)
+            assert len(pairs) == rows - tau * 2000 and scratch < 2
+        first, scratch = _scratch_rows(lambda: relative._first_rows, rows)
+        assert len(first) == 2000 and scratch < 1.5

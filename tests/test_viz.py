@@ -24,6 +24,7 @@ from distdyn.viz import (
     _ascii,
     _contour,
     _csv_chunks,
+    _escape,
     _fixed2,
     _ramp_colors,
     _surface,
@@ -56,6 +57,16 @@ def parse_svg(text: str) -> ET.Element:
 
 
 STYLE = PlotStyle()
+
+
+@pytest.mark.parametrize("label", ["a & b", "<x>", "\"quoted\" 'single'", "&amp;", "&<>\"'", "",
+                                   "é &lt; ü"])
+def test_escape_is_saxutils_escape(label):
+    from xml.sax.saxutils import escape
+
+    assert _escape(label) == escape(label)
+    svg = render_curves([(label, density(Grid.uniform(0.0, 3.0, 16)))], STYLE)
+    assert f">{escape(label)}</text>" in svg
 
 
 class TestRenderCurves:
