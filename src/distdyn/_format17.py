@@ -1,4 +1,6 @@
-"""The 17-digit CSV number formatter shared by ``viz`` and ``panel.dump_panel``."""
+"""The 17-digit CSV number formatter shared by ``viz`` and ``panel.dump_panel``,
+and the padded byte-row helpers that the three byte writers (CSV numbers,
+panel rows, SVG numbers) share: ``_padded``, ``_joined`` and ``_unpadded``."""
 
 from __future__ import annotations
 
@@ -178,6 +180,29 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
     words[:, 5] = exps[x + 400]
     text[table.shape[1] - 1::table.shape[1], 45] = ord("\n")
     text |= pad.take(keys[x + 400] + (17 - zeros) * 2 + negative, axis=0)
-    for i in np.flatnonzero(slow):
-        text[i, :45] = np.frombuffer(("%.17g" % v[i]).encode("ascii").ljust(45, _PAD), np.uint8)
+    text[slow, :45] = _padded([("%.17g" % s).encode("ascii") for s in v[slow].tolist()], 45)
     return text.reshape(len(table), -1)
+
+
+def _padded(texts: list[bytes], width: int = 0) -> np.ndarray:
+    """The texts as rows of a byte table, padded with ``_PAD`` to ``width`` or to the longest."""
+    width = max([width, *map(len, texts)])
+    table = b"".join(text.ljust(width, _PAD) for text in texts)
+    return np.frombuffer(table, np.uint8).reshape(len(texts), width)
+
+
+def _joined(*columns) -> np.ndarray:
+    """Byte rows side by side: each column an (n, w) ``uint8`` array, or bytes
+    written on every row. A column zero bytes wide adds nothing."""
+    n = next(len(c) for c in columns if not isinstance(c, bytes))
+    columns = [c for c in columns if (len(c) if isinstance(c, bytes) else c.shape[1])]
+    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
+    rows = np.empty((n, sum(widths)), np.uint8)
+    # each column one field of a row: a field's copy is one block of bytes
+    fields = np.dtype({"names": [f"c{k}" for k in range(len(columns))],
+                       "formats": [f"V{w}" for w in widths],
+                       "offsets": np.cumsum([0] + widths[:-1]).tolist(), "itemsize": sum(widths)})
+    view = rows.view(fields)[:, 0]
+    for name, c, w in zip(fields.names, columns, widths):
+        view[name] = c if isinstance(c, bytes) else np.ascontiguousarray(c).view(f"V{w}")[:, 0]
+    return rows

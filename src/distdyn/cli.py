@@ -54,7 +54,8 @@ def _setting(default, help: str, commands: tuple[str, ...], rule=None, must: str
     """Declare one setting: its default, help text and subcommands, and its
     range rule, a predicate on the value and what the value ``must`` do when
     the predicate is false. A rule that parses the value (the group grammar,
-    the club centers) raises ValueError worded in full instead."""
+    the club centers) returns what it reads, and raises ValueError worded in
+    full instead."""
     meta = {"help": help, "commands": commands, "rule": rule, "must": must}
     return field(default=default, metadata=meta)
 
@@ -109,16 +110,16 @@ class RunConfig:
     prominence: float = _setting(0.05, "mode prominence threshold as a fraction of the peak",
                                  (ANALYZE,), lambda v: v >= 0, "be nonnegative")
     threads: int = _setting(1, "concurrent groups", (ANALYZE,), _positive, "be positive")
-    # synthesis.ProcessSpec range-checks the simulate settings.
+    # ProcessSpec's fields, with its defaults (kind has none); ProcessSpec range-checks them.
     kind: str = _setting("ar1_log", "iid_lognormal, ar1_log, or two_club", (SIMULATE,))
-    rho: float = _setting(0.0, "AR(1) persistence in [0, 1)", (SIMULATE,))
-    sigma: float = _setting(0.2, "innovation sd of log income", (SIMULATE,))
-    club_centers: str = _setting("0.48,1.1", "two comma-separated club centers", (SIMULATE,),
-                                 _club_centers)
-    club_pull: float = _setting(0.3, "mean-reversion rate in (0, 1]", (SIMULATE,))
-    units: int = _setting(400, "cross-section size", (SIMULATE,))
-    years: int = _setting(15, "panel length in years", (SIMULATE,))
-    seed: int = _setting(0, "64-bit seed", (SIMULATE,))
+    rho: float = _setting(ProcessSpec.rho, "AR(1) persistence in [0, 1)", (SIMULATE,))
+    sigma: float = _setting(ProcessSpec.sigma, "innovation sd of log income", (SIMULATE,))
+    club_centers: str = _setting(",".join(map(str, ProcessSpec.club_centers)),
+                                 "two comma-separated club centers", (SIMULATE,), _club_centers)
+    club_pull: float = _setting(ProcessSpec.club_pull, "mean-reversion rate in (0, 1]", (SIMULATE,))
+    units: int = _setting(ProcessSpec.units, "cross-section size", (SIMULATE,))
+    years: int = _setting(ProcessSpec.years, "panel length in years", (SIMULATE,))
+    seed: int = _setting(ProcessSpec.seed, "64-bit seed", (SIMULATE,))
 
 
 _FIELDS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}  # by flag name
@@ -319,16 +320,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    spec = ProcessSpec(
-        kind=cfg.kind,
-        rho=cfg.rho,
-        sigma=cfg.sigma,
-        club_centers=_club_centers(cfg.club_centers),
-        club_pull=cfg.club_pull,
-        units=cfg.units,
-        years=cfg.years,
-        seed=cfg.seed,
-    )
+    # each spec field is the setting of its name, read by the setting's rule if that parses it
+    read = {f.name: f.metadata["rule"] or (lambda v: v) for f in fields(RunConfig)}
+    spec = ProcessSpec(**{f.name: read[f.name](getattr(cfg, f.name)) for f in fields(ProcessSpec)})
     panel = simulate(spec)
     out_base = Path(cfg.out_dir)
     out_base.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format17 import _PAD, _WIDTH, _format_rows, _unpadded
+from ._format17 import _PAD, _WIDTH, _format_rows, _joined, _padded, _unpadded
 from .errors import (
     DistDynError,
     DuplicateKey,
@@ -152,14 +152,16 @@ _REGION_CODE = {r: i for i, r in enumerate(REGIONS)}
 
 
 def _content(source):
-    """``source`` as the ``Path`` of a regular file, or its CSV content as bytes or str."""
+    """``source`` as the ``Path`` of a regular file, or its CSV content as
+    bytes; text from ``.read()`` is encoded as UTF-8 once, lone surrogates kept."""
     if isinstance(source, (str, os.PathLike)):
         path = Path(source)
         return path if path.is_file() else path.read_bytes()  # a pipe is read once
     if isinstance(source, bytes):
         return source
     if hasattr(source, "read"):
-        return source.read()
+        content = source.read()
+        return content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content
     raise TypeError(f"cannot read a panel from {type(source).__name__}")
 
 
@@ -167,19 +169,17 @@ def _text(content):
     """A UTF-8 text stream over ``content`` that leaves line endings to the CSV reader."""
     if isinstance(content, Path):
         return open(content, "r", encoding="utf-8", newline="")
-    if isinstance(content, bytes):
-        return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", newline="")
-    return io.StringIO(content, newline="")
+    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", newline="")
 
 
 def load_panel(source) -> Panel:
     """Parse a long-format CSV into a panel.
 
     ``source`` is a path (``str`` or ``os.PathLike``), the CSV content as
-    ``bytes``, or an object with ``.read()`` returning text or bytes. Fields
-    follow CSV rules: a quoted field may hold commas, line breaks and
-    doubled quotes, and any of LF, CRLF and CR ends a row. Blank rows are
-    skipped, but counted in row numbers.
+    ``bytes``, or an object with ``.read()`` returning bytes or text, which
+    is encoded as UTF-8 once. Fields follow CSV rules: a quoted field may
+    hold commas, line breaks and doubled quotes, and any of LF, CRLF and CR
+    ends a row. Blank rows are skipped, but counted in row numbers.
 
     Raises :class:`MalformedRow` (also for an empty ``unit_id``, a year
     beyond 64-bit integers and a unit whose region changes),
@@ -187,8 +187,8 @@ def load_panel(source) -> Panel:
     number of the offender. Of several faulty rows the lowest is named, and
     of its faults the first in the order: field count, ``unit_id``, sector,
     region, year, income, cpi, repeated key, region change. Input that is
-    not UTF-8 raises :class:`MalformedRow` naming its first bad byte,
-    whatever else is wrong with it.
+    not UTF-8, text with a lone surrogate among it, raises :class:`MalformedRow`
+    naming its first bad byte, whatever else is wrong with it.
 
     A first scan (:func:`_scan`) tells whether the text is plain and counts
     its line breaks. A typed pass then reads ``_BLOCK`` rows at a time with
@@ -220,49 +220,37 @@ def load_panel(source) -> Panel:
 # int64 and float64 parse read what int() and float() read. On other text
 # numpy misreads some non-ASCII digits, skips U+001C-U+001F as spaces, and
 # refuses a "_" inside a number, which int() and float() read.
-_NOT_PLAIN = "_\x1c\x1d\x1e\x1f"  # the ASCII characters plain text lacks
-_LINE_BREAK = {str: re.compile("[\r\n]"), bytes: re.compile(b"[\r\n]")}
-# Content is checked this many bytes or characters at a time. A chunk stays
+_NOT_PLAIN = b"_\x1c\x1d\x1e\x1f"  # the ASCII characters plain text lacks
+_LINE_BREAK = re.compile(b"[\r\n]")
+# Content is checked this many bytes at a time. A chunk stays
 # below glibc's 128 KiB mmap threshold: freeing a larger one raises that
 # threshold, and later stages then peak 2-5 MiB higher on panel-300k.
 _SCAN = 1 << 16
 
 
 def _scan(content) -> tuple[bool, int]:
-    """Whether ``content`` (a ``Path``, bytes or str) is plain after its first
-    line break, and its count of LF or of CR, whichever is larger: every row
-    after the header follows a line break, so only a file that mixes its
-    line endings has more rows than that.
+    """Whether ``content`` (a ``Path`` or bytes, as :func:`_content` gives it)
+    is plain after its first line break, and its count of LF or of CR,
+    whichever is larger: every row after the header follows a line break,
+    so only a file that mixes its line endings has more rows than that.
 
     The first line holds the header, or its start, which the header check
     reads; a leading byte-order mark is part of it. Content is read a chunk
     at a time, and no chunk is kept.
     """
-    if isinstance(content, Path):
-        with open(content, "rb") as f:
-            return _scan_chunks(iter(partial(f.read, _SCAN), b""))
-    return _scan_chunks(content[i:i + _SCAN] for i in range(0, len(content), _SCAN))
-
-
-def _scan_chunks(chunks) -> tuple[bool, int]:
     plain, lf, cr = True, 0, 0
-    for i, chunk in enumerate(chunks):
-        kind = type(chunk)
-        if kind is bytes:  # counted by numpy, several times faster than bytes.count
-            codes = np.frombuffer(chunk, np.uint8)
+    with open(content, "rb") if isinstance(content, Path) else io.BytesIO(content) as f:
+        for i, chunk in enumerate(iter(partial(f.read, _SCAN), b"")):
+            codes = np.frombuffer(chunk, np.uint8)  # numpy counts faster than bytes.count
             lf += int(np.count_nonzero(codes == ord("\n")))
             cr += int(np.count_nonzero(codes == ord("\r"))) if b"\r" in chunk else 0
-        else:
-            lf += chunk.count("\n")
-            cr += chunk.count("\r")
-        if i == 0:
-            line_break = _LINE_BREAK[kind].search(chunk)
-            if line_break is None:  # a first line this long is not worth checking
-                plain = False
-                continue
-            chunk = chunk[line_break.end():]
-        marks = _NOT_PLAIN if kind is str else _NOT_PLAIN.encode()
-        plain = plain and chunk.isascii() and not any(mark in chunk for mark in marks)
+            if i == 0:
+                line_break = _LINE_BREAK.search(chunk)
+                if line_break is None:  # a first line this long is not worth checking
+                    plain = False
+                    continue
+                chunk = chunk[line_break.end():]
+            plain = plain and chunk.isascii() and not any(mark in chunk for mark in _NOT_PLAIN)
     return plain, max(lf, cr)
 
 
@@ -481,10 +469,10 @@ def dump_panel(panel: Panel) -> bytes:
     whitespace raises ValueError. The text is assembled as padded byte rows
     (see ``_format17._unpadded``): each unit's ``unit_id,sector,region,``
     text and each distinct year's ``%d,`` text is built once, as a row of
-    a padded table, and every ``_BLOCK`` rows are one concatenation of the
-    rows' unit text, year text and ``_format17._format_rows`` number text,
-    a blank cpi cell cleared. A unit text over ``_WIDE`` bytes is written
-    apart, before its row's other text.
+    a ``_format17._padded`` table, and every ``_BLOCK`` rows are one
+    ``_format17._joined`` of the rows' unit text, year text and
+    ``_format17._format_rows`` number text, a blank cpi cell cleared. A unit
+    text over ``_WIDE`` bytes is written apart, before its row's other text.
     """
     numbers = (panel.income,) if panel.cpi is None else (panel.income, panel.cpi)
     out = [",".join(_HEADER + ["cpi"] * (len(numbers) - 1)).encode() + b"\n"]
@@ -501,21 +489,13 @@ def dump_panel(panel: Panel) -> bytes:
         if panel.cpi is not None:  # a blank cell keeps its row's LF alone
             text[np.isnan(panel.cpi[rows]), _WIDTH:2 * _WIDTH - 3] = ord(_PAD)
         entries = prefix_of[rows]
-        block = np.concatenate((prefixes.take(entries, axis=0),
-                                years.take(year_of[rows], axis=0), text), axis=1)
+        block = _joined(prefixes.take(entries, axis=0), years.take(year_of[rows], axis=0), text)
         at = 0
         for i in np.flatnonzero(apart.take(entries)):
             out += [_unpadded(block[at:i]), texts[entries[i]]]
             at = i
         out.append(_unpadded(block[at:]))
     return b"".join(out)
-
-
-def _padded(texts: list[bytes]) -> np.ndarray:
-    """The texts as the rows of a byte table, each padded with ``_PAD`` to the longest."""
-    width = max(map(len, texts), default=0)
-    table = b"".join(text.ljust(width, _PAD) for text in texts)
-    return np.frombuffer(table, np.uint8).reshape(len(texts), width)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')

@@ -11,7 +11,7 @@ writer of the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -172,13 +172,10 @@ def json_text(obj) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """Serialize with a stable field order; region shares in ``REGIONS`` order."""
-    return json_text({
-        "group_label": report.group_label,
-        "sample_counts": report.sample_counts,
-        "modes": [m._asdict() for m in report.modes],
-        "ntp_crossings": list(report.ntp_crossings),
-        "ergodic_residual": report.ergodic_residual,
-        "ergodic_error_bound": report.ergodic_error_bound,
-        "region_shares": {r: report.region_shares[r] for r in REGIONS if r in report.region_shares},
-    })
+    """Serialize every field in declaration order: modes as dicts, region
+    shares in ``REGIONS`` order."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    shares = report.region_shares
+    out.update(modes=[m._asdict() for m in report.modes],
+               region_shares={r: shares[r] for r in REGIONS if r in shares})
+    return json_text(out)

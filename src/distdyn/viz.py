@@ -12,8 +12,8 @@ Coordinates are formatted with two decimals; that is far below visual
 resolution and keeps files small and diffs stable. Each contour level and
 each mesh is computed over whole arrays, in a per-cell loop's operation
 order, and its numbers are written as byte rows by one two-decimal writer,
-``_fixed2``, each exactly as ``"%.2f"`` writes it: the bytes are that
-loop's.
+``_fixed2``, each exactly as ``"%.2f"`` writes it, and joined into elements
+by ``_format17._joined``: the bytes are that loop's.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import NTPCurve
 from .errors import DegenerateSurface, EmptyPlot, GridMismatch
 from .kde import DensityCurve, StochasticKernel
-from ._format17 import _PAD, _format17, _unpadded
+from ._format17 import _PAD, _format17, _joined, _padded, _unpadded
 
 _CURVE_X_LABEL = "relative income"
 _KERNEL_X_LABEL, _KERNEL_Y_LABEL = "relative income at t", "relative income at t+τ"
@@ -113,28 +113,10 @@ def _fixed2(values) -> np.ndarray:
     text = words.view(np.uint8)
     text[np.signbit(v), 0] = ord("-")
     if slow.any():
-        slow_text = [_px(x).encode("ascii") for x in v[slow].tolist()]
-        width = max(_FIXED2_WIDTH, 1 + max(map(len, slow_text)))
-        text = np.pad(text, ((0, 0), (0, width - _FIXED2_WIDTH)), constant_values=ord(_PAD))
-        text[slow] = np.frombuffer(b"".join(t.ljust(width, _PAD) for t in slow_text),
-                                   np.uint8).reshape(-1, width)
+        rows = _padded([_px(x).encode("ascii") + _PAD for x in v[slow].tolist()], _FIXED2_WIDTH)
+        text = np.pad(text, ((0, 0), (0, rows.shape[1] - _FIXED2_WIDTH)), constant_values=ord(_PAD))
+        text[slow] = rows
     return text
-
-
-def _joined(*columns) -> np.ndarray:
-    """Byte rows side by side: each column an (n, w) ``uint8`` array, or bytes
-    written on every row."""
-    widths = [len(c) if isinstance(c, bytes) else c.shape[1] for c in columns]
-    n = next(len(c) for c in columns if not isinstance(c, bytes))
-    rows = np.empty((n, sum(widths)), np.uint8)
-    # each column one field of a row: a field's copy is one block of bytes
-    fields = np.dtype({"names": [f"c{k}" for k in range(len(columns))],
-                       "formats": [f"V{w}" for w in widths],
-                       "offsets": np.cumsum([0] + widths[:-1]).tolist(), "itemsize": sum(widths)})
-    view = rows.view(fields)[:, 0]
-    for name, c, w in zip(fields.names, columns, widths):
-        view[name] = c if isinstance(c, bytes) else np.ascontiguousarray(c).view(f"V{w}")[:, 0]
-    return rows
 
 
 def _ascii(rows: np.ndarray) -> str:

@@ -737,3 +737,28 @@ def test_cli_default_is_the_library_default(setting, fn, param):
 def test_club_centers_default_is_the_process_default():
     text = cli.RunConfig.__dataclass_fields__["club_centers"].default
     assert cli._club_centers(text) == _param_default(ProcessSpec, "club_centers")
+
+
+def test_each_process_field_is_the_simulate_setting_of_its_name():
+    # _cmd_simulate builds the spec by field name, reading a setting through
+    # its rule if it has one, so that rule must parse the setting's default
+    # into the spec's (kind has no default)
+    import dataclasses
+
+    settings = {f.name: f for f in cli._settings(cli.SIMULATE).values()}
+    for f in dataclasses.fields(ProcessSpec):
+        setting = settings.pop(f.name)
+        read = setting.metadata["rule"] or (lambda v: v)
+        if f.name != "kind":
+            assert read(setting.default) == f.default, f.name
+    assert list(settings) == ["out_dir"]
+
+
+def test_simulate_passes_each_setting_to_the_spec(tmp_path, monkeypatch):
+    specs, simulate = [], cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda spec: specs.append(spec) or simulate(spec))
+    argv = ["simulate", "--kind", "two_club", "--rho", "0.25", "--sigma", "0.3",
+            "--club-centers", "0.5,1.5", "--club-pull", "0.4", "--units", "7", "--years", "3",
+            "--seed", "12", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert specs == [ProcessSpec("two_club", 0.25, 0.3, (0.5, 1.5), 0.4, 7, 3, 12)]

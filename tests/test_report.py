@@ -216,6 +216,10 @@ class TestReportJson:
         assert all(i >= 0 for i in order)
         assert order == sorted(order)
 
+    def test_keys_are_the_report_fields_in_declaration_order(self):
+        keys = list(json.loads(report_to_json(make_report())))
+        assert keys == [f.name for f in dataclasses.fields(AnalysisReport)]
+
     def test_empty_collections_serialize_as_empty_arrays(self):
         text = report_to_json(make_report(modes=(), crossings=()))
         assert '"modes": []' in text
